@@ -86,7 +86,8 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first bit reader mirroring :class:`BitWriter`."""
+    """MSB-first bit reader mirroring :class:`BitWriter`.  A read past the
+    end of the buffer (a truncated chunk) raises ``ValueError``."""
 
     __slots__ = ("buf", "pos")
 
@@ -97,6 +98,10 @@ class BitReader:
     def read(self, bits: int) -> int:
         pos = self.pos
         end = pos + bits
+        if end > len(self.buf) * 8:
+            raise ValueError(
+                f"read of {bits} bits at bit {pos} runs past the end of a "
+                f"{len(self.buf)}-byte buffer")
         first_byte = pos >> 3
         last_byte = (end + 7) >> 3
         chunk = int.from_bytes(self.buf[first_byte:last_byte], "big")

@@ -61,10 +61,6 @@ def char_ngram_hashes(text: str, n: int = 5) -> np.ndarray:
         return prefix[n:] - prefix[:-n] * powers[n]
 
 
-def char_ngram_hashes_batch(texts, n: int = 5) -> list[np.ndarray]:
-    return [char_ngram_hashes(t or "", n) for t in texts]
-
-
 def word_ngram_hashes(text: str, n: int = 3) -> np.ndarray:
     """uint64 hashes of word n-grams (whitespace tokens)."""
     words = text.split()

@@ -79,26 +79,23 @@ def _khop_sharded_hop(edge_rows, frontier_ds, num_shards: int = 64):
     """One BFS hop with NOTHING driver-side: (k, v) edge rows (both
     orientations) co-partition with frontier nodes by k-hash; each shard
     emits the distinct v of edges whose k is in the frontier."""
-    from ..stages.common import narrow_fanin
-    from ..stages.keyed import _key_shard
+    from ..stages.common import shard_apply
 
     def tag_frontier(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        t = pa.table({
+        return pa.table({
             "k": pc.cast(batch["node"], pa.int64()),
             "v": pa.array(np.zeros(n, np.int64)),
             "_side": pa.array(np.zeros(n, np.int64)),
         })
-        return t.append_column("_fshard", _key_shard(t, ["k"], num_shards))
 
     def tag_edges(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        t = pa.table({
+        return pa.table({
             "k": pc.cast(batch["k"], pa.int64()),
             "v": pc.cast(batch["v"], pa.int64()),
             "_side": pa.array(np.ones(n, np.int64)),
         })
-        return t.append_column("_fshard", _key_shard(t, ["k"], num_shards))
 
     def per_shard(group: pa.Table) -> pa.Table:
         side = group["_side"].to_numpy(zero_copy_only=False)
@@ -111,9 +108,7 @@ def _khop_sharded_hop(edge_rows, frontier_ds, num_shards: int = 64):
 
     both = edge_rows.map_batches(tag_edges, batch_format="pyarrow").union(
         frontier_ds.map_batches(tag_frontier, batch_format="pyarrow"))
-    return (both.repartition(narrow_fanin())
-            .groupby("_fshard")
-            .map_groups(per_shard, batch_format="pyarrow"))
+    return shard_apply(both, ["k"], per_shard, num_shards=num_shards)
 
 
 def q_khop_reach(sf_dir: str, max_driver_nodes: int | None = None):

@@ -1,4 +1,4 @@
-"""shared query substrate — auto-split from the former pipelines/queries.py monolith (scripts/split_queries.py); statement order and registry contents are bit-identical."""
+"""shared query substrate."""
 from __future__ import annotations  # noqa: F401
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""query battery chunk 1 — auto-split from the former pipelines/queries.py monolith (scripts/split_queries.py); statement order and registry contents are bit-identical."""
+"""query battery chunk 1."""
 from __future__ import annotations  # noqa: F401
 
 from .qsubstrate import (  # noqa: F401
@@ -3271,7 +3271,8 @@ def q_user_entropy(sf_dir: str):
     per count, exact int64 fold, one float division at the end mirrored
     term-for-term by the SQL) — the engagement-mix signal.  One user-hash
     exchange of bounded (user, type, n) combiner rows."""
-    from ..stages.keyed import _key_shard, _segment_starts
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -3282,18 +3283,10 @@ def q_user_entropy(sf_dir: str):
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
         g = t.group_by(["user_id", "event_type"]).aggregate([("n", "sum")])
-        g = g.rename_columns(["user_id", "event_type", "n"])
-        return g.append_column("_ushard", _key_shard(g, ["user_id"], 16))
+        return g.rename_columns(["user_id", "event_type", "n"])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        out_empty = pa.table({
-            "user_id": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "entropy": pa.array([], pa.float64()),
-        })
-        if group.num_rows == 0:
-            return out_empty
-        t = group.drop_columns("_ushard").sort_by(
+        t = group.sort_by(
             [("user_id", "ascending"), ("event_type", "ascending")]
         )
         # fold cross-batch partials per (user, type)
@@ -3313,11 +3306,8 @@ def q_user_entropy(sf_dir: str):
             "entropy": pc.round(pa.array(ent, pa.float64()), ndigits=6),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_ushard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, ["user_id"], per_shard, prepare=partial,
+                       coalesce=False, num_shards=16)
 
 
 def q_term_drift(sf_dir: str):

@@ -1,4 +1,4 @@
-"""query battery chunk 2 — auto-split from the former pipelines/queries.py monolith (scripts/split_queries.py); statement order and registry contents are bit-identical."""
+"""query battery chunk 2."""
 from __future__ import annotations  # noqa: F401
 
 from .qsubstrate import (  # noqa: F401
@@ -367,7 +367,8 @@ def q_funnel_latency(sf_dir: str):
     user-hash exchange of distinct (user, step, ts) combiner rows derives
     the latencies (two masked segment mins per shard); the quantiles come
     from the distributed-selection kernel over the tiny latency table."""
-    from ..stages.keyed import _key_shard, _segment_starts
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts
     from ..stages.sketch import exact_global_quantiles
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
@@ -384,14 +385,10 @@ def q_funnel_latency(sf_dir: str):
             "step": t["event_type"],
             "tms": ts_to_ms(t["ts"]),
         })
-        g = out.group_by(["user_id", "step", "tms"]).aggregate([])
-        return g.append_column("_fshard", _key_shard(g, ["user_id"], 16))
+        return out.group_by(["user_id", "step", "tms"]).aggregate([])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        out_empty = pa.table({"lat_s": pa.array([], pa.int64())})
-        if group.num_rows == 0:
-            return out_empty
-        t = group.drop_columns("_fshard").sort_by(
+        t = group.sort_by(
             [("user_id", "ascending"), ("step", "ascending"),
              ("tms", "ascending")]
         )
@@ -413,9 +410,8 @@ def q_funnel_latency(sf_dir: str):
         return pa.table({"lat_s": pa.array(np.array(lats, np.int64))})
 
     lat = (
-        ds.map_batches(full_rows, batch_format="pyarrow")
-        .groupby("_fshard")
-        .map_groups(per_shard, batch_format="pyarrow")
+        shard_apply(ds, ["user_id"], per_shard, prepare=full_rows,
+                    coalesce=False, num_shards=16)
         .materialize()
     )
     n = lat.count()
@@ -1651,16 +1647,9 @@ def q_weighted_median(sf_dir: str):
             "wmedian_chars": pa.array(out_m, pa.int64()),
         })
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        from ..stages.keyed import _key_shard
-        return batch.append_column("_ws", _key_shard(batch, ["lang"], 8))
+    from ..stages.common import shard_apply
 
-    return (
-        census.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("_ws")
-        .map_groups(lambda g: per_lang(g.drop_columns("_ws")),
-                    batch_format="pyarrow")
-    )
+    return shard_apply(census, ["lang"], per_lang, coalesce=False, num_shards=8)
 
 
 def q_ks_statistic(sf_dir: str):
@@ -1767,26 +1756,18 @@ def q_basket_lift(sf_dir: str):
     moves (user, ts, type) triples once; the census and the final
     ``lift = (n_ab*N) / (n_a*n_b)`` (exact ints, one division) are
     driver-final over at most T + C(T,2) + 1 rows."""
-    from ..stages.keyed import _key_shard
+    from ..stages.common import shard_apply
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "ts_ms": ts_to_ms(batch["ts"]),
             "event_type": batch["event_type"],
         })
-        return t.append_column("_kshard", _key_shard(t, ["user_id"], 64))
 
     def census(group: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "ta": pa.array([], pa.string()),
-            "tb": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0:
-            return empty
         user = group["user_id"].to_numpy(zero_copy_only=False)
         ts = group["ts_ms"].to_numpy(zero_copy_only=False)
         et = group["event_type"].to_numpy(zero_copy_only=False)
@@ -1841,13 +1822,8 @@ def q_basket_lift(sf_dir: str):
             "n": pa.array(out_rows["n"], pa.int64()),
         })
 
-    cen = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(lambda g: census(g.drop_columns("_kshard")),
-                    batch_format="pyarrow")
-        .to_pandas()
-    )
+    cen = shard_apply(ds, ["user_id"], census, prepare=prep,
+                      coalesce=False).to_pandas()
     agg = cen.groupby(["ta", "tb"], as_index=False)["n"].sum()
     total = int(agg.loc[(agg["ta"] == "") & (agg["tb"] == ""), "n"].iloc[0])
     singles = {r["ta"]: int(r["n"]) for _, r in
@@ -2032,28 +2008,20 @@ def q_debounce_events(sf_dir: str):
     semantics (compact.go:37) extended to proximity.  One narrow
     (user, type, ts, id) exchange; per-shard segment scan; per-type
     (total, kept) census is all that reaches the merge."""
-    from ..stages.keyed import _key_shard, sharded_grouped_agg
+    from ..stages.common import shard_apply
+    from ..stages.keyed import sharded_grouped_agg
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "event_type": batch["event_type"],
             "tsms": ts_to_ms(batch["ts"]),
             "event_id": pc.cast(batch["event_id"], pa.int64()),
         })
-        return t.append_column(
-            "_kshard", _key_shard(t, ["user_id", "event_type"], 64))
 
-    def census(group: pa.Table) -> pa.Table:
-        g = group.drop_columns("_kshard")
-        if g.num_rows == 0:
-            return pa.table({
-                "event_type": pa.array([], pa.string()),
-                "n_total": pa.array([], pa.int64()),
-                "n_kept": pa.array([], pa.int64()),
-            })
+    def census(g: pa.Table) -> pa.Table:
         user = g["user_id"].to_numpy(zero_copy_only=False)
         et = g["event_type"].to_numpy(zero_copy_only=False)
         ts = g["tsms"].to_numpy(zero_copy_only=False)
@@ -2075,9 +2043,8 @@ def q_debounce_events(sf_dir: str):
         })
 
     merged = sharded_grouped_agg(
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(census, batch_format="pyarrow"),
+        shard_apply(ds, ["user_id", "event_type"], census, prepare=prep,
+                    coalesce=False),
         ["event_type"], [("n_total", "sum"), ("n_kept", "sum")],
         num_shards=4,
     )
@@ -2416,29 +2383,22 @@ def q_longest_streak(sf_dir: str):
     vectorized run-length over the (ts, event_id)-ordered timeline,
     per-type max combiner.  SQL mirror is the classic row_number-
     difference islands construction."""
-    from ..stages.keyed import _key_shard, sharded_grouped_agg
+    from ..stages.common import shard_apply
+    from ..stages.keyed import sharded_grouped_agg
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id",
                                   "value"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "event_type": batch["event_type"],
             "tsms": ts_to_ms(batch["ts"]),
             "event_id": pc.cast(batch["event_id"], pa.int64()),
             "value": batch["value"],
         })
-        return t.append_column(
-            "_kshard", _key_shard(t, ["user_id", "event_type"], 64))
 
-    def runs(group: pa.Table) -> pa.Table:
-        g = group.drop_columns("_kshard")
-        if g.num_rows == 0:
-            return pa.table({
-                "event_type": pa.array([], pa.string()),
-                "streak": pa.array([], pa.int64()),
-            })
+    def runs(g: pa.Table) -> pa.Table:
         user = g["user_id"].to_numpy(zero_copy_only=False)
         et = g["event_type"].to_numpy(zero_copy_only=False)
         ts = g["tsms"].to_numpy(zero_copy_only=False)
@@ -2463,9 +2423,8 @@ def q_longest_streak(sf_dir: str):
         })
 
     return sharded_grouped_agg(
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(runs, batch_format="pyarrow"),
+        shard_apply(ds, ["user_id", "event_type"], runs, prepare=prep,
+                    coalesce=False),
         ["event_type"], [("streak", "max")], num_shards=4,
     )
 

@@ -1,4 +1,4 @@
-"""query battery chunk 3 — auto-split from the former pipelines/queries.py monolith (scripts/split_queries.py); statement order and registry contents are bit-identical."""
+"""query battery chunk 3."""
 from __future__ import annotations  # noqa: F401
 
 from .qsubstrate import (  # noqa: F401

@@ -22,7 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..stages.keyed import _key_shard, sharded_grouped_agg
+from ..stages.common import shard_apply
+from ..stages.keyed import sharded_grouped_agg
 from ..windows import ts_to_ms
 
 
@@ -286,21 +287,9 @@ def q_runs_test(sf_dir: str):
             "event_id": pc.cast(t["event_id"], pa.int64()),
             "sign": pa.array((cv[keep] > med).astype(np.int64)),
         })
-        return out.append_column(
-            "_kshard", _key_shard(out, ["event_type", "day_ms"], 32)
-        )
+        return out
 
     def per_day(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({
-                "event_type": pa.array([], pa.string()),
-                "day_ms": pa.array([], pa.int64()),
-                "first_sign": pa.array([], pa.int64()),
-                "last_sign": pa.array([], pa.int64()),
-                "runs": pa.array([], pa.int64()),
-                "n_above": pa.array([], pa.int64()),
-                "n_total": pa.array([], pa.int64()),
-            })
         et = np.asarray(group["event_type"].to_pylist(), dtype=object)
         day = group["day_ms"].to_numpy(zero_copy_only=False)
         tsu = group["ts_us"].to_numpy(zero_copy_only=False)
@@ -331,9 +320,8 @@ def q_runs_test(sf_dir: str):
         })
 
     parts = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_day, batch_format="pyarrow")
+        shard_apply(ds, ["event_type", "day_ms"], per_day, prepare=prep,
+                    coalesce=False, num_shards=32)
         .to_pandas()
         .sort_values(["event_type", "day_ms"])
     )

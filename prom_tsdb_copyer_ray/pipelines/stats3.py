@@ -27,6 +27,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..stages.common import shard_apply
 from ..stages.keyed import sharded_grouped_agg
 from ..windows import ts_to_ms
 
@@ -313,7 +314,6 @@ def q_zipf_slope(sf_dir: str):
     from collections import Counter
 
     from ..stages.textstats import _shard_term_sum
-    from ..functions.hashing import poly_hash_column
 
     word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["text"])
@@ -323,18 +323,14 @@ def q_zipf_slope(sf_dir: str):
         for t in batch["text"].to_pylist():
             counts.update(m.lower() for m in word_re.findall(t or ""))
         terms = list(counts.keys())
-        tbl = pa.table({
+        return pa.table({
             "term": pa.array(terms, pa.string()),
             "df": pa.array([counts[t] for t in terms], pa.int64()),
         })
-        shard = (poly_hash_column(tbl["term"], fold63=False)
-                 % np.uint64(64)).astype(np.int64)
-        return tbl.append_column("_tshard", pa.array(shard))
 
     top = (
-        ds.map_batches(partial_cf, batch_format="pyarrow")
-        .groupby("_tshard")
-        .map_groups(_shard_term_sum, batch_format="pyarrow")
+        shard_apply(ds, ["term"], _shard_term_sum, prepare=partial_cf,
+                    coalesce=False)
         .sort(["df", "term"], descending=[True, False])
         .limit(100)
         .to_pandas()
@@ -1029,16 +1025,9 @@ def q_dau_jaccard(sf_dir: str):
             "user_id": batch["user_id"],
             "day": pa.array(tms // 86_400_000, pa.int64()),
         })
-        g = t.group_by(["user_id", "day"]).aggregate([])
-        uid = g["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        shard = (uid % 16).astype(np.int64)
-        return g.append_column("_ushard", pa.array(shard))
+        return t.group_by(["user_id", "day"]).aggregate([])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"day": pa.array([], pa.int64()),
-                             "act": pa.array([], pa.int64()),
-                             "both": pa.array([], pa.int64())})
         t = group.sort_by([("user_id", "ascending"), ("day", "ascending")])
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         day = t["day"].to_numpy(zero_copy_only=False)
@@ -1063,9 +1052,8 @@ def q_dau_jaccard(sf_dir: str):
         return g.rename_columns(["day", "act", "both"])
 
     census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_ushard")
-        .map_groups(per_shard, batch_format="pyarrow"),
+        shard_apply(ds, ["user_id"], per_shard, prepare=partial,
+                    coalesce=False, num_shards=16),
         ["day"], [("act", "sum"), ("both", "sum")], num_shards=2,
     ).to_pandas().sort_values("day")
     days = census["day"].to_numpy(np.int64)

@@ -1043,13 +1043,7 @@ def _lang_vocab_census(sf_dir: str):
     )
     # fold to per-term lang sets INSIDE a term-sharded task, emit
     # (langset, count) combiner rows
-    from ..functions.hashing import poly_hash_column
-    from ..stages.common import narrow_fanin
-
-    def add_tshard(batch: pa.Table) -> pa.Table:
-        sh = (poly_hash_column(batch["term"], fold63=False)
-              % np.uint64(8)).astype(np.int64)
-        return batch.append_column("_tsh", pa.array(sh))
+    from ..stages.common import shard_apply
 
     def fold(group: pa.Table) -> pa.Table:
         from collections import Counter as C
@@ -1069,10 +1063,7 @@ def _lang_vocab_census(sf_dir: str):
         })
 
     venn = sharded_grouped_agg(
-        census.map_batches(add_tshard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_tsh")
-        .map_groups(fold, batch_format="pyarrow"),
+        shard_apply(census, ["term"], fold, num_shards=8),
         ["langset"], [("nterms", "sum")], num_shards=1,
     ).to_pandas()
     return {str(r["langset"]): int(r["nterms"])

@@ -2737,28 +2737,24 @@ def _user_gap_partials(sf_dir: str):
     millisecond squares overflow int64 partials), plus session splits
     at SESSION_GAP_MS (milliseconds).  Returns the summed dict of
     exact Python ints."""
-    from ..stages.keyed import _key_shard, _segment_starts
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts
     from ..windows import ts_to_ms
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "tms": ts_to_ms(batch["ts"]),
             "event_id": pc.cast(batch["event_id"], pa.int64()),
         })
-        return t.append_column("_gshard", _key_shard(t, ["user_id"], 64))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_gshard")
         cols = ["n_users", "n_events", "n_gaps", "g1", "g2",
                 "pn", "px", "py", "pxx", "pyy", "pxy",
                 "n_sessions", "in_session_ms"]
-        if t.num_rows == 0:
-            return pa.table({c: pa.array([0], pa.int64())
-                             for c in cols})
-        t = t.sort_by([("user_id", "ascending"), ("tms", "ascending"),
+        t = group.sort_by([("user_id", "ascending"), ("tms", "ascending"),
                        ("event_id", "ascending")])
         same = ~_segment_starts(t, ["user_id"])[1:]
         tms = t["tms"].to_numpy(zero_copy_only=False)
@@ -2788,9 +2784,8 @@ def _user_gap_partials(sf_dir: str):
         return pa.table({c: pa.array([vals[c]], pa.int64())
                          for c in cols})
 
-    parts = (ds.map_batches(add_shard, batch_format="pyarrow")
-             .groupby("_gshard")
-             .map_groups(per_shard, batch_format="pyarrow")).to_pandas()
+    parts = shard_apply(ds, ["user_id"], per_shard, prepare=project,
+                        coalesce=False).to_pandas()
     return {c: int(parts[c].sum()) for c in parts.columns}
 
 
@@ -2858,25 +2853,21 @@ def q_gap_quantiles(sf_dir: str):
     in whole seconds (quantile_disc ceil-index semantics): median,
     p90, p99 and max — the gap multiset leaves the shards as a
     (gap_s, count) census (O(distinct gaps) rows)."""
-    from ..stages.keyed import _key_shard, _segment_starts
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts
     from ..windows import ts_to_ms
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "tms": ts_to_ms(batch["ts"]),
             "event_id": pc.cast(batch["event_id"], pa.int64()),
         })
-        return t.append_column("_gshard", _key_shard(t, ["user_id"], 64))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_gshard")
-        if t.num_rows < 2:
-            return pa.table({"g": pa.array([], pa.int64()),
-                             "c": pa.array([], pa.int64())})
-        t = t.sort_by([("user_id", "ascending"), ("tms", "ascending"),
+        t = group.sort_by([("user_id", "ascending"), ("tms", "ascending"),
                        ("event_id", "ascending")])
         same = ~_segment_starts(t, ["user_id"])[1:]
         tms = t["tms"].to_numpy(zero_copy_only=False)
@@ -2886,9 +2877,7 @@ def q_gap_quantiles(sf_dir: str):
                          "c": pa.array(cnts.astype(np.int64))})
 
     census = sharded_grouped_agg(
-        (ds.map_batches(add_shard, batch_format="pyarrow")
-         .groupby("_gshard")
-         .map_groups(per_shard, batch_format="pyarrow")),
+        shard_apply(ds, ["user_id"], per_shard, prepare=project, coalesce=False),
         ["g"], [("c", "sum")], num_shards=4,
     ).to_pandas().sort_values("g")
     g = census["g"].to_numpy(np.int64)
@@ -3909,18 +3898,11 @@ def q_returning_share(sf_dir: str):
     # Re-key by USER so each user's (day, n) rows are co-located —
     # the census above is hashed on (user, day), which would split a
     # user across folds and miscount the first day.
-    from ..stages.keyed import _key_shard, _segment_starts
-
-    def add_user_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_ushard", _key_shard(batch, ["user_id"], 32))
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts
 
     def fold(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_ushard")
-        if t.num_rows == 0:
-            return pa.table({"total": pa.array([0], pa.int64()),
-                             "first": pa.array([0], pa.int64())})
-        t = t.sort_by([("user_id", "ascending"),
+        t = group.sort_by([("user_id", "ascending"),
                        ("day", "ascending")])
         starts = _segment_starts(t, ["user_id"])
         n = t["n"].to_numpy(zero_copy_only=False)
@@ -3929,9 +3911,8 @@ def q_returning_share(sf_dir: str):
             "first": pa.array([int(n[starts].sum())], pa.int64()),
         })
 
-    f = (census.map_batches(add_user_shard, batch_format="pyarrow")
-         .groupby("_ushard")
-         .map_groups(fold, batch_format="pyarrow")).to_pandas()
+    f = shard_apply(census, ["user_id"], fold, coalesce=False,
+                    num_shards=32).to_pandas()
     total, first = int(f["total"].sum()), int(f["first"].sum())
     share = (0.0 if total == 0
              else float(total - first) / float(total))
@@ -3975,14 +3956,10 @@ def q_stickiness(sf_dir: str):
     # the driver — n_users x n_days rows is unbounded at scale.  The
     # driver receives only per-shard scalars plus the O(days) distinct
     # day/week values (time-range-bounded metadata), as tagged rows.
-    from ..stages.keyed import _key_shard, _segment_starts
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts
 
-    def add_user_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_ushard", _key_shard(batch, ["user_id"], 32))
-
-    def fold(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_ushard")
+    def fold(t: pa.Table) -> pa.Table:
         kinds: list[str] = []
         vals: list[int] = []
         if t.num_rows:
@@ -4004,9 +3981,8 @@ def q_stickiness(sf_dir: str):
         return pa.table({"kind": pa.array(kinds, pa.string()),
                          "v": pa.array(vals, pa.int64())})
 
-    f = (census.map_batches(add_user_shard, batch_format="pyarrow")
-         .groupby("_ushard")
-         .map_groups(fold, batch_format="pyarrow")).to_pandas()
+    f = shard_apply(census, ["user_id"], fold, coalesce=False,
+                    num_shards=32).to_pandas()
     s_dau = int(f.loc[f["kind"] == "ud", "v"].sum())
     s_wau = int(f.loc[f["kind"] == "uw", "v"].sum())
     n_days = int(f.loc[f["kind"] == "day", "v"].nunique())

@@ -1,13 +1,17 @@
-"""Shared shuffle-shape helpers for the sharded-kernel operators.
+"""Shared shuffle shape for the sharded-kernel operators.
 
-One home for the splitmix-style avalanche hash and the narrow-row shuffle
-fan-in so pipeline-tuning fixes apply everywhere at once (the hash and the
-heuristic had drifted into five and three copies respectively).
+One home for the splitmix-style avalanche hash, the key hash, the shuffle
+fan-in and the hash-shard exchange itself (:func:`shard_apply`), so a
+pipeline-tuning fix applies to every operator at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from ..functions.hashing import poly_hash_column
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
@@ -39,14 +43,30 @@ def shard_of_ints(x: np.ndarray, num_shards: int) -> np.ndarray:
     return (mix64(x) % np.uint64(num_shards)).astype(np.int64)
 
 
-def narrow_fanin() -> int:
-    """Shuffle fan-in for narrow (8-24 B) rows: ``max(8, CPUs // 2)``.
+def key_hash64(table: pa.Table, key_cols: list[str]) -> np.ndarray:
+    """Deterministic combined 64-bit hash over key columns (string or int),
+    vectorized: strings hash over the column's data buffer, ints through
+    :func:`mix64` — no per-key Python."""
+    h = np.zeros(table.num_rows, dtype=np.uint64)
+    for c in key_cols:
+        col = table[c]
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            ch = poly_hash_column(col, fold63=False)
+        else:
+            ch = mix64(pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False))
+        with np.errstate(over="ignore"):
+            h = mix64(h * np.uint64(0x9E3779B97F4A7C15) ^ ch)
+    return h
+
+
+def fanin() -> int:
+    """Shuffle fan-in: ``max(8, CPUs // 2)`` partitions.
 
     Ray's sort exchange is (blocks x partitions) tasks; at the default
     2 blocks/CPU a 32-cpu node pays 64x64 = 4096 ~1.5 ms exchange tasks to
-    move a few MB of band/pair/label rows.  Half a partition per CPU keeps
-    the exchange linear while still scaling with cluster size
-    (``cluster_resources`` counts every node's CPUs)."""
+    move a few MB of rows.  Half a partition per CPU keeps the exchange
+    linear while still scaling with cluster size (``cluster_resources``
+    counts every node's CPUs)."""
     try:
         import ray
 
@@ -54,3 +74,57 @@ def narrow_fanin() -> int:
     except Exception:
         n = 8
     return max(8, n // 2)
+
+
+def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
+                num_shards=64, out_schema=None):
+    """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
+
+    Shape: per batch, the optional ``prepare`` (projection, cast, combiner,
+    extra group column) runs, then ``_shard = key_hash64(keys) %
+    num_shards`` is appended; with ``coalesce`` the stream is first
+    repartitioned to :func:`fanin` blocks; then one sort-based
+    ``groupby([*by, "_shard"]).map_groups`` hands each group — the helper
+    columns dropped — to ``kernel(table) -> table``.
+
+    Partitioning / skew design: the group key is a hash shard of the key,
+    never the raw key, so one vectorized kernel call covers thousands of
+    keys (segment boundaries after one in-task sort) and the group count
+    stays ``O(num_shards x distinct by)`` at any key cardinality; a raw-key
+    ``map_groups`` pays one ~5 ms task per key.  Hash sharding spreads keys
+    evenly whatever their order or domain; a single hot key is still one
+    group, so operators document their bound ("one key's history fits in a
+    task").  ``by`` adds a coarse, ordered group column (the rollup's time
+    window ``_gw``) that bounds a group to one slice of time and keeps
+    output blocks time-clustered; ``num_shards`` x distinct ``by`` is the
+    shuffle parallelism — size it to >= 2-4 tasks per core at cluster
+    scale.  ``coalesce`` pays one repartition so the sort exchange is
+    (fanin x fanin) tasks instead of (input blocks)^2 — worth it when the
+    input arrives in many small blocks, a pure barrier when it is already
+    O(fanin) blocks of collapsed rows.
+
+    ``out_schema``: when given, a group whose kernel result has no rows
+    yields ``out_schema.empty_table()``, so kernels need no typed-empty
+    branch of their own.  Ray's sort still emits a zero-row, zero-column
+    block for a key range that received no rows and never calls a batch
+    UDF on it; consumers that concatenate blocks must tolerate those.
+    """
+    keys = list(keys)
+    helpers = [*by, "_shard"]
+
+    def add_shard(batch: pa.Table) -> pa.Table:
+        if prepare is not None:
+            batch = prepare(batch)
+        shard = key_hash64(batch, keys) % np.uint64(num_shards)
+        return batch.append_column("_shard", pa.array(shard.astype(np.int64)))
+
+    def per_group(group: pa.Table) -> pa.Table:
+        out = kernel(group.drop_columns(helpers))
+        if out_schema is not None and out.num_rows == 0:
+            return out_schema.empty_table()
+        return out
+
+    out = ds.map_batches(add_shard, batch_format="pyarrow")
+    if coalesce:
+        out = out.repartition(fanin())
+    return out.groupby(helpers).map_groups(per_group, batch_format="pyarrow")

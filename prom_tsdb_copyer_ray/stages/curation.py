@@ -434,7 +434,8 @@ def duplicate_gram_stats(ds, id_col: str = "doc_id", text_col: str = "text",
     only change is the pair projection) and accept the ~n²/2⁶⁴ collision
     odds.  Docs with fewer than ``n`` tokens emit nothing (no grams).
     """
-    from .keyed import _key_shard, _segment_starts, sharded_grouped_agg
+    from .common import shard_apply
+    from .keyed import _segment_starts, sharded_grouped_agg
 
     def pairs(batch: pa.Table) -> pa.Table:
         grams, gram_row, valid, _ = _gram_strings(batch[text_col], n)
@@ -444,18 +445,10 @@ def duplicate_gram_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             "g": grams.filter(keep),
             id_col: pa.array(ids[gram_row[valid]], pa.int64()),
         })
-        t = t.group_by(["g", id_col]).aggregate([])  # distinct per batch
-        return t.append_column("_gshard", _key_shard(t, ["g"], num_shards))
+        return t.group_by(["g", id_col]).aggregate([])  # distinct per batch
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_gshard")
-        if t.num_rows == 0:
-            return pa.table({
-                id_col: pa.array([], pa.int64()),
-                "n_grams": pa.array([], pa.int64()),
-                "n_dup_grams": pa.array([], pa.int64()),
-            })
-        t = t.sort_by([("g", "ascending"), (id_col, "ascending")])
+        t = group.sort_by([("g", "ascending"), (id_col, "ascending")])
         # cross-batch distinct: a (gram, doc) pair can arrive once per batch
         firsts = _segment_starts(t, ["g", id_col])
         t = t.filter(pa.array(firsts))
@@ -477,14 +470,8 @@ def duplicate_gram_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_dup_grams": agg["n_dup_grams_sum"],
         })
 
-    from .common import narrow_fanin
-
-    sharded = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_gshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    sharded = shard_apply(ds, ["g"], per_shard, prepare=pairs,
+                          num_shards=num_shards)
     return sharded_grouped_agg(
         sharded, [id_col], [("n_grams", "sum"), ("n_dup_grams", "sum")]
     )
@@ -639,7 +626,7 @@ def profile_columns(ds, cols: list[str], num_shards: int = 64):
     name as the key.  Values profile by their string cast (identity only,
     never returned).  Output: column, n_nonnull, n_null, n_distinct.
     """
-    from .keyed import _key_shard
+    from .common import shard_apply
 
     def counts(batch: pa.Table) -> pa.Table:
         rows = []
@@ -658,30 +645,16 @@ def profile_columns(ds, cols: list[str], num_shards: int = 64):
                 "column": pa.array([c] * len(u), pa.string()),
                 "val": u,
             }))
-        t = pa.concat_tables(pieces)
-        return t.append_column(
-            "_pshard", _key_shard(t, ["column", "val"], num_shards)
-        )
+        return pa.concat_tables(pieces)
 
-    def shard_count(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_pshard")
-        if t.num_rows == 0:
-            return pa.table({"column": pa.array([], pa.string()),
-                             "nd": pa.array([], pa.int64())})
+    def shard_count(t: pa.Table) -> pa.Table:
         g = t.group_by(["column", "val"]).aggregate([])
         return g.group_by(["column"]).aggregate([([], "count_all")]) \
                 .rename_columns(["column", "nd"])
 
-    from .common import narrow_fanin
-
     cnt_rows = ds.map_batches(counts, batch_format="pyarrow").take_all()
-    nd_rows = (
-        ds.map_batches(distinct_pairs, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_pshard")
-        .map_groups(shard_count, batch_format="pyarrow")
-        .take_all()
-    )
+    nd_rows = shard_apply(ds, ["column", "val"], shard_count,
+                          prepare=distinct_pairs, num_shards=num_shards).take_all()
     nn = {c: 0 for c in cols}
     nu = {c: 0 for c in cols}
     for r in cnt_rows:
@@ -723,7 +696,8 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     Output: (doc_id, n_windows, n_dup) — docs shorter than ``window``
     have no spans and emit nothing (SQL GROUP BY parity).
     """
-    from ..stages.keyed import _key_shard, _segment_starts, sharded_grouped_agg
+    from ..stages.common import shard_apply
+    from ..stages.keyed import _segment_starts, sharded_grouped_agg
 
     def spans(batch: pa.Table) -> pa.Table:
         text = pc.fill_null(pc.cast(batch[text_col], pa.string()), "")
@@ -745,21 +719,14 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
             id_parts.append(ids.filter(mask))
         if not win_parts:
             return pa.table({"win": pa.array([], pa.string()),
-                             id_col: pa.array([], pa.int64()),
-                             "_wshard": pa.array([], pa.int64())})
-        t = pa.table({
+                             id_col: pa.array([], pa.int64())})
+        return pa.table({
             "win": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in win_parts]),
             id_col: pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in id_parts]),
         })
-        return t.append_column("_wshard", _key_shard(t, ["win"], num_shards))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             "n_windows": pa.array([], pa.int64()),
-                             "n_dup": pa.array([], pa.int64())})
-        t = t.sort_by([("win", "ascending"), (id_col, "ascending")])
+        t = group.sort_by([("win", "ascending"), (id_col, "ascending")])
         ids = t[id_col].to_numpy(zero_copy_only=False)
         new_win = _segment_starts(t, ["win"])
         starts = np.flatnonzero(new_win)
@@ -782,14 +749,8 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
                 np.add.reduceat(dup_s.astype(np.int64), dstarts)),
         })
 
-    from ..stages.common import narrow_fanin
-
-    partials = (
-        ds.map_batches(spans, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    partials = shard_apply(ds, ["win"], per_shard, prepare=spans,
+                           num_shards=num_shards)
     return sharded_grouped_agg(
         partials, [id_col], [("n_windows", "sum"), ("n_dup", "sum")],
         num_shards=16,

@@ -34,11 +34,12 @@ import pyarrow.compute as pc
 from ..functions.hashing import (
     MinHasher,
     char_ngram_hashes,
-    jaccard,
     poly_hash_column,
     popcount64,
     simhash64,
 )
+from .common import fanin, shard_apply
+from .common import mix64 as _mix64
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +95,10 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
 
     def partial(batch: pa.Table) -> pa.Table:
         hashed = batch if precomputed else add_content_hash(batch, text_col)
-        t = min_per_hash(hashed.select(["content_hash", "n_bytes", id_col]))
-        shard = (
-            _mix64(t["content_hash"].to_numpy(zero_copy_only=False).astype(np.uint64))
-            % np.uint64(num_shards)
-        ).astype(np.int64)
-        return t.append_column("_hshard", pa.array(shard))
+        return min_per_hash(hashed.select(["content_hash", "n_bytes", id_col]))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(_pair_fanin())
-        .groupby("_hshard")
-        .map_groups(
-            lambda g: min_per_hash(g.drop_columns("_hshard")),
-            batch_format="pyarrow",
-        )
-    )
+    return shard_apply(ds, ["content_hash"], min_per_hash, prepare=partial,
+                       num_shards=num_shards)
 
 
 def exact_dedup_rows(ds, id_col: str = "doc_id", text_col: str = "text",
@@ -223,8 +212,6 @@ class MinHashSignatures:
         return pa.table(cols)
 
 
-from .common import narrow_fanin as _pair_fanin  # band/pair rows are 16-24 B
-
 
 def dedup_pairs_sharded(pairs, num_shards: int = 64, value_col: str | None = None,
                         reduce: str = "max"):
@@ -237,15 +224,6 @@ def dedup_pairs_sharded(pairs, num_shards: int = 64, value_col: str | None = Non
     5x the cost of the whole signature+bucket pipeline.  Here the shuffle
     moves the same (a, b) rows but the dedup is a segment mask after one
     lexsort per shard."""
-
-    def add_pshard(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy().astype(np.uint64)
-        b = batch["b"].to_numpy().astype(np.uint64)
-        with np.errstate(over="ignore"):
-            mix = _mix64(a * np.uint64(0x9E3779B97F4A7C15) ^ b)
-        return batch.append_column(
-            "_pshard", pa.array((mix % np.uint64(num_shards)).astype(np.int64))
-        )
 
     def uniq(group: pa.Table) -> pa.Table:
         a = group["a"].to_numpy().astype(np.int64, copy=False)
@@ -266,15 +244,8 @@ def dedup_pairs_sharded(pairs, num_shards: int = 64, value_col: str | None = Non
             )
         return pa.table(cols)
 
-    return (
-        pairs.map_batches(add_pshard, batch_format="pyarrow")
-        .repartition(_pair_fanin())
-        .groupby("_pshard")
-        .map_groups(uniq, batch_format="pyarrow")
-    )
+    return shard_apply(pairs, ["a", "b"], uniq, num_shards=num_shards)
 
-
-from .common import mix64 as _mix64  # shared avalanche (stages/common.py)
 
 
 def _segment_pairs(sort_keys: tuple[np.ndarray, ...], ids: np.ndarray,
@@ -352,15 +323,6 @@ def minhash_lsh_pairs(ds, num_perm: int = 128, num_bands: int = 32, ngram: int =
         concurrency=concurrency,
     )
 
-    def add_bshard(batch: pa.Table) -> pa.Table:
-        band = batch["band"].to_numpy().astype(np.uint64)
-        bh = batch["band_hash"].to_numpy().astype(np.uint64)
-        with np.errstate(over="ignore"):
-            mix = _mix64(bh ^ (band * np.uint64(0x9E3779B97F4A7C15)))
-        return batch.append_column(
-            "_bshard", pa.array((mix % np.uint64(num_shards)).astype(np.int64))
-        )
-
     def shard_pairs(group: pa.Table) -> pa.Table:
         band = group["band"].to_numpy().astype(np.int64, copy=False)
         bh = group["band_hash"].to_numpy().astype(np.int64, copy=False)
@@ -379,40 +341,10 @@ def minhash_lsh_pairs(ds, num_perm: int = 128, num_bands: int = 32, ngram: int =
             a, b = a[keep], b[keep]
         return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
-    pairs = (
-        band_rows.map_batches(add_bshard, batch_format="pyarrow")
-        .repartition(_pair_fanin())
-        .groupby("_bshard")
-        .map_groups(shard_pairs, batch_format="pyarrow")
-    )
+    pairs = shard_apply(band_rows, ["band", "band_hash"], shard_pairs,
+                        num_shards=num_shards)
     # distinct pairs (a pair can surface in several bands)
     return dedup_pairs_sharded(pairs, num_shards)
-
-
-def verify_pairs_jaccard(pairs_table: pa.Table, texts_by_id: dict[int, str],
-                         ngram: int = 5, threshold: float = 0.8) -> pa.Table:
-    """Exact n-gram Jaccard verification of candidate pairs (driver-side or
-    inside map_batches with a broadcast text lookup for small corpora)."""
-    a = pairs_table["a"].to_pylist()
-    b = pairs_table["b"].to_pylist()
-    keep_a, keep_b, sims = [], [], []
-    cache: dict[int, np.ndarray] = {}
-
-    def sh(i: int) -> np.ndarray:
-        if i not in cache:
-            cache[i] = char_ngram_hashes(texts_by_id.get(i, ""), ngram)
-        return cache[i]
-
-    for x, y in zip(a, b):
-        sim = jaccard(sh(x), sh(y))
-        if sim >= threshold:
-            keep_a.append(x)
-            keep_b.append(y)
-            sims.append(sim)
-    return pa.table(
-        {"a": pa.array(keep_a, pa.int64()), "b": pa.array(keep_b, pa.int64()),
-         "jaccard": pa.array(sims, pa.float64())}
-    )
 
 
 _EMPTY_PAIRS = {
@@ -541,7 +473,7 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
     driver-CSR fast path — the price of unbounded candidate counts."""
     import ray
 
-    from .common import narrow_fanin
+    from .common import fanin
     from .joins import bloom_mask, build_bloom
 
     bits = _bloom_bits_for(n_cand)
@@ -631,7 +563,7 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
 
     both = cand.map_batches(route_partial, batch_format="pyarrow").union(
         ds.map_batches(doc_partial, batch_format="pyarrow"))
-    return (both.repartition(narrow_fanin())
+    return (both.repartition(fanin())
             .groupby("_rshard")
             .map_groups(expand, batch_format="pyarrow"))
 
@@ -799,7 +731,7 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
 
     return (
         sh_rows.union(pr_rows)
-        .repartition(_pair_fanin())
+        .repartition(fanin())
         .groupby("_pshard")
         .map_groups(verify, batch_format="pyarrow")
     )
@@ -860,7 +792,7 @@ def simhash_pairs_from_hashes(hashed, max_hamming: int = 3,
     num_blocks = max(1, min(num_blocks, 64))
     spans = _simhash_block_spans(num_blocks)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
+    def explode_blocks(batch: pa.Table) -> pa.Table:
         h = batch["simhash"].to_numpy().astype(np.uint64)
         ids = pc.cast(batch[id_col], pa.int64()).to_numpy(
             zero_copy_only=False)
@@ -876,10 +808,7 @@ def simhash_pairs_from_hashes(hashed, max_hamming: int = 3,
                 "simhash": batch["simhash"],
                 "bucket": pa.array(bucket, pa.int64()),
             }))
-        t = pa.concat_tables(parts)
-        shard = (_mix64(t["bucket"].to_numpy().astype(np.uint64))
-                 % np.uint64(num_shards)).astype(np.int64)
-        return t.append_column("_sshard", pa.array(shard))
+        return pa.concat_tables(parts)
 
     def shard_pairs(group: pa.Table) -> pa.Table:
         ids = group[id_col].to_numpy().astype(np.int64, copy=False)
@@ -909,12 +838,8 @@ def simhash_pairs_from_hashes(hashed, max_hamming: int = 3,
         return pa.table({"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64()),
                          "hamming": pa.array(d_out, pa.int64())})
 
-    pairs = (
-        hashed.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(_pair_fanin())
-        .groupby("_sshard")
-        .map_groups(shard_pairs, batch_format="pyarrow")
-    )
+    pairs = shard_apply(hashed, ["bucket"], shard_pairs, prepare=explode_blocks,
+                        num_shards=num_shards)
     # collapse multi-block duplicate discoveries (hamming is identical
     # for a given pair, so min is just dedup)
     return sharded_grouped_agg(pairs, ["a", "b"], [("hamming", "min")],
@@ -1176,7 +1101,6 @@ def edit_distance_pairs(ds, max_dist: int = 2, key_len: int = 32,
     DP) runs INSIDE the bucket task where both keys are already present;
     a final narrow exchange dedups (a, b, dist) rows.
     """
-    from .common import mix64 as _mix
 
     d = int(max_dist)
 
@@ -1216,26 +1140,15 @@ def edit_distance_pairs(ds, max_dist: int = 2, key_len: int = 32,
                             out_id.append(did)
                             out_key.append(key)
                             out_role.append(1)
-        t = pa.table({
+        return pa.table({
             "_bucket": pa.array(out_b, pa.int64()),
             "_id": pa.array(out_id, pa.int64()),
             "_key": pa.array(out_key, pa.binary()),
             "_role": pa.array(out_role, pa.int8()),
         })
-        shard = (_mix(t["_bucket"].to_numpy().astype(np.uint64))
-                 % np.uint64(num_shards)).astype(np.int64)
-        return t.append_column("_eshard", pa.array(shard))
-
-    _empty = {
-        "a": pa.array([], pa.int64()),
-        "b": pa.array([], pa.int64()),
-        "dist": pa.array([], pa.int64()),
-    }
 
     def verify(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        if n == 0:
-            return pa.table(_empty)
         bucket = group["_bucket"].to_numpy(zero_copy_only=False)
         ids = group["_id"].to_numpy(zero_copy_only=False)
         role = group["_role"].to_numpy(zero_copy_only=False)
@@ -1275,12 +1188,8 @@ def edit_distance_pairs(ds, max_dist: int = 2, key_len: int = 32,
             "dist": pa.array(dist[keep], pa.int64()),
         })
 
-    pairs = (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .repartition(_pair_fanin())
-        .groupby("_eshard")
-        .map_groups(verify, batch_format="pyarrow")
-    )
+    pairs = shard_apply(ds, ["_bucket"], verify, prepare=emit,
+                        num_shards=num_shards)
     deduped = dedup_pairs_sharded(pairs, value_col="dist", reduce="min")
 
     def int_dist(batch: pa.Table) -> pa.Table:

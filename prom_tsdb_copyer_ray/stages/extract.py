@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.relabel import series_key
-from ..functions.text import extract_text, extract_texts, url_domain
+from ..functions.text import extract_text, url_domain
 from ..windows import ts_to_ms
 
 SAMPLE_LABELS = ("__name__", "domain", "lang")
@@ -99,19 +99,3 @@ class PageToSamples:
         crawl = metric("crawl_rate", np.ones(n, dtype=np.float64))
         size = metric("page_size_bytes", sizes)
         return pa.concat_tables([crawl, size]).combine_chunks()
-
-
-def extract_documents(batch: pa.Table) -> pa.Table:
-    """pages -> documents-like table (url, ts, text, lang) via HTML extraction.
-
-    Feeds the training-data operators (dedup / similarity / text analysis)
-    from raw pages; text comes from the HTML, not the text column.
-    """
-    return pa.table(
-        {
-            "url": batch["url"],
-            "ts": ts_to_ms(batch["warc_ts"]),
-            "text": extract_texts(batch["html"]),
-            "lang": batch["lang"],
-        }
-    )

@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 
 # The CC loop runs TWO sorts per iteration; uncoalesced 128-block unions
 # cost 16k exchange tasks per sort (~1000 s over a 10-round loop at sf0.1).
-from .common import narrow_fanin as _fanin
+from .common import fanin, shard_apply
 from .common import shard_of_ints as _mix_shard
 
 
@@ -112,7 +112,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
 
     edges_bi = (
         edges_ds.map_batches(to_directed, batch_format="pyarrow")
-        .repartition(_fanin())
+        .repartition(fanin())
         .materialize()
     )
     # size-aware loop fan-in: the per-iteration sorts move only int rows
@@ -120,7 +120,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
     # 5k-node graph in 16 partitions pays 16x16 exchange tasks per sort
     # per round for ~300 rows each; cap at ~64k rows per partition, floor 2
     n_rows = edges_bi.count() + nodes_ds.count()
-    loop_fanin = max(2, min(_fanin(), n_rows // 65_536 + 1))
+    loop_fanin = max(2, min(fanin(), n_rows // 65_536 + 1))
 
     if n_rows <= small_graph_rows:
         def tag_nodes(batch: pa.Table) -> pa.Table:
@@ -356,7 +356,7 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
 
     edges = (
         edges_ds.map_batches(to_directed, batch_format="pyarrow")
-        .repartition(_fanin())
+        .repartition(fanin())
         .materialize()
     )
 
@@ -485,32 +485,18 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         m = lo != hi
-        lo, hi = lo[m], hi[m]
-        return pa.table({
-            "u": pa.array(lo), "v": pa.array(hi),
-            "_s": pa.array(_mix_shard(lo, num_shards)),
-        })
+        return pa.table({"u": pa.array(lo[m]), "v": pa.array(hi[m])})
 
     def dedup_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_s").sort_by(
-            [("u", "ascending"), ("v", "ascending")]
-        )
+        t = group.sort_by([("u", "ascending"), ("v", "ascending")])
         u = t["u"].to_numpy(zero_copy_only=False)
         v = t["v"].to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table({"u": pa.array([], pa.int64()),
-                             "v": pa.array([], pa.int64())})
         keep = np.ones(len(u), dtype=bool)  # global: all (u, *) co-located
         keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
         return pa.table({"u": pa.array(u[keep]), "v": pa.array(v[keep])})
 
-    edges = (
-        edges_ds.map_batches(canon, batch_format="pyarrow")
-        .repartition(_fanin())
-        .groupby("_s")
-        .map_groups(dedup_shard, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = shard_apply(edges_ds, ["u"], dedup_shard, prepare=canon,
+                        num_shards=num_shards).materialize()
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False)
@@ -616,7 +602,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
 
     wedge_rows = (
         edges.map_batches(orient, batch_format="pyarrow")
-        .repartition(_fanin())
+        .repartition(fanin())
         .groupby("_a")
         .map_groups(wedges, batch_format="pyarrow")
     )
@@ -624,7 +610,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
         edges.map_batches(tag_edges, batch_format="pyarrow")
     )
     counts = (
-        tagged.repartition(_fanin())
+        tagged.repartition(fanin())
         .groupby("_p")
         .map_groups(count, batch_format="pyarrow")
     )
@@ -712,9 +698,9 @@ def group_star_edges_multi(ds, key_sets: list[list[str]],
         return ds.map_batches(emit, batch_format="pyarrow")
 
     # fallback: co-partition the (rel, key, id) rows by key hash
-    from ..stages.keyed import _key_shard, _segment_starts
+    from ..stages.keyed import _segment_starts
 
-    def add_shard(batch: pa.Table) -> pa.Table:
+    def explode(batch: pa.Table) -> pa.Table:
         parts = []
         for rel, keys in enumerate(key_sets):
             t = pa.table({
@@ -723,13 +709,10 @@ def group_star_edges_multi(ds, key_sets: list[list[str]],
                 id_col: pc.cast(batch[id_col], pa.int64()),
             })
             parts.append(t)
-        t = pa.concat_tables(parts)
-        return t.append_column("_kshard", _key_shard(t, ["rel", "k"], num_shards))
+        return pa.concat_tables(parts)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return empty
-        t = group.drop_columns("_kshard").sort_by(
+        t = group.sort_by(
             [("rel", "ascending"), ("k", "ascending"), (id_col, "ascending")]
         )
         new = _segment_starts(t, ["rel", "k"])
@@ -740,8 +723,5 @@ def group_star_edges_multi(ds, key_sets: list[list[str]],
         m = ids != mins_arr
         return pa.table({"a": pa.array(mins_arr[m]), "b": pa.array(ids[m])})
 
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, ["rel", "k"], per_shard, prepare=explode,
+                       coalesce=False, num_shards=num_shards)

@@ -37,7 +37,8 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_windows
 from ..windows import MS_1D, TIERS, window_start_np
-from .rollup import DEFAULT_NUM_SHARDS, _drop_keys, _series_codes, _with_shard_and_gw
+from .common import shard_apply
+from .rollup import DEFAULT_NUM_SHARDS, _series_codes, with_group_window
 
 
 def _bucket_hash(group: pa.Table) -> np.ndarray:
@@ -58,6 +59,22 @@ def _bucket_hash(group: pa.Table) -> np.ndarray:
 
 SUPPORTED_VALUE_TYPES = ("float", "histogram", "float_histogram")
 HISTOGRAM_TYPES = ("histogram", "float_histogram")
+
+
+HIST_SCHEMA = pa.schema([
+    ("series_key", pa.string()),
+    ("tier", pa.string()),
+    ("value_type", pa.string()),
+    ("window_start", pa.int64()),
+    ("min_ts", pa.int64()),
+    ("max_ts", pa.int64()),
+    ("n_samples", pa.int64()),
+    ("h_count", pa.int64()),
+    ("h_sum", pa.float64()),
+    ("h_buckets", pa.list_(pa.float64())),
+    ("h_buckets_bytes", pa.binary()),
+    ("n_buckets", pa.int64()),
+])
 
 
 class UnsupportedValueTypeError(ValueError):
@@ -151,25 +168,7 @@ def rollup_histograms(
         raise ValueError(f"group window {group_window_ms} not a multiple of tier {tier}")
 
     def per_group(group: pa.Table) -> pa.Table:
-        group = _drop_keys(group.combine_chunks())
-        n = group.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "series_key": pa.array([], pa.string()),
-                    "tier": pa.array([], pa.string()),
-                    "value_type": pa.array([], pa.string()),
-                    "window_start": pa.array([], pa.int64()),
-                    "min_ts": pa.array([], pa.int64()),
-                    "max_ts": pa.array([], pa.int64()),
-                    "n_samples": pa.array([], pa.int64()),
-                    "h_count": pa.array([], pa.int64()),
-                    "h_sum": pa.array([], pa.float64()),
-                    "h_buckets": pa.array([], pa.list_(pa.float64())),
-                    "h_buckets_bytes": pa.array([], pa.binary()),
-                    "n_buckets": pa.array([], pa.int64()),
-                }
-            )
+        group = group.combine_chunks()
         codes, dictionary = _series_codes(group)
         ts = group["ts"].to_numpy().astype(np.int64, copy=False)
         # ties on (series, ts) break by payload (min h_count, then min h_sum,
@@ -220,10 +219,10 @@ def rollup_histograms(
             }
         )
 
-    return (
-        _with_shard_and_gw(samples_ds, "ts", num_shards, group_window_ms)
-        .groupby(["_gw", "_shard"])
-        .map_groups(per_group, batch_format="pyarrow")
+    return shard_apply(
+        samples_ds, ["series_key"], per_group,
+        prepare=with_group_window("ts", group_window_ms), by=("_gw",),
+        num_shards=num_shards, out_schema=HIST_SCHEMA,
     )
 
 

@@ -89,7 +89,7 @@ def broadcast_join(ds, right_table: pa.Table, left_key: str, right_key: str,
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
-from .common import narrow_fanin as _join_fanin
+from .common import fanin
 from .common import shard_of_ints as _shard_of_ints
 
 
@@ -213,7 +213,7 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
 
     return (
         lefts.union(rights)
-        .repartition(_join_fanin())
+        .repartition(fanin())
         .groupby("_jshard")
         .map_groups(probe, batch_format="pyarrow")
     )
@@ -333,21 +333,18 @@ def set_op(left_ds, right_ds, cols: list[str], op: str, num_shards: int = 64):
     """
     if op not in ("except", "intersect"):
         raise ValueError(f"unknown set op: {op}")
-    from .keyed import _key_shard, _segment_starts
+    from .common import shard_apply
+    from .keyed import _segment_starts
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             g = batch.select(cols).group_by(cols).aggregate([])
-            g = g.append_column("_side", pa.array(
+            return g.append_column("_side", pa.array(
                 np.full(g.num_rows, side, np.int64)))
-            return g.append_column("_sshard", _key_shard(g, cols, num_shards))
         return fn
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_sshard")
-        if t.num_rows == 0:
-            return t.drop_columns("_side")
-        t = t.sort_by([(c, "ascending") for c in cols])
+        t = group.sort_by([(c, "ascending") for c in cols])
         new = _segment_starts(t, cols)
         starts = np.flatnonzero(new)
         sizes = np.diff(np.r_[starts, t.num_rows])
@@ -357,16 +354,10 @@ def set_op(left_ds, right_ds, cols: list[str], op: str, num_shards: int = 64):
         keep = (has_l & ~has_r) if op == "except" else (has_l & has_r)
         return t.drop_columns("_side").take(pa.array(starts[keep]))
 
-    from .common import narrow_fanin
-
     both = left_ds.map_batches(tag(0), batch_format="pyarrow").union(
         right_ds.map_batches(tag(1), batch_format="pyarrow")
     )
-    return (
-        both.repartition(narrow_fanin())
-        .groupby("_sshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(both, cols, per_shard, num_shards=num_shards)
 
 
 def _probe_sorted_right(lk: np.ndarray, keys_s: np.ndarray):
@@ -522,7 +513,7 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
     rights = right_ds.map_batches(norm_right, batch_format="pyarrow")
     return (
         lefts.union(rights)
-        .repartition(_join_fanin())
+        .repartition(fanin())
         .groupby("_jshard")
         .map_groups(probe, batch_format="pyarrow")
     )

@@ -1,11 +1,10 @@
 """Sharded per-key kernels: top-k per group, sessionization, group quantiles.
 
-Three more operators Ray Data lacks natively, all built on the same scale
-shape (the one that killed the tiny-group ``map_groups`` overhead in the LSH
-stages): partial work inside ``map_batches`` where semantics allow, then ONE
-groupby over a *hash shard* of the key — never the raw key — so a single
-vectorized task covers thousands of keys via segment boundaries after one
-sort, and group count stays O(shards) regardless of key cardinality.
+Operators Ray Data lacks natively, all built on the same scale shape:
+partial work inside ``map_batches`` where semantics allow (the ``prepare``
+combiner), then ONE hash-shard exchange, :func:`.common.shard_apply` — its
+docstring holds the partitioning and skew design — so a single vectorized
+task covers thousands of keys via segment boundaries after one sort.
 
 * :func:`topk_per_group` — top-k rows per key by a value column.  The
   per-batch partial top-k is a true combiner: only ``k`` rows per (key,
@@ -31,28 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import poly_hash_column
-from .common import mix64 as _mix64
-
-
-def _key_hash64(table: pa.Table, key_cols: list[str]) -> np.ndarray:
-    """Deterministic combined 64-bit hash over key columns (string or int)."""
-    h = np.zeros(table.num_rows, dtype=np.uint64)
-    for c in key_cols:
-        col = table[c]
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            ch = poly_hash_column(col, fold63=False)
-        else:
-            ch = _mix64(pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False))
-        with np.errstate(over="ignore"):
-            h = _mix64(h * np.uint64(0x9E3779B97F4A7C15) ^ ch)
-    return h
-
-
-def _key_shard(table: pa.Table, key_cols: list[str], num_shards: int) -> pa.Array:
-    """Deterministic hash shard over one or more key columns (string or int)."""
-    h = _key_hash64(table, key_cols)
-    return pa.array((h % np.uint64(num_shards)).astype(np.int64))
+from .common import key_hash64, shard_apply
 
 
 def _segment_starts(t: pa.Table, key_cols: list[str]) -> np.ndarray:
@@ -99,21 +77,11 @@ def topk_per_group(ds, key_cols: list[str], value_col: str, k: int,
     at k rows per (key, batch) — at 100 TB the exchange moves winners, not
     the dataset."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        out = _topk_kernel(batch, key_cols, value_col, k, tiebreak_col, descending)
-        return out.append_column("_kshard", _key_shard(out, key_cols, num_shards))
+    def topk(t: pa.Table) -> pa.Table:
+        return _topk_kernel(t, key_cols, value_col, k, tiebreak_col, descending)
 
-    def final(group: pa.Table) -> pa.Table:
-        return _topk_kernel(
-            group.drop_columns("_kshard"), key_cols, value_col, k, tiebreak_col,
-            descending,
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, topk, prepare=topk, coalesce=False,
+                       num_shards=num_shards)
 
 
 def sessionize(ds, key_col: str, ts_col: str, gap_ms: int,
@@ -126,28 +94,17 @@ def sessionize(ds, key_col: str, ts_col: str, gap_ms: int,
     One shuffle of (key, ts[, value]) triples; per-shard work is a lexsort
     plus ``np.add.reduceat`` over session segments."""
 
-    def add_shard(batch: pa.Table) -> pa.Table:
+    def project(batch: pa.Table) -> pa.Table:
         cols = {
             key_col: pc.cast(batch[key_col], pa.int64()),
             ts_col: pc.cast(batch[ts_col], pa.int64()),
         }
         if value_col is not None:
             cols[value_col] = pc.cast(batch[value_col], pa.float64())
-        t = pa.table(cols)
-        return t.append_column("_kshard", _key_shard(t, [key_col], num_shards))
+        return pa.table(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
         n = group.num_rows
-        if n == 0:
-            out = {
-                key_col: pa.array([], pa.int64()),
-                "session_start_ms": pa.array([], pa.int64()),
-                "session_end_ms": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-            }
-            if value_col is not None:
-                out["sum_value"] = pa.array([], pa.float64())
-            return pa.table(out)
         key = group[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ts = group[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((ts, key))
@@ -167,11 +124,8 @@ def sessionize(ds, key_col: str, ts_col: str, gap_ms: int,
             out["sum_value"] = pa.array(np.add.reduceat(v, starts), pa.float64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, [key_col], per_shard, prepare=project, coalesce=False,
+                       num_shards=num_shards)
 
 
 def count_distinct_per_group(ds, key_cols: list[str], value_col: str,
@@ -190,25 +144,19 @@ def count_distinct_per_group(ds, key_cols: list[str], value_col: str,
     def partial(batch: pa.Table) -> pa.Table:
         # SQL COUNT(DISTINCT) ignores NULL values
         batch = batch.filter(pc.is_valid(batch[value_col]))
-        t = batch.select(cols).group_by(cols).aggregate([])
-        return t.append_column("_kshard", _key_shard(t, cols, num_shards))
+        return batch.select(cols).group_by(cols).aggregate([])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_kshard").sort_by([(c, "ascending") for c in cols])
+        t = group.sort_by([(c, "ascending") for c in cols])
         uniq = t.filter(pa.array(_segment_starts(t, cols)))
         knew = _segment_starts(uniq, list(key_cols))
         kstarts = np.flatnonzero(knew)
         counts = np.diff(np.r_[kstarts, uniq.num_rows]).astype(np.int64)
         out = uniq.select(list(key_cols)).take(pa.array(kstarts))
-        out = out.append_column("n_partial", pa.array(counts, pa.int64()))
-        return out.append_column("_fshard", _key_shard(out, list(key_cols), num_shards))
+        return out.append_column("n_partial", pa.array(counts, pa.int64()))
 
     def final_sum(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            cols_out = {c: group[c] for c in key_cols}
-            cols_out[out_col] = pa.array([], pa.int64())
-            return pa.table(cols_out)
-        t = group.drop_columns("_fshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols]
         )
         knew = _segment_starts(t, list(key_cols))
@@ -221,13 +169,10 @@ def count_distinct_per_group(ds, key_cols: list[str], value_col: str,
 
     # the final sum is sharded by KEY (segment sum), not a Ray per-key
     # aggregate — key cardinality can be millions
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-        .groupby("_fshard")
-        .map_groups(final_sum, batch_format="pyarrow")
-    )
+    partials = shard_apply(ds, cols, per_shard, prepare=partial, coalesce=False,
+                           num_shards=num_shards)
+    return shard_apply(partials, key_cols, final_sum, coalesce=False,
+                       num_shards=num_shards)
 
 
 _REDUCERS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
@@ -245,16 +190,8 @@ def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]
     Exactness note: float sums are re-associated — use integer-valued or
     pre-scaled columns when bit-exact results matter."""
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_ashard", _key_shard(batch, list(key_cols), num_shards)
-        )
-
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_ashard")
-        if t.num_rows == 0:
-            return t
-        t = t.sort_by([(c, "ascending") for c in key_cols])
+        t = group.sort_by([(c, "ascending") for c in key_cols])
         starts = np.flatnonzero(_segment_starts(t, list(key_cols)))
         out = t.select(list(key_cols)).take(pa.array(starts))
         for col, fn in agg_specs:
@@ -264,14 +201,7 @@ def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]
             )
         return out
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_ashard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, num_shards=num_shards)
 
 
 def mode_per_group(ds, key_cols: list[str], value_col: str,
@@ -285,13 +215,10 @@ def mode_per_group(ds, key_cols: list[str], value_col: str,
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select(cols).group_by(cols).aggregate([([], "count_all")])
-        t = t.rename_columns(cols + [count_col])
-        return t.append_column("_kshard", _key_shard(t, cols, num_shards))
+        return t.rename_columns(cols + [count_col])
 
     def shard_sum(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return group.drop_columns("_kshard")
-        t = group.drop_columns("_kshard").sort_by([(c, "ascending") for c in cols])
+        t = group.sort_by([(c, "ascending") for c in cols])
         new = _segment_starts(t, cols)
         starts = np.flatnonzero(new)
         sums = np.add.reduceat(
@@ -300,11 +227,8 @@ def mode_per_group(ds, key_cols: list[str], value_col: str,
         out = t.select(cols).take(pa.array(starts))
         return out.append_column(count_col, pa.array(sums, pa.int64()))
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(shard_sum, batch_format="pyarrow")
-    )
+    counts = shard_apply(ds, cols, shard_sum, prepare=partial, coalesce=False,
+                         num_shards=num_shards)
     return topk_per_group(counts, list(key_cols), count_col, 1,
                           tiebreak_col=value_col, num_shards=num_shards)
 
@@ -318,14 +242,13 @@ def group_quantiles(ds, key_cols: list[str], value_col: str,
     Output: key cols + one ``p<q*100>`` column per q (e.g. p50, p90, p99).
     """
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(list(key_cols) + [value_col])
-        return t.append_column("_kshard", _key_shard(t, key_cols, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(list(key_cols) + [value_col])
 
     qnames = [f"p{q * 100:g}" for q in qs]
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_kshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols] + [(value_col, "ascending")]
         )
         new = _segment_starts(t, key_cols)
@@ -339,11 +262,8 @@ def group_quantiles(ds, key_cols: list[str], value_col: str,
             out[name] = pa.array(v[np.maximum(idx, starts)], pa.float64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project, coalesce=False,
+                       num_shards=num_shards)
 
 
 def window_rank(ds, key_cols: list[str], order_cols: list[str],
@@ -359,28 +279,18 @@ def window_rank(ds, key_cols: list[str], order_cols: list[str],
     """
     cols = list(key_cols) + list(order_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.int64()))
-        t = t.sort_by([(c, "ascending") for c in cols])
+        t = group.sort_by([(c, "ascending") for c in cols])
         starts = np.flatnonzero(_segment_starts(t, list(key_cols)))
         sizes = np.diff(np.r_[starts, t.num_rows])
         rn = np.arange(t.num_rows, dtype=np.int64) - np.repeat(starts, sizes) + 1
         return t.append_column(out_col, pa.array(rn, pa.int64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def running_sum(ds, key_cols: list[str], order_cols: list[str],
@@ -399,16 +309,12 @@ def running_sum(ds, key_cols: list[str], order_cols: list[str],
     cols = list(key_cols) + list(order_cols)
     sel = cols + ([value_col] if value_col not in cols else [])
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(sel)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(sel)
 
-    def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
+    def per_shard(t: pa.Table) -> pa.Table:
         integral = pa.types.is_integer(t.schema.field(value_col).type)
         out_type = pa.int64() if integral else pa.float64()
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], out_type))
         t = t.sort_by([(c, "ascending") for c in cols])
         starts = np.flatnonzero(_segment_starts(t, list(key_cols)))
         v = t[value_col].to_numpy(zero_copy_only=False).astype(
@@ -419,14 +325,8 @@ def running_sum(ds, key_cols: list[str], order_cols: list[str],
         offs = np.repeat(seg_base, np.diff(np.r_[starts, t.num_rows]))
         return t.append_column(out_col, pa.array(cs - offs, out_type))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def pivot_counts(ds, key_cols: list[str], cat_col: str, categories: list[str],
@@ -637,14 +537,10 @@ def group_concat(ds, key_cols: list[str], value_col: str,
     """
     keys = list(key_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(keys + list(order_cols) + [value_col])
-        return t.append_column("_kshard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(keys + list(order_cols) + [value_col])
 
-    def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_kshard")
-        if t.num_rows == 0:
-            return t.select(keys).append_column(out_col, pa.array([], pa.string()))
+    def per_shard(t: pa.Table) -> pa.Table:
         order = [(c, "ascending") for c in keys + list(order_cols)]
         order.append((value_col, "ascending"))
         t = t.sort_by(order)
@@ -658,11 +554,8 @@ def group_concat(ds, key_cols: list[str], value_col: str,
         out = t.select(keys).take(pa.array(starts))
         return out.append_column(out_col, joined)
 
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=project, coalesce=False,
+                       num_shards=num_shards)
 
 
 def transition_counts(ds, key_col: str, order_cols: list[str],
@@ -681,19 +574,14 @@ def transition_counts(ds, key_col: str, order_cols: list[str],
     keys_in = [key_col] + list(order_cols)
     sel = list(dict.fromkeys(keys_in + [state_col]))  # dedupe, keep order
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(sel)
-        return t.append_column("_tshard", _key_shard(t, [key_col], num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(sel)
 
-    out_empty = pa.table({"from_state": pa.array([], pa.string()),
-                          "to_state": pa.array([], pa.string()),
-                          out_count: pa.array([], pa.int64())})
+    out_schema = pa.schema([("from_state", pa.string()), ("to_state", pa.string()),
+                            (out_count, pa.int64())])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_tshard")
-        if t.num_rows < 2:
-            return out_empty
-        t = t.sort_by([(c, "ascending") for c in keys_in])
+        t = group.sort_by([(c, "ascending") for c in keys_in])
         n = t.num_rows
         same_key = ~_segment_starts(t, [key_col])[1:]  # row i+1 same key as i
         states = t[state_col]
@@ -705,8 +593,6 @@ def transition_counts(ds, key_col: str, order_cols: list[str],
         ).astype(np.int64)
         frm = codes[:-1][same_key]
         to = codes[1:][same_key]
-        if len(frm) == 0:
-            return out_empty
         pair = frm * len(vocab) + to
         uniq, cnt = np.unique(pair, return_counts=True)
         return pa.table({
@@ -715,14 +601,8 @@ def transition_counts(ds, key_col: str, order_cols: list[str],
             out_count: pa.array(cnt.astype(np.int64), pa.int64()),
         })
 
-    from .common import narrow_fanin
-
-    shard_counts = (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_tshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    shard_counts = shard_apply(ds, [key_col], per_shard, prepare=project,
+                               num_shards=num_shards, out_schema=out_schema)
     return sharded_grouped_agg(shard_counts, ["from_state", "to_state"],
                                [(out_count, "sum")], num_shards=4)
 
@@ -744,9 +624,8 @@ def robust_stats(ds, key_cols: list[str], value_col: str,
     """
     keys = list(key_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(keys + [value_col])
-        return t.append_column("_rshard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(keys + [value_col])
 
     def _seg_median(v: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
         """Median per segment of a value array sorted within segments."""
@@ -755,12 +634,7 @@ def robust_stats(ds, key_cols: list[str], value_col: str,
         return (v[lo] + v[hi]) / 2.0
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_rshard")
-        if t.num_rows == 0:
-            return t.select(keys).append_column(
-                med_col, pa.array([], pa.float64())
-            ).append_column(mad_col, pa.array([], pa.float64()))
-        t = t.sort_by([(c, "ascending") for c in keys + [value_col]])
+        t = group.sort_by([(c, "ascending") for c in keys + [value_col]])
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
@@ -775,14 +649,8 @@ def robust_stats(ds, key_cols: list[str], value_col: str,
         return out.append_column(med_col, pa.array(med, pa.float64())) \
                   .append_column(mad_col, pa.array(mad, pa.float64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_rshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def impute_median(ds, key_cols: list[str], value_col: str,
@@ -797,15 +665,11 @@ def impute_median(ds, key_cols: list[str], value_col: str,
     per-segment midpoint gather + fill — no second pass."""
     keys = list(key_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(keys + [value_col])
-        return t.append_column("_ishard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(keys + [value_col])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_ishard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.float64()))
-        t = t.sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in keys + [value_col]]
         )  # arrow default: nulls sort AFTER values
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -823,14 +687,8 @@ def impute_median(ds, key_cols: list[str], value_col: str,
         filled = np.where(np.isnan(v), np.repeat(med, sizes), v)
         return t.append_column(out_col, pa.array(filled, pa.float64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_ishard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def cooccurrence_pairs(ds, key_col: str, item_col: str,
@@ -861,26 +719,17 @@ def cooccurrence_pairs(ds, key_col: str, item_col: str,
     Leave False for open vocabularies (terms, urls)."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, item_col]).group_by(
+        return batch.select([key_col, item_col]).group_by(
             [key_col, item_col]
         ).aggregate([])
-        return t.append_column("_cshard", _key_shard(t, [key_col], num_shards))
 
-    def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_cshard")
-
+    def per_shard(t: pa.Table) -> pa.Table:
         def build(tag, ta, tb, n):
             cols = {"ta": ta, "tb": tb, out_count: n}
             if marginals:
                 cols = {"tag": tag, **cols}
             return pa.table(cols)
 
-        def empty():
-            return build(pa.array([], pa.string()), pa.array([], pa.string()),
-                         pa.array([], pa.string()), pa.array([], pa.int64()))
-
-        if t.num_rows == 0:
-            return empty()
         t = t.group_by([key_col, item_col]).aggregate([])  # x-batch dedup
         t = t.sort_by([(key_col, "ascending"), (item_col, "ascending")])
         items = t[item_col]
@@ -927,18 +776,13 @@ def cooccurrence_pairs(ds, key_col: str, item_col: str,
                 pc.take(vocab, pa.array(b_s[st])),
                 pa.array(n, pa.int64()),
             ))
-        if not parts:
-            return empty()
-        return pa.concat_tables(parts)
+        return pa.concat_tables(parts) if parts else pa.table({})
 
-    from .common import narrow_fanin
-
-    shard_counts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_cshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    out_schema = pa.schema(([("tag", pa.string())] if marginals else [])
+                           + [("ta", pa.string()), ("tb", pa.string()),
+                              (out_count, pa.int64())])
+    shard_counts = shard_apply(ds, [key_col], per_shard, prepare=partial,
+                               num_shards=num_shards, out_schema=out_schema)
     keys = (["tag"] if marginals else []) + ["ta", "tb"]
     if bounded_final:
         import ray.data
@@ -1038,15 +882,11 @@ def percent_rank(ds, key_cols: list[str], order_cols: list[str],
     carry = list(carry_cols or [])
     cols = list(key_cols) + list(order_cols) + carry
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.float64()))
-        t = t.sort_by([(c, "ascending") for c in cols])
+        t = group.sort_by([(c, "ascending") for c in cols])
         n = t.num_rows
         kmask = _segment_starts(t, list(key_cols))
         rmask = _segment_starts(t, list(key_cols) + list(order_cols))
@@ -1062,14 +902,8 @@ def percent_rank(ds, key_cols: list[str], order_cols: list[str],
             pr = np.where(size > 1, rank / (size - 1), 0.0)
         return t.append_column(out_col, pa.array(pr, pa.float64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def ratio_to_total(ds, key_cols: list[str], value_col: str,
@@ -1097,7 +931,7 @@ def ratio_to_total(ds, key_cols: list[str], value_col: str,
         ds.map_batches(partial, batch_format="pyarrow"), keys,
         [("_sy", "sum")], num_shards,
     ).to_pandas()
-    kh = _key_hash64(pa.Table.from_pandas(stats[keys]), keys)
+    kh = key_hash64(pa.Table.from_pandas(stats[keys]), keys)
     if len(np.unique(kh)) != len(kh):  # same guard as standardize_per_group
         raise ValueError("64-bit key-hash collision in ratio_to_total stats")
     order = np.argsort(kh)
@@ -1107,7 +941,7 @@ def ratio_to_total(ds, key_cols: list[str], value_col: str,
 
     def transform(batch: pa.Table) -> pa.Table:
         kh_s, tot_s = ray.get(stats_ref)
-        h = _key_hash64(batch, keys)
+        h = key_hash64(batch, keys)
         pos = np.searchsorted(kh_s, h)
         pos[pos >= len(kh_s)] = 0
         ok = kh_s[pos] == h if len(kh_s) else np.zeros(len(h), bool)
@@ -1168,7 +1002,7 @@ def standardize_per_group(ds, key_cols: list[str], value_col: str,
     # broadcast lookup: sorted combined key hash -> (mean, std).  A 64-bit
     # collision between distinct keys would corrupt the gather, so fail
     # loudly (deterministic; practically unreachable at sane key counts).
-    kh = _key_hash64(st, keys)
+    kh = key_hash64(st, keys)
     order = np.argsort(kh, kind="stable")
     kh_s = kh[order]
     if len(kh_s) > 1 and (kh_s[1:] == kh_s[:-1]).any():
@@ -1177,7 +1011,7 @@ def standardize_per_group(ds, key_cols: list[str], value_col: str,
 
     def transform(batch: pa.Table) -> pa.Table:
         kh_sorted, mu, sd = ray.get(lookup_ref)
-        ph = _key_hash64(batch, keys)
+        ph = key_hash64(batch, keys)
         if len(kh_sorted) == 0:
             hit = np.zeros(len(ph), dtype=bool)
             pos_c = np.zeros(len(ph), dtype=np.int64)
@@ -1211,15 +1045,11 @@ def ntile(ds, key_cols: list[str], order_cols: list[str], n: int,
     carry = list(carry_cols or [])
     cols = list(key_cols) + list(order_cols) + carry
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.int64()))
-        t = t.sort_by([(c, "ascending") for c in list(key_cols) + list(order_cols)])
+        t = group.sort_by([(c, "ascending") for c in list(key_cols) + list(order_cols)])
         starts = np.flatnonzero(_segment_starts(t, list(key_cols)))
         sizes = np.diff(np.r_[starts, t.num_rows])
         r = np.arange(t.num_rows, dtype=np.int64) - np.repeat(starts, sizes)
@@ -1234,14 +1064,8 @@ def ntile(ds, key_cols: list[str], order_cols: list[str], n: int,
             ) + 1
         return t.append_column(out_col, pa.array(tile.astype(np.int64)))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def lag_column(ds, key_cols: list[str], order_cols: list[str],
@@ -1259,28 +1083,18 @@ def lag_column(ds, key_cols: list[str], order_cols: list[str],
     cols = list(key_cols) + list(order_cols) + carry + [value_col]
     sort_cols = list(key_cols) + list(order_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, t[value_col].slice(0, 0))
-        t = t.sort_by([(c, "ascending") for c in sort_cols])
+        t = group.sort_by([(c, "ascending") for c in sort_cols])
         first = _segment_starts(t, list(key_cols))
         prev = t[value_col].combine_chunks().slice(0, t.num_rows - 1)
         t = t.filter(pa.array(~first))
         return t.append_column(out_col, prev.filter(pa.array(~first[1:])))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def cohort_retention(ds, user_col: str, ts_col: str,
@@ -1305,22 +1119,12 @@ def cohort_retention(ds, user_col: str, ts_col: str,
             user_col: pc.cast(batch[user_col], pa.int64()),
             "_day": pc.divide(pc.cast(batch[ts_col], pa.int64()), day_ms),
         })
-        g = t.group_by([user_col, "_day"]).aggregate([])
-        return g.append_column(
-            "_ushard", _key_shard(g, [user_col], num_shards)
-        )
+        return t.group_by([user_col, "_day"]).aggregate([])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_ushard")
-        if t.num_rows == 0:
-            return pa.table({
-                "cohort_start": pa.array([], pa.int64()),
-                "offset_days": pa.array([], pa.int64()),
-                "n_users": pa.array([], pa.int64()),
-            })
         # cross-batch duplicates of a (user, day) pair survive the partial
         # distinct; dedup after the exchange
-        t = t.group_by([user_col, "_day"]).aggregate([])
+        t = group.group_by([user_col, "_day"]).aggregate([])
         t = t.sort_by([(user_col, "ascending"), ("_day", "ascending")])
         u = t[user_col].to_numpy(zero_copy_only=False)
         d = t["_day"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1338,14 +1142,8 @@ def cohort_retention(ds, user_col: str, ts_col: str,
             "n_users": pa.array(counts.astype(np.int64), pa.int64()),
         })
 
-    from .common import narrow_fanin
-
-    partials = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_ushard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    partials = shard_apply(ds, [user_col], per_shard, prepare=partial,
+                           num_shards=num_shards)
     return sharded_grouped_agg(
         partials, ["cohort_start", "offset_days"], [("n_users", "sum")],
         num_shards=8,
@@ -1401,8 +1199,6 @@ def funnel_counts(ds, user_col: str, type_col: str, ts_col: str,
     segments.  Output: step (1-based), step_name, n_users (users whose
     chain reached the step).
     """
-    from .common import narrow_fanin
-
     step_arr = pa.array(steps, pa.string())
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1413,18 +1209,10 @@ def funnel_counts(ds, user_col: str, type_col: str, ts_col: str,
             "_step": pc.cast(si, pa.int64()),
             "_ts": pc.cast(batch[ts_col], pa.int64()),
         }).filter(keep)
-        g = t.group_by([user_col, "_step", "_ts"]).aggregate([])
-        return g.append_column(
-            "_fshard", _key_shard(g, [user_col], num_shards)
-        )
+        return t.group_by([user_col, "_step", "_ts"]).aggregate([])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_fshard")
-        out_empty = pa.table({"step": pa.array([], pa.int64()),
-                              "n_users": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return out_empty
-        t = t.group_by([user_col, "_step", "_ts"]).aggregate([])  # x-batch dedup
+        t = group.group_by([user_col, "_step", "_ts"]).aggregate([])  # x-batch dedup
         t = t.sort_by([(user_col, "ascending"), ("_ts", "ascending")])
         u = t[user_col].to_numpy(zero_copy_only=False)
         st = t["_step"].to_numpy(zero_copy_only=False)
@@ -1447,12 +1235,8 @@ def funnel_counts(ds, user_col: str, type_col: str, ts_col: str,
             "n_users": pa.array(counts, pa.int64()),
         })
 
-    partials = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_fshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    partials = shard_apply(ds, [user_col], per_shard, prepare=partial,
+                           num_shards=num_shards)
     final = sharded_grouped_agg(partials, ["step"], [("n_users", "sum")],
                                 num_shards=4)
 
@@ -1485,17 +1269,11 @@ def mad_outliers(ds, key_cols: list[str], value_col: str, k: int = 3,
     """
     keys = list(key_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(keys + [value_col])
-        return t.append_column("_rshard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(keys + [value_col])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_rshard")
-        if t.num_rows == 0:
-            return t.select(keys).append_column(
-                "n_outliers", pa.array([], pa.int64())
-            ).append_column("n_total", pa.array([], pa.int64()))
-        t = t.sort_by([(c, "ascending") for c in keys + [value_col]])
+        t = group.sort_by([(c, "ascending") for c in keys + [value_col]])
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
@@ -1513,14 +1291,8 @@ def mad_outliers(ds, key_cols: list[str], value_col: str, k: int = 3,
         return out.append_column("n_outliers", pa.array(n_out, pa.int64())) \
                   .append_column("n_total", pa.array(sizes, pa.int64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_rshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def group_first_last(ds, key_cols: list[str], order_cols: list[str],
@@ -1545,17 +1317,10 @@ def group_first_last(ds, key_cols: list[str], order_cols: list[str],
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
         idx = np.unique(np.concatenate([starts, starts + sizes - 1]))
-        t = t.take(pa.array(idx))
-        return t.append_column("_fshard", _key_shard(t, keys, num_shards))
+        return t.take(pa.array(idx))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_fshard")
-        if t.num_rows == 0:
-            vt = t.schema.field(value_col).type  # keep the input dtype
-            return t.select(keys).append_column(
-                first_col, pa.array([], vt)
-            ).append_column(last_col, pa.array([], vt))
-        t = t.sort_by([(c, "ascending") for c in keys + order])
+        t = group.sort_by([(c, "ascending") for c in keys + order])
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
         vcol = t[value_col]
@@ -1564,14 +1329,8 @@ def group_first_last(ds, key_cols: list[str], order_cols: list[str],
                   .append_column(last_col,
                                  vcol.take(pa.array(starts + sizes - 1)))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_fshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=partial,
+                       num_shards=num_shards)
 
 
 def dense_rank(ds, key_cols: list[str], order_cols: list[str],
@@ -1587,15 +1346,11 @@ def dense_rank(ds, key_cols: list[str], order_cols: list[str],
     carry = list(carry_cols or [])
     cols = list(key_cols) + list(order_cols) + carry
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.int64()))
-        t = t.sort_by([(c, "ascending") for c in list(key_cols) + list(order_cols)])
+        t = group.sort_by([(c, "ascending") for c in list(key_cols) + list(order_cols)])
         n = t.num_rows
         kmask = _segment_starts(t, list(key_cols))
         rmask = _segment_starts(t, list(key_cols) + list(order_cols))
@@ -1606,14 +1361,8 @@ def dense_rank(ds, key_cols: list[str], order_cols: list[str],
         dr = cum - np.repeat(cum[kstarts], ksizes) + 1
         return t.append_column(out_col, pa.array(dr, pa.int64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def winsorized_mean(ds, key_cols: list[str], value_col: str,
@@ -1634,17 +1383,11 @@ def winsorized_mean(ds, key_cols: list[str], value_col: str,
     """
     keys = list(key_cols)
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(keys + [value_col])
-        return t.append_column("_kshard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(keys + [value_col])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_kshard")
-        if t.num_rows == 0:
-            return t.select(keys).append_column(
-                "n", pa.array([], pa.int64())
-            ).append_column(out_col, pa.array([], pa.float64()))
-        t = t.sort_by([(c, "ascending") for c in keys + [value_col]])
+        t = group.sort_by([(c, "ascending") for c in keys + [value_col]])
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
@@ -1659,11 +1402,8 @@ def winsorized_mean(ds, key_cols: list[str], value_col: str,
         return out.append_column("n", pa.array(sizes, pa.int64())) \
                   .append_column(out_col, pa.array(mean, pa.float64()))
 
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=project, coalesce=False,
+                       num_shards=num_shards)
 
 
 def lead_intervals(ds, key_cols: list[str], order_col: str, id_col: str,
@@ -1681,19 +1421,11 @@ def lead_intervals(ds, key_cols: list[str], order_col: str, id_col: str,
     keys = list(key_cols)
     cols = keys + [order_col, id_col, value_col]
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return pa.table({
-                **{c: t[c] for c in keys + [value_col]},
-                from_col: t[order_col],
-                to_col: t[order_col],
-            })
-        t = t.sort_by([(c, "ascending") for c in keys + [order_col, id_col]])
+        t = group.sort_by([(c, "ascending") for c in keys + [order_col, id_col]])
         n = t.num_rows
         first = _segment_starts(t, keys)
         is_last = np.r_[first[1:], True]
@@ -1711,14 +1443,8 @@ def lead_intervals(ds, key_cols: list[str], order_col: str, id_col: str,
             to_col: nxt,
         })
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def ohlc_agg(ds, key_cols: list[str], order_cols: list[str],
@@ -1757,18 +1483,10 @@ def ohlc_agg(ds, key_cols: list[str], order_cols: list[str],
         out["close"] = t[value_col].take(pa.array(ends))
         out["high"] = pa.array(vmax)
         out["low"] = pa.array(vmin)
-        t2 = pa.table(out)
-        return t2.append_column("_fshard", _key_shard(t2, keys, num_shards))
+        return pa.table(out)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_fshard")
-        if t.num_rows == 0:
-            return pa.table({
-                **{c: t[c] for c in keys},
-                "open": t["open"], "high": t["high"],
-                "low": t["low"], "close": t["close"],
-            })
-        t = t.sort_by([(c, "ascending") for c in keys + ocols])
+        t = group.sort_by([(c, "ascending") for c in keys + ocols])
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
         opens = t["open"].take(pa.array(starts))
@@ -1787,14 +1505,8 @@ def ohlc_agg(ds, key_cols: list[str], order_cols: list[str],
             "low": pa.array(low), "close": closes,
         })
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_fshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, keys, per_shard, prepare=partial,
+                       num_shards=num_shards)
 
 
 def max_drawdown(ds, key_cols: list[str], order_cols: list[str],
@@ -1816,17 +1528,11 @@ def max_drawdown(ds, key_cols: list[str], order_cols: list[str],
     keys = list(key_cols)
     cols = keys + list(order_cols) + [value_col]
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, keys, num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.select(keys).append_column(
-                out_col, pa.array([], pa.int64())
-            ).append_column("n", pa.array([], pa.int64()))
-        t = t.sort_by([(c, "ascending") for c in keys + list(order_cols)])
+        t = group.sort_by([(c, "ascending") for c in keys + list(order_cols)])
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         starts = np.flatnonzero(_segment_starts(t, keys))
         sizes = np.diff(np.r_[starts, t.num_rows])
@@ -1847,14 +1553,8 @@ def max_drawdown(ds, key_cols: list[str], order_cols: list[str],
         return out.append_column(out_col, pa.array(mdd, pa.int64())) \
                   .append_column("n", pa.array(sizes, pa.int64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def cume_dist(ds, key_cols: list[str], order_cols: list[str],
@@ -1868,15 +1568,11 @@ def cume_dist(ds, key_cols: list[str], order_cols: list[str],
     carry = list(carry_cols or [])
     cols = list(key_cols) + list(order_cols) + carry
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        if t.num_rows == 0:
-            return t.append_column(out_col, pa.array([], pa.float64()))
-        t = t.sort_by([(c, "ascending") for c in list(key_cols) + list(order_cols)])
+        t = group.sort_by([(c, "ascending") for c in list(key_cols) + list(order_cols)])
         n = t.num_rows
         kmask = _segment_starts(t, list(key_cols))
         rmask = _segment_starts(t, list(key_cols) + list(order_cols))
@@ -1890,14 +1586,8 @@ def cume_dist(ds, key_cols: list[str], order_cols: list[str],
             ksizes, ksizes).astype(np.float64)
         return t.append_column(out_col, pa.array(cd, pa.float64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def skyline_table(t: pa.Table, x_col: str, y_col: str) -> pa.Table:
@@ -1968,18 +1658,8 @@ def cusum_extrema(ds, key_cols: list[str], order_cols: list[str],
     n^2 * max|v|; centi-scaled metrics stay in int64 up to ~100M rows/key.
     """
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_cshard", _key_shard(batch, key_cols, num_shards)
-        )
-
     def per_shard(group: pa.Table) -> pa.Table:
-        cols = {c: pa.array([], group[c].type) for c in key_cols}
-        cols["cusum_max"] = pa.array([], pa.int64())
-        cols["n_points"] = pa.array([], pa.int64())
-        if group.num_rows == 0:
-            return pa.table(cols)
-        t = group.drop_columns("_cshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols]
             + [(c, "ascending") for c in order_cols]
         )
@@ -2005,11 +1685,4 @@ def cusum_extrema(ds, key_cols: list[str], order_cols: list[str],
             "n_points", pa.array(sizes.astype(np.int64), pa.int64())
         )
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_cshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, num_shards=num_shards)

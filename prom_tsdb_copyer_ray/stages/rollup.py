@@ -19,30 +19,25 @@ compaction (operators O11 + O14):
   and encode a **gap-filled** grid of finer-window means as the coarser
   chunk (missing finer slots -> NaN points, ts = finer window starts).
 
-Partitioning / skew design (SURVEY.md §4, north_rule):
-
-The shuffle key is ``(_gw, _shard)`` (time-major, so output blocks are
-time-clustered for the day-partitioned write) where ``_shard = stable_hash64(series_key)
-% num_shards`` and ``_gw`` is a coarse *group* window (default 1 day).  One
-``map_groups`` call therefore covers MANY (series, tier-window) cells and
-processes them fully vectorized (lexsort + ``np.*.reduceat``), amortizing the
-per-group scheduling overhead that a naive per-(series, window) ``map_groups``
-pays.  Hash-sharding spreads hot domains across shards; within a shard a hot
-series is still bounded by the group window (a group is at most 1/num_shards
-of one day's series-space — the same memory-bounding role the reference's
-``-S`` slice duration plays, ``main.go:121``).  ``num_shards`` × days is the
-shuffle parallelism: size it ≥ 2-4 tasks per core at cluster scale.
+Partitioning / skew design: both tiers run through the shared hash-shard
+exchange, :func:`stages.common.shard_apply` (its docstring holds the design),
+keyed by ``series_key`` with ``by=("_gw",)`` — a coarse *group* window
+(default 1 day for the raw tier) — so the shuffle key is ``(_gw, _shard)``
+(time-major, so output blocks are time-clustered for the day-partitioned
+write).  One ``map_groups`` call covers MANY (series, tier-window) cells and
+processes them fully vectorized (lexsort + ``np.*.reduceat``); within a shard
+a hot series is bounded by the group window (the memory-bounding role the
+reference's ``-S`` slice duration plays, ``main.go:121``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..codec import encode_timestamps_many, encode_values_many
-from ..functions.hashing import stable_hash64
 from ..windows import MS_1D, TIER_PARENT, TIERS, window_start_np
+from .common import shard_apply
 
 LABEL_COLS = ("__name__", "domain", "lang")
 DEFAULT_NUM_SHARDS = 64
@@ -76,19 +71,6 @@ def _series_codes(table: pa.Table) -> tuple[np.ndarray, pa.Array]:
         col = col.combine_chunks()
     d = col.dictionary_encode()
     return d.indices.to_numpy().astype(np.int64, copy=False), d.dictionary
-
-
-def _shard_of(col: pa.ChunkedArray | pa.Array, num_shards: int) -> pa.Array:
-    """Deterministic hash shard of a string column (vectorized via dictionary)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    d = col.dictionary_encode()
-    shard_per_key = np.array(
-        [stable_hash64(s) % num_shards for s in d.dictionary.to_pylist()], dtype=np.int64
-    )
-    if len(shard_per_key) == 0:
-        return pa.array(np.empty(0, dtype=np.int64))
-    return pa.array(shard_per_key[d.indices.to_numpy().astype(np.int64, copy=False)])
 
 
 def _take_str(col, order: np.ndarray, idx: np.ndarray) -> pa.Array:
@@ -152,13 +134,6 @@ def _rollup_raw_group(group: pa.Table, tier: str) -> pa.Table:
     codes, dictionary = _series_codes(group)
     ts = group["ts"].to_numpy().astype(np.int64, copy=False)
     val = group["value"].to_numpy().astype(np.float64, copy=False)
-    if len(ts) == 0:
-        return _build_chunk_table(
-            tier, group, np.empty(0, np.int64), np.empty(0, np.int64),
-            pa.array([], pa.string()), *([np.empty(0, np.int64)] * 3),
-            np.empty(0, np.int64), [], [], np.empty(0, np.int64),
-            *([np.empty(0, np.float64)] * 5),
-        )
 
     order = np.lexsort((val, ts, codes))
     codes_s, ts_s, val_s = codes[order], ts[order], val[order]
@@ -205,13 +180,6 @@ def _rollup_merge_group(group: pa.Table, tier: str, finer_ms: int) -> pa.Table:
     group = group.combine_chunks()
     codes, dictionary = _series_codes(group)
     wstarts = group["window_start"].to_numpy().astype(np.int64, copy=False)
-    if len(wstarts) == 0:
-        return _build_chunk_table(
-            tier, group, np.empty(0, np.int64), np.empty(0, np.int64),
-            pa.array([], pa.string()), *([np.empty(0, np.int64)] * 3),
-            np.empty(0, np.int64), [], [], np.empty(0, np.int64),
-            *([np.empty(0, np.float64)] * 5),
-        )
     cw = window_start_np(wstarts, d_ms)
 
     order = np.lexsort((wstarts, cw, codes))
@@ -264,38 +232,15 @@ def _rollup_merge_group(group: pa.Table, tier: str, finer_ms: int) -> pa.Table:
     )
 
 
-def _shuffle_partitions() -> int:
-    """Sort/groupby fan-in: ~2 partitions per CPU.  Ray's sort makes one
-    range partition per input block; with hundreds of small blocks that is a
-    quadratic (blocks x partitions) exchange of tiny objects — coalescing to
-    O(CPUs) blocks first keeps the all-to-all linear."""
-    try:
-        import ray
+def with_group_window(ts_col: str, group_window_ms: int):
+    """``prepare`` step for :func:`shard_apply`: append the coarse group
+    window ``_gw`` of ``ts_col`` (the rollup's time-major ``by`` column)."""
 
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        n = 8
-    return max(16, 2 * n)
-
-
-def _with_shard_and_gw(ds, ts_col: str, num_shards: int, group_window_ms: int,
-                       coalesce: bool = True):
     def fn(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column("_shard", _shard_of(batch["series_key"], num_shards))
-        gw = pa.array(window_start_np(batch[ts_col].to_numpy().astype(np.int64), group_window_ms))
-        return batch.append_column("_gw", gw)
+        ts = batch[ts_col].to_numpy().astype(np.int64)
+        return batch.append_column("_gw", pa.array(window_start_np(ts, group_window_ms)))
 
-    out = ds.map_batches(fn, batch_format="pyarrow")
-    if coalesce:
-        out = out.repartition(_shuffle_partitions())
-    return out
-
-
-def _drop_keys(table: pa.Table) -> pa.Table:
-    for c in ("_shard", "_gw"):
-        if c in table.column_names:
-            table = table.drop_columns(c)
-    return table
+    return fn
 
 
 def rollup_raw(
@@ -317,14 +262,14 @@ def rollup_raw(
         from ..state import metrics
 
         t0 = time.monotonic()
-        out = _rollup_raw_group(_drop_keys(group), tier)
+        out = _rollup_raw_group(group, tier)
         metrics.record(metrics_sink, f"rollup_raw_{tier}_group_ms", (time.monotonic() - t0) * 1000)
         return out
 
-    return (
-        _with_shard_and_gw(samples_ds, "ts", num_shards, group_window_ms)
-        .groupby(["_gw", "_shard"])
-        .map_groups(per_group, batch_format="pyarrow")
+    return shard_apply(
+        samples_ds, ["series_key"], per_group,
+        prepare=with_group_window("ts", group_window_ms), by=("_gw",),
+        num_shards=num_shards, out_schema=CHUNK_SCHEMA,
     )
 
 
@@ -349,32 +294,17 @@ def rollup_up(
         from ..state import metrics
 
         t0 = time.monotonic()
-        out = _rollup_merge_group(_drop_keys(group), tier, finer_ms)
+        out = _rollup_merge_group(group, tier, finer_ms)
         metrics.record(metrics_sink, f"rollup_up_{tier}_group_ms", (time.monotonic() - t0) * 1000)
         return out
 
-    return (
-        # no coalesce hop: merge inputs are already collapsed chunk rows in
-        # O(partitions) blocks; an extra repartition is a pure latency barrier
-        _with_shard_and_gw(finer_ds, "window_start", num_shards, d * group_factor,
-                           coalesce=False)
-        .groupby(["_gw", "_shard"])
-        .map_groups(per_group, batch_format="pyarrow")
+    # no coalesce hop: merge inputs are already collapsed chunk rows in
+    # O(partitions) blocks; an extra repartition is a pure latency barrier
+    return shard_apply(
+        finer_ds, ["series_key"], per_group,
+        prepare=with_group_window("window_start", d * group_factor), by=("_gw",),
+        coalesce=False, num_shards=num_shards, out_schema=CHUNK_SCHEMA,
     )
-
-
-def apply_retention(tier_ds, keep_ms: int, now_ms: int):
-    """Retention cut: drop windows whose start is older than ``now - keep``.
-
-    The downsample/retention leg of the engine: fine tiers keep short
-    history, coarse tiers keep long history (e.g. 5m: 7d, 1h: 90d, 1d: ∞).
-    """
-    cutoff = now_ms - keep_ms
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.greater_equal(batch["window_start"], cutoff))
-
-    return tier_ds.map_batches(fn, batch_format="pyarrow")
 
 
 def decode_tier_points(tier_table: pa.Table) -> pa.Table:

@@ -29,7 +29,8 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_column
 from .common import fmix64, mix64
-from .keyed import _key_shard, _segment_starts
+from .common import shard_apply
+from .keyed import _segment_starts
 
 
 def hll_hash(col) -> np.ndarray:
@@ -133,18 +134,12 @@ def approx_quantiles_per_group(ds, key_cols: list[str], value_col: str,
             keep_val.append(v)
             keep_row.append(np.full(len(h), a, dtype=np.int64))
         keys_t = t.select(list(key_cols)).take(pa.array(np.concatenate(keep_row)))
-        out = keys_t.append_column(
+        return keys_t.append_column(
             "_rank", pa.array(np.concatenate(keep_rank).view(np.int64))
         ).append_column("_val", pa.array(np.concatenate(keep_val), pa.float64()))
-        return out.append_column("_kshard", _key_shard(out, list(key_cols), num_shards))
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            cols = {c: group[c] for c in key_cols}
-            for name in qnames:
-                cols[name] = pa.array([], pa.float64())
-            return pa.table(cols)
-        t = group.drop_columns("_kshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols]
         )
         ranks = t["_rank"].to_numpy(zero_copy_only=False).view(np.uint64)
@@ -162,11 +157,8 @@ def approx_quantiles_per_group(ds, key_cols: list[str], value_col: str,
             keys_t = keys_t.append_column(name, pa.array(rows[name], pa.float64()))
         return keys_t
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, merge, prepare=partial, coalesce=False,
+                       num_shards=num_shards)
 
 
 def approx_distinct_per_group(ds, key_cols: list[str], value_col: str,
@@ -188,14 +180,9 @@ def approx_distinct_per_group(ds, key_cols: list[str], value_col: str,
         regs = [
             hll_registers(hashes[a:b], p).tobytes() for a, b in zip(starts, ends)
         ]
-        out = keys_t.append_column("_regs", pa.array(regs, pa.binary()))
-        return out.append_column("_kshard", _key_shard(out, list(key_cols), num_shards))
+        return keys_t.append_column("_regs", pa.array(regs, pa.binary()))
 
     def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            cols = {c: group[c] for c in key_cols}
-            cols[out_col] = pa.array([], pa.float64())
-            return pa.table(cols)
         t = group.sort_by([(c, "ascending") for c in key_cols])
         new = _segment_starts(t, list(key_cols))
         starts = np.flatnonzero(new)
@@ -210,11 +197,8 @@ def approx_distinct_per_group(ds, key_cols: list[str], value_col: str,
         keys_t = t.select(list(key_cols)).take(pa.array(starts))
         return keys_t.append_column(out_col, pa.array(ests, pa.float64()))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, merge, prepare=partial, coalesce=False,
+                       num_shards=num_shards)
 
 
 def _mg_compact(items: np.ndarray, counts: np.ndarray, capacity: int):
@@ -448,34 +432,29 @@ def theta_sketch_per_key(ds, key_col: str, value_col: str, k: int = 256,
             keep_h.append(hh)
             keep_row.append(np.full(len(hh), a, dtype=np.int64))
         keys_t = t.select([key_col]).take(pa.array(np.concatenate(keep_row)))
-        out = keys_t.append_column(
+        return keys_t.append_column(
             "_h", pa.array(np.concatenate(keep_h).view(np.int64))
         )
-        return out.append_column("_kshard", _key_shard(out, [key_col], num_shards))
 
     def merge(group: pa.Table) -> pa.Table:
         out_keys, out_h = [], []
-        if group.num_rows:
-            t = group.drop_columns("_kshard").sort_by([(key_col, "ascending")])
-            h = t["_h"].to_numpy(zero_copy_only=False).view(np.uint64)
-            starts = np.flatnonzero(_segment_starts(t, [key_col]))
-            ends = np.r_[starts[1:], t.num_rows]
-            keys = t[key_col].to_pylist()
-            for a, b in zip(starts, ends):
-                hh = np.unique(h[a:b])[:k]
-                out_keys.append(keys[a])
-                out_h.append(hh.view(np.int64))
+        t = group.sort_by([(key_col, "ascending")])
+        h = t["_h"].to_numpy(zero_copy_only=False).view(np.uint64)
+        starts = np.flatnonzero(_segment_starts(t, [key_col]))
+        ends = np.r_[starts[1:], t.num_rows]
+        keys = t[key_col].to_pylist()
+        for a, b in zip(starts, ends):
+            hh = np.unique(h[a:b])[:k]
+            out_keys.append(keys[a])
+            out_h.append(hh.view(np.int64))
         return pa.table({
             key_col: pa.array(out_keys, group[key_col].type),
             "hashes": pa.array([x.tolist() for x in out_h],
                                pa.list_(pa.int64())),
         })
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kshard")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return shard_apply(ds, [key_col], merge, prepare=partial, coalesce=False,
+                       num_shards=num_shards)
 
 
 def theta_intersection_estimate(hashes_a: np.ndarray, hashes_b: np.ndarray,

@@ -11,7 +11,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_column
-from ..functions.text import LangIdModel, quality_counts, token_count
+from ..functions.text import LangIdModel, quality_counts
+from .common import shard_apply
 
 # Gate instrumentation for the vocabulary broadcast-vs-sharded paths
 # (tfidf_topk / unigram_logprob / bigram_logprob).  Tests read this to
@@ -41,8 +42,6 @@ def _co_lookup(rows_ds, lookup_ds, payload_fields, value_fields,
     ``post(table)`` optionally folds each joined shard table (e.g. local
     top-k, per-doc partial sums) before it leaves the task.
     """
-    from .common import narrow_fanin
-
     fields = ([("_jk", pa.string()), ("_side", pa.int64())]
               + list(payload_fields) + list(value_fields))
 
@@ -59,17 +58,13 @@ def _co_lookup(rows_ds, lookup_ds, payload_fields, value_fields,
                                   if col.type != typ else col)
                 else:
                     cols[name] = pa.nulls(n, typ)
-            t = pa.table(cols)
-            shard = (poly_hash_column(t["_jk"], fold63=False)
-                     % np.uint64(num_shards)).astype(np.int64)
-            return t.append_column("_cshard", pa.array(shard))
+            return pa.table(cols)
         return fn
 
     out_names = ([n for n, _ in payload_fields]
                  + [n for n, _ in value_fields])
 
-    def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_cshard")
+    def per_shard(t: pa.Table) -> pa.Table:
         side = t["_side"].to_numpy(zero_copy_only=False)
         lk = t.filter(pa.array(side == 0))
         rw = t.filter(pa.array(side == 1))
@@ -93,22 +88,13 @@ def _co_lookup(rows_ds, lookup_ds, payload_fields, value_fields,
 
     both = (rows_ds.map_batches(pad(1), batch_format="pyarrow")
             .union(lookup_ds.map_batches(pad(0), batch_format="pyarrow")))
-    return (both.repartition(narrow_fanin())
-            .groupby("_cshard")
-            .map_groups(per_shard, batch_format="pyarrow"))
+    return shard_apply(both, ["_jk"], per_shard, num_shards=num_shards)
 
 
 def add_quality_counts(ds, text_col: str = "text"):
     """Vectorized quality raw counts (chars/alpha/digit/space/tokens)."""
     return ds.map_batches(
         lambda b: quality_counts(b, text_col), batch_format="pyarrow"
-    )
-
-
-def add_token_count(ds, text_col: str = "text", out_col: str = "n_tokens"):
-    return ds.map_batches(
-        lambda b: b.append_column(out_col, token_count(b[text_col])),
-        batch_format="pyarrow",
     )
 
 
@@ -174,42 +160,15 @@ def term_document_frequency(ds, text_col: str = "text", top_n: int = 100,
         for t in batch[text_col].to_pylist():
             counts.update({m.lower() for m in word_re.findall(t or "")})
         terms = list(counts.keys())
-        tbl = pa.table(
+        return pa.table(
             {
                 "term": pa.array(terms, pa.string()),
                 "df": pa.array([counts[t] for t in terms], pa.int64()),
             }
         )
-        shard = (poly_hash_column(tbl["term"], fold63=False) % np.uint64(num_shards)).astype(np.int64)
-        return tbl.append_column("_tshard", pa.array(shard))
 
-    def shard_sum(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
-        t = group.sort_by([("term", "ascending")])
-        term = t["term"].combine_chunks() if isinstance(t["term"], pa.ChunkedArray) else t["term"]
-        import pyarrow.compute as pc
-
-        n = t.num_rows
-        new = np.ones(n, dtype=bool)
-        new[1:] = pc.not_equal(term.slice(1), term.slice(0, n - 1)).to_numpy(
-            zero_copy_only=False
-        )
-        starts = np.flatnonzero(new)
-        sums = np.add.reduceat(t["df"].to_numpy(zero_copy_only=False), starts)
-        return pa.table(
-            {
-                "term": term.take(pa.array(starts)),
-                "df": pa.array(sums.astype(np.int64), pa.int64()),
-            }
-        )
-
-    vocab = (
-        ds.map_batches(partial_df, batch_format="pyarrow")
-        .groupby("_tshard")
-        .map_groups(shard_sum, batch_format="pyarrow")
-    )
+    vocab = shard_apply(ds, ["term"], _shard_term_sum, prepare=partial_df,
+                        coalesce=False, num_shards=num_shards)
     if top_n is None:  # full collapsed vocabulary (for idf consumers)
         return vocab
     return vocab.sort(["df", "term"], descending=[True, False]).limit(top_n)
@@ -474,20 +433,15 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
             if t:
                 counts.update(toks)
         toks = list(counts.keys())
-        tbl = pa.table({
+        return pa.table({
             "term": pa.array(toks, pa.string()),
             "df": pa.array([counts[t] for t in toks], pa.int64()),
         })
-        shard = (poly_hash_column(tbl["term"], fold63=False) % np.uint64(64)).astype(np.int64)
-        return tbl.append_column("_tshard", pa.array(shard))
 
     cap = MAX_BROADCAST_TERMS if max_broadcast_terms is None \
         else max_broadcast_terms
-    vocab_ds = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("_tshard")
-        .map_groups(_shard_term_sum, batch_format="pyarrow")
-    ).materialize()
+    vocab_ds = shard_apply(ds, ["term"], _shard_term_sum, prepare=partial_counts,
+                           coalesce=False).materialize()
     n_vocab = vocab_ds.count()
 
     if n_vocab > cap:
@@ -617,9 +571,6 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
 
 def _shard_term_sum(group: pa.Table) -> pa.Table:
     """Segment-sum of (term, df) rows within one term-hash shard."""
-    if group.num_rows == 0:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64())})
     t = group.sort_by([("term", "ascending")])
     term = t["term"].combine_chunks() if isinstance(t["term"], pa.ChunkedArray) else t["term"]
     n = t.num_rows
@@ -673,23 +624,16 @@ def bigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
             if t and len(toks) >= 2:
                 counts.update(zip(toks[:-1], toks[1:]))
         keys = list(counts.keys())
-        tbl = pa.table({
+        return pa.table({
             "w1": pa.array([k[0] for k in keys], pa.string()),
             "w2": pa.array([k[1] for k in keys], pa.string()),
             "n": pa.array([counts[k] for k in keys], pa.int64()),
         })
-        joined = pc.binary_join_element_wise(tbl["w1"], tbl["w2"], "\x1f")
-        shard = (poly_hash_column(joined, fold63=False)
-                 % np.uint64(64)).astype(np.int64)
-        return tbl.append_column("_pshard", pa.array(shard))
 
     cap = MAX_BROADCAST_TERMS if max_broadcast_pairs is None \
         else max_broadcast_pairs
-    census_ds = (
-        ds.map_batches(partial_pairs, batch_format="pyarrow")
-        .groupby("_pshard")
-        .map_groups(_shard_pair_sum, batch_format="pyarrow")
-    ).materialize()
+    census_ds = shard_apply(ds, ["w1", "w2"], _shard_pair_sum, prepare=partial_pairs,
+                            coalesce=False).materialize()
     n_pairs = census_ds.count()
 
     if n_pairs > cap:
@@ -902,10 +846,6 @@ def _bigram_logprob_sharded(ds, census_ds, id_col: str, text_col: str,
 
 def _shard_pair_sum(group: pa.Table) -> pa.Table:
     """Segment-sum of (w1, w2, n) rows within one pair-hash shard."""
-    if group.num_rows == 0:
-        return pa.table({"w1": pa.array([], pa.string()),
-                         "w2": pa.array([], pa.string()),
-                         "n": pa.array([], pa.int64())})
     t = group.sort_by([("w1", "ascending"), ("w2", "ascending")])
     j = pc.binary_join_element_wise(t["w1"], t["w2"], "\x1f")
     j = j.combine_chunks() if isinstance(j, pa.ChunkedArray) else j
@@ -1202,25 +1142,14 @@ def term_parity_drift(ds, text_col: str = "text", id_col: str = "doc_id",
             par = int(doc_id) & 1
             counts.update({(m.lower(), par) for m in word_re.findall(t or "")})
         keys = list(counts.keys())
-        tbl = pa.table({
+        return pa.table({
             "term": pa.array([k[0] for k in keys], pa.string()),
             "parity": pa.array([k[1] for k in keys], pa.int64()),
             "df": pa.array([counts[k] for k in keys], pa.int64()),
         })
-        shard = (poly_hash_column(tbl["term"], fold63=False)
-                 % np.uint64(num_shards)).astype(np.int64)
-        return tbl.append_column("_tshard", pa.array(shard))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        out_empty = pa.table({
-            "term": pa.array([], pa.string()),
-            "df_even": pa.array([], pa.int64()),
-            "df_odd": pa.array([], pa.int64()),
-            "drift_micro": pa.array([], pa.int64()),
-        })
-        if group.num_rows == 0:
-            return out_empty
-        t = group.drop_columns("_tshard").sort_by(
+        t = group.sort_by(
             [("term", "ascending"), ("parity", "ascending")]
         )
         term = (t["term"].combine_chunks()
@@ -1264,11 +1193,8 @@ def term_parity_drift(ds, text_col: str = "text", id_col: str = "doc_id",
             "drift_micro": pa.array(drift),
         })
 
-    return (
-        ds.map_batches(partial_df, batch_format="pyarrow")
-        .groupby("_tshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, ["term"], per_shard, prepare=partial_df,
+                       coalesce=False, num_shards=num_shards)
 
 
 TEXT_INDEX_BUCKETS = 64
@@ -1466,7 +1392,6 @@ def phrase_search(index_dir: str, phrase: list[str]):
 
     import ray.data
 
-    from .common import shard_of_ints
     from .keyed import sharded_grouped_agg
 
     with open(os.path.join(index_dir, "meta.json")) as f:
@@ -1525,14 +1450,10 @@ def phrase_search(index_dir: str, phrase: list[str]):
                 np.concatenate(idx_l) if idx_l else np.array([], np.int64)
             ),
         })
-        return out.append_column(
-            "_pshard", pa.array(shard_of_ints(docs_out, 16))
-        )
+        return out
 
     def per_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return empty
-        t = group.drop_columns("_pshard").sort_by(
+        t = group.sort_by(
             [("doc_id", "ascending"), ("start", "ascending"),
              ("term_idx", "ascending")]
         )
@@ -1560,14 +1481,12 @@ def phrase_search(index_dir: str, phrase: list[str]):
             "n_matches": pa.array(counts),
         })
 
-    hits = (
-        ray.data.read_parquet(files, columns=["term", "doc_id", "pos"])
-        .map_batches(shift, batch_format="pyarrow")
-        .groupby("_pshard")
-        .map_groups(per_shard, batch_format="pyarrow")
+    hits = shard_apply(
+        ray.data.read_parquet(files, columns=["term", "doc_id", "pos"]),
+        ["doc_id"], per_shard, prepare=shift, coalesce=False, num_shards=16,
     )
-    # shards are doc-disjoint, but a doc's rows could span shard groups?
-    # no — _pshard is a pure function of doc_id, so per-shard counts are
-    # final; still run a bounded sum to survive any future re-sharding
+    # shards are doc-disjoint (the shard is a pure function of doc_id), so
+    # per-shard counts are final; still run a bounded sum to survive any
+    # future re-sharding
     return sharded_grouped_agg(hits, ["doc_id"], [("n_matches", "sum")],
                                num_shards=8)

@@ -1,9 +1,10 @@
 """Custom windowed operators Ray Data lacks natively (brief: "custom operators").
 
-Both are compositions of ``map_batches`` + ``groupby().map_groups`` with
-vectorized NumPy bodies (option (a) of the custom-operator ladder) and
-document their partitioning assumption: one group = one partition key's full
-history, bounded because inputs are *collapsed* tier rows, not raw samples.
+All are compositions of ``map_batches`` + the shared hash-shard exchange
+(:func:`.common.shard_apply`) with vectorized NumPy bodies (option (a) of
+the custom-operator ladder) and document their partitioning assumption: one
+group = one partition key's full history, bounded because inputs are
+*collapsed* tier rows, not raw samples.
 
 * :func:`sliding_window_sum` — rolling aggregate over aligned tier windows
   (e.g. trailing 1h sum of 5m counts), per key.  Prefix-sum + searchsorted:
@@ -20,6 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .common import shard_apply
+from .keyed import _segment_starts
 
 
 def sliding_window_sum(
@@ -38,16 +42,12 @@ def sliding_window_sum(
     PRECEDING AND CURRENT ROW)``.
     """
 
-    from .keyed import _key_shard, _segment_starts
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_kshard", _key_shard(batch, key_cols, 64))
 
     def per_shard(group: pa.Table) -> pa.Table:
         """Many keys per task (hash shard): one sort, then a per-key-segment
         prefix-sum — group count stays O(shards) at any key cardinality
         (raw-key map_groups would launch one ~5 ms task per key)."""
-        t = group.drop_columns("_kshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols] + [(window_col, "ascending")]
         )
         w = t[window_col].to_numpy().astype(np.int64, copy=False)
@@ -61,14 +61,7 @@ def sliding_window_sum(
             sums[a:b] = csum[1 : b - a + 1] - csum[lo]
         return t.append_column(out_col, pa.array(sums, pa.float64()))
 
-    from .common import narrow_fanin
-
-    return (
-        tier_ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(tier_ds, key_cols, per_shard)
 
 
 def rolling_quantile(
@@ -93,19 +86,13 @@ def rolling_quantile(
     pre-scale) — interpolation then lands on exact binary fractions for
     q in {0, .25, .5, .75, 1}, matching DuckDB bit-for-bit.
     """
-    from .keyed import _key_shard, _segment_starts
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_kshard", _key_shard(batch, key_cols, 64))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_kshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols]
             + [(order_col, "ascending"), (value_col, "ascending")]
         )
         n = t.num_rows
-        if n == 0:
-            return t.append_column(out_col, pa.array([], pa.float64()))
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         starts = np.flatnonzero(_segment_starts(t, key_cols))
         sizes = np.diff(np.r_[starts, n])
@@ -119,14 +106,7 @@ def rolling_quantile(
         out = np.nanquantile(stack, q, axis=0)
         return t.append_column(out_col, pa.array(out, pa.float64()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard)
 
 
 def range_join(
@@ -157,19 +137,10 @@ def range_join(
     (key segment, then ts range) — output assembled by vectorized arange
     concatenation, no per-row Python.
     """
-    def _shard(keys: np.ndarray) -> np.ndarray:
-        x = keys.astype(np.uint64)
-        with np.errstate(over="ignore"):
-            x = (x ^ (x >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-            x ^= x >> np.uint64(33)
-        return (x % np.uint64(num_shards)).astype(np.int64)
-
     left_cols: list[str] = left_ds.schema().names
 
     def norm_left(batch: pa.Table) -> pa.Table:
-        keys = pc.cast(batch[key_col], pa.int64()).to_numpy(zero_copy_only=False)
         ts = pc.cast(batch[left_ts], pa.int64()).to_numpy(zero_copy_only=False)
-        batch = batch.append_column("_shard", pa.array(_shard(keys)))
         batch = batch.append_column("_bucket", pa.array(ts // bucket_ms))
         batch = batch.append_column("_r_start", pa.nulls(batch.num_rows, pa.int64()))
         batch = batch.append_column("_r_end", pa.nulls(batch.num_rows, pa.int64()))
@@ -190,7 +161,6 @@ def range_join(
         )
         bucket = b0[row] + within
         cols = {c: pa.nulls(len(row), t) for c, t in zip(left_schema_names, left_schema_types)}
-        cols["_shard"] = pa.array(_shard(keys[row]))
         cols["_bucket"] = pa.array(bucket)
         cols["_r_start"] = pa.array(s[row])
         cols["_r_end"] = pa.array(e[row])
@@ -237,11 +207,8 @@ def range_join(
 
     lefts = left_ds.map_batches(norm_left, batch_format="pyarrow")
     rights = right_ds.map_batches(explode_right, batch_format="pyarrow")
-    return (
-        lefts.union(rights)
-        .groupby(["_shard", "_bucket"])
-        .map_groups(per_group, batch_format="pyarrow")
-    )
+    return shard_apply(lefts.union(rights), [key_col], per_group, by=("_bucket",),
+                       coalesce=False, num_shards=num_shards)
 
 
 def asof_join(
@@ -292,10 +259,6 @@ def asof_join(
         tag("r"), batch_format="pyarrow"
     )
 
-    from .keyed import _key_shard, _segment_starts
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column("_kshard", _key_shard(batch, key_cols, 64))
 
     def per_shard(group: pa.Table) -> pa.Table:
         """Many keys per task (hash shard of the key, not the raw key —
@@ -305,7 +268,7 @@ def asof_join(
         not a task per key."""
         side = np.array(group["_side"].to_pylist())
         is_left = side == "l"
-        left_t = group.filter(pa.array(is_left)).drop_columns(["_side", "_kshard"])
+        left_t = group.filter(pa.array(is_left)).drop_columns("_side")
         right_t = group.filter(pa.array(~is_left))
         if left_t.num_rows == 0 or right_t.num_rows == 0:
             return left_t.slice(0, 0)
@@ -349,15 +312,7 @@ def asof_join(
             )
         return out
 
-    from .common import narrow_fanin
-
-    return (
-        left_tagged.union(right_tagged)
-        .map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_kshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(left_tagged.union(right_tagged), key_cols, per_shard)
 
 
 def counter_increase(
@@ -387,27 +342,16 @@ def counter_increase(
     Partitioning assumption: one key's full sample history fits in one
     shard group (series histories, not the whole corpus).
     """
-    from .keyed import _key_shard, _segment_starts
 
     cols = list(key_cols) + [ts_col] + list(order_cols) + [value_col]
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     sort_keys = [(c, "ascending") for c in list(key_cols) + [ts_col] + list(order_cols)]
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        empty = {c: t[c].slice(0, 0) for c in key_cols}
-        empty.update({
-            "window_start": pa.array([], pa.int64()),
-            "n_deltas": pa.array([], pa.int64()),
-            "increase": pa.array([], pa.float64()),
-        })
-        if t.num_rows == 0:
-            return pa.table(empty)
-        t = t.sort_by(sort_keys)
+        t = group.sort_by(sort_keys)
         ts = t[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         first = _segment_starts(t, list(key_cols))
@@ -417,8 +361,6 @@ def counter_increase(
         adj = np.where(delta < 0, v, delta)  # reset -> counter restarted at v
         w = (ts // window_ms) * window_ms
         keep = ~first  # rows that have an in-key predecessor
-        if not keep.any():
-            return pa.table(empty)
         kept = t.filter(pa.array(keep))
         w_k, adj_k = w[keep], adj[keep]
         # group boundaries over (key, window) on the kept rows
@@ -432,14 +374,8 @@ def counter_increase(
         out["increase"] = pa.array(np.add.reduceat(adj_k, starts), pa.float64())
         return pa.table(out)
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def time_weighted_avg(
@@ -468,27 +404,16 @@ def time_weighted_avg(
     adjacent diffs + ``reduceat`` per (key, window) segment.  Partitioning
     assumption: one key's history fits in one shard group.
     """
-    from .keyed import _key_shard, _segment_starts
 
     cols = list(key_cols) + [ts_col] + list(order_cols) + [value_col]
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     sort_keys = [(c, "ascending") for c in list(key_cols) + [ts_col] + list(order_cols)]
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        empty = {c: t[c].slice(0, 0) for c in key_cols}
-        empty.update({
-            "window_start": pa.array([], pa.int64()),
-            "n_samples": pa.array([], pa.int64()),
-            "twa": pa.array([], pa.float64()),
-        })
-        if t.num_rows == 0:
-            return pa.table(empty)
-        t = t.sort_by(sort_keys)
+        t = group.sort_by(sort_keys)
         n = t.num_rows
         ts = t[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -515,14 +440,8 @@ def time_weighted_avg(
                               pa.float64())
         return pa.table(out)
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def watermark_window_counts(ds, id_col: str, ts_col: str, key_cols: list[str],
@@ -627,23 +546,17 @@ def sliding_distinct(ds, key_col: str, day_col: str, window: int,
     data)."""
     import ray  # noqa: F401  (symmetry with sibling operators)
 
-    from .keyed import _key_shard, _segment_starts, sharded_grouped_agg
+    from .keyed import sharded_grouped_agg
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({
             key_col: pc.cast(batch[key_col], pa.int64()),
             day_col: pc.cast(batch[day_col], pa.int64()),
         })
-        g = t.group_by([key_col, day_col]).aggregate([])
-        return g.append_column("_wshard", _key_shard(g, [key_col], 64))
+        return t.group_by([key_col, day_col]).aggregate([])
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        empty = pa.table({"b": pa.array([], pa.int64()),
-                          "delta": pa.array([], pa.int64())})
-        if t.num_rows == 0:
-            return empty
-        t = t.group_by([key_col, day_col]).aggregate([])  # x-batch dedup
+        t = group.group_by([key_col, day_col]).aggregate([])  # x-batch dedup
         t = t.sort_by([(key_col, "ascending"), (day_col, "ascending")])
         d = t[day_col].to_numpy(zero_copy_only=False)
         lo, hi = d, d + window - 1  # coverage range of one active day
@@ -663,14 +576,11 @@ def sliding_distinct(ds, key_col: str, day_col: str, window: int,
             np.ones(len(int_start), np.int64),
             -np.ones(len(int_end), np.int64),
         ])
-        out = pa.table({"b": pa.array(bounds, pa.int64()),
-                        "delta": pa.array(deltas, pa.int64())})
-        return out
+        return pa.table({"b": pa.array(bounds, pa.int64()),
+                         "delta": pa.array(deltas, pa.int64())})
 
     deltas = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow"),
+        shard_apply(ds, [key_col], per_shard, prepare=partial, coalesce=False),
         ["b"], [("delta", "sum")], num_shards=4,
     )
 
@@ -711,29 +621,18 @@ def merge_intervals(ds, key_cols: list[str], start_col: str, end_col: str,
     max (vectorized via a per-segment offset trick) + ``reduceat``.
     Partitioning assumption: one key's intervals fit in one shard group.
     """
-    from .keyed import _key_shard, _segment_starts
 
     cols = list(key_cols) + [start_col, end_col]
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({
             **{k: batch[k] for k in key_cols},
             start_col: pc.cast(batch[start_col], pa.int64()),
             end_col: pc.cast(batch[end_col], pa.int64()),
         })
-        return t.append_column("_wshard", _key_shard(t, list(key_cols), num_shards))
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_wshard")
-        empty = {c: t[c].slice(0, 0) for c in key_cols}
-        empty.update({
-            "start": pa.array([], pa.int64()),
-            "end": pa.array([], pa.int64()),
-            "n_intervals": pa.array([], pa.int64()),
-        })
-        if t.num_rows == 0:
-            return pa.table(empty)
-        t = t.sort_by([(c, "ascending") for c in cols])
+        t = group.sort_by([(c, "ascending") for c in cols])
         n = t.num_rows
         s = t[start_col].to_numpy(zero_copy_only=False).astype(np.int64)
         e = t[end_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -755,14 +654,8 @@ def merge_intervals(ds, key_cols: list[str], start_col: str, end_col: str,
         )
         return pa.table(out)
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_wshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)
 
 
 def rolling_sigma_outliers(
@@ -801,21 +694,13 @@ def rolling_sigma_outliers(
     the rows available, like SQL; a singleton frame is never anomalous
     (dev = 0).  Appends ``out_col`` (bool) to the input rows.
     """
-    from .keyed import _key_shard, _segment_starts
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_sshard", _key_shard(batch, key_cols, num_shards)
-        )
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_sshard").sort_by(
+        t = group.sort_by(
             [(c, "ascending") for c in key_cols]
             + [(c, "ascending") for c in order_cols]
         )
         n = t.num_rows
-        if n == 0:
-            return t.append_column(out_col, pa.array([], pa.bool_()))
         c = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         starts = np.flatnonzero(_segment_starts(t, key_cols))
         sizes = np.diff(np.r_[starts, n])
@@ -831,14 +716,7 @@ def rolling_sigma_outliers(
         flag = dev * dev > (k * k) * (m * q - s * s)
         return t.append_column(out_col, pa.array(flag, pa.bool_()))
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_sshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, num_shards=num_shards)
 
 
 def lttb_indices(x: np.ndarray, y: np.ndarray, n_out: int) -> np.ndarray:
@@ -941,28 +819,17 @@ def extrapolated_rate(
     (value-units/sec, cents/100/window-seconds, rounded to 6).
     Same single key-hash exchange as :func:`counter_increase`.
     """
-    from .keyed import _key_shard, _segment_starts
 
     cols = list(key_cols) + [ts_col] + list(order_cols) + [cents_col]
     win_s = float(window_ms) / 1000.0
 
-    def add_shard(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols)
-        return t.append_column("_xshard", _key_shard(t, list(key_cols), num_shards))
+    def project(batch: pa.Table) -> pa.Table:
+        return batch.select(cols)
 
     sort_keys = [(c, "ascending") for c in list(key_cols) + [ts_col] + list(order_cols)]
 
     def per_shard(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_xshard")
-        empty = {c: t[c].slice(0, 0) for c in key_cols}
-        empty.update({
-            "window_start": pa.array([], pa.int64()),
-            "n_samples": pa.array([], pa.int64()),
-            "xrate_per_s": pa.array([], pa.float64()),
-        })
-        if t.num_rows == 0:
-            return pa.table(empty)
-        t = t.sort_by(sort_keys)
+        t = group.sort_by(sort_keys)
         ts = t[ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         cv = t[cents_col].to_numpy(zero_copy_only=False).astype(np.int64)
         w = (ts // window_ms) * window_ms
@@ -980,8 +847,6 @@ def extrapolated_rate(
         first_t, last_t = ts[starts], ts[starts + counts - 1]
         first_v = cv[starts]
         keep = (counts >= 2) & (last_t > first_t)
-        if not keep.any():
-            return pa.table(empty)
         kt = pa.Table.from_arrays(
             [t[c].take(pa.array(starts[keep])) for c in key_cols], names=key_cols
         )
@@ -1006,11 +871,5 @@ def extrapolated_rate(
         out["xrate_per_s"] = pa.array(np.round(rate, 6), pa.float64())
         return pa.table(out)
 
-    from .common import narrow_fanin
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow")
-        .repartition(narrow_fanin())
-        .groupby("_xshard")
-        .map_groups(per_shard, batch_format="pyarrow")
-    )
+    return shard_apply(ds, key_cols, per_shard, prepare=project,
+                       num_shards=num_shards)

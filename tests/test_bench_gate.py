@@ -17,7 +17,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from bench import find_regressions, load_prior_detail
+from bench import find_regressions, load_prior_detail, multinode_battery_headline
 
 
 def test_planted_slowdown_is_flagged():
@@ -51,6 +51,14 @@ def test_cold_build_annotation():
     by_name = {r["query"]: r for r in regs}
     assert by_name["ivf"]["cold_build"] is True
     assert "cold_build" not in by_name["real"]
+
+
+def test_multinode_headline_counts_failures():
+    # passes = oracled - failures, labelled by the subset size actually run
+    entry = {"n_queries": 12, "n_oracled": 10, "n_oracle_failures": 3,
+             "ratio_vs_single_store": 1.4}
+    assert multinode_battery_headline(entry) == {
+        "multinode_battery_top12": "7/10 oracle-pass, 1.4x single-store"}
 
 
 def test_worst_first_ordering():

@@ -19,6 +19,10 @@ SCRIPT = os.path.join(REPO, "scripts", "scale_evidence.py")
 SF = "/root/testdata/sf0.001"
 
 
+sys.path.insert(0, os.path.join(REPO, "scripts"))
+from scale_evidence import single_store_ratio  # noqa: E402
+
+
 def _run(mode, *extra):
     proc = subprocess.run(
         [sys.executable, SCRIPT, mode, "--sf-dir", SF, *extra],
@@ -67,3 +71,14 @@ def test_simulated_multinode_battery_subset():
     assert out["n_oracled"] >= 1
     assert out["n_oracle_failures"] == 0, out["failures"]
     assert out["total_s"] > 0
+
+
+def test_single_store_ratio_skips_queries_without_prior():
+    """A query with no committed single-store time must not count against
+    a 0 s prior: the ratio covers only queries that have one."""
+    timings = {"a": 2.0, "b": 3.0, "new": 50.0}
+    prior = {"a": 1.0, "b": 1.5}
+    out = single_store_ratio(timings, prior)
+    assert out == {"single_store_total_s": 2.5, "ratio_vs_single_store": 2.0,
+                   "n_missing": 1}
+    assert single_store_ratio({"new": 1.0}, {})["ratio_vs_single_store"] is None
