@@ -77,7 +77,7 @@ def fanin() -> int:
 
 
 def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
-                num_shards=64, out_schema=None):
+                num_shards=64):
     """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
 
     Shape: per batch, the optional ``prepare`` (projection, cast, combiner,
@@ -103,11 +103,11 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     input arrives in many small blocks, a pure barrier when it is already
     O(fanin) blocks of collapsed rows.
 
-    ``out_schema``: when given, a group whose kernel result has no rows
-    yields ``out_schema.empty_table()``, so kernels need no typed-empty
-    branch of their own.  Ray's sort still emits a zero-row, zero-column
-    block for a key range that received no rows and never calls a batch
-    UDF on it; consumers that concatenate blocks must tolerate those.
+    Ray's sort hands ``map_groups`` only non-empty groups, so a kernel needs
+    no empty-input branch; it must still return typed columns when a
+    non-empty group yields no rows.  Ray emits a zero-row, zero-column
+    block for a key range that received no rows; consumers that
+    concatenate blocks must tolerate those.
     """
     keys = list(keys)
     helpers = [*by, "_shard"]
@@ -119,10 +119,7 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
         return batch.append_column("_shard", pa.array(shard.astype(np.int64)))
 
     def per_group(group: pa.Table) -> pa.Table:
-        out = kernel(group.drop_columns(helpers))
-        if out_schema is not None and out.num_rows == 0:
-            return out_schema.empty_table()
-        return out
+        return kernel(group.drop_columns(helpers))
 
     out = ds.map_batches(add_shard, batch_format="pyarrow")
     if coalesce:

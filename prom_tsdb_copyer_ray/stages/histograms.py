@@ -61,22 +61,6 @@ SUPPORTED_VALUE_TYPES = ("float", "histogram", "float_histogram")
 HISTOGRAM_TYPES = ("histogram", "float_histogram")
 
 
-HIST_SCHEMA = pa.schema([
-    ("series_key", pa.string()),
-    ("tier", pa.string()),
-    ("value_type", pa.string()),
-    ("window_start", pa.int64()),
-    ("min_ts", pa.int64()),
-    ("max_ts", pa.int64()),
-    ("n_samples", pa.int64()),
-    ("h_count", pa.int64()),
-    ("h_sum", pa.float64()),
-    ("h_buckets", pa.list_(pa.float64())),
-    ("h_buckets_bytes", pa.binary()),
-    ("n_buckets", pa.int64()),
-])
-
-
 class UnsupportedValueTypeError(ValueError):
     """The reference's ErrUnsupportValueType (copyer.go:21) analogue."""
 
@@ -222,7 +206,7 @@ def rollup_histograms(
     return shard_apply(
         samples_ds, ["series_key"], per_group,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=num_shards, out_schema=HIST_SCHEMA,
+        num_shards=num_shards,
     )
 
 

@@ -577,9 +577,6 @@ def transition_counts(ds, key_col: str, order_cols: list[str],
     def project(batch: pa.Table) -> pa.Table:
         return batch.select(sel)
 
-    out_schema = pa.schema([("from_state", pa.string()), ("to_state", pa.string()),
-                            (out_count, pa.int64())])
-
     def per_shard(group: pa.Table) -> pa.Table:
         t = group.sort_by([(c, "ascending") for c in keys_in])
         n = t.num_rows
@@ -602,7 +599,7 @@ def transition_counts(ds, key_col: str, order_cols: list[str],
         })
 
     shard_counts = shard_apply(ds, [key_col], per_shard, prepare=project,
-                               num_shards=num_shards, out_schema=out_schema)
+                               num_shards=num_shards)
     return sharded_grouped_agg(shard_counts, ["from_state", "to_state"],
                                [(out_count, "sum")], num_shards=4)
 
@@ -730,6 +727,10 @@ def cooccurrence_pairs(ds, key_col: str, item_col: str,
                 cols = {"tag": tag, **cols}
             return pa.table(cols)
 
+        def empty():
+            return build(pa.array([], pa.string()), pa.array([], pa.string()),
+                         pa.array([], pa.string()), pa.array([], pa.int64()))
+
         t = t.group_by([key_col, item_col]).aggregate([])  # x-batch dedup
         t = t.sort_by([(key_col, "ascending"), (item_col, "ascending")])
         items = t[item_col]
@@ -776,13 +777,10 @@ def cooccurrence_pairs(ds, key_col: str, item_col: str,
                 pc.take(vocab, pa.array(b_s[st])),
                 pa.array(n, pa.int64()),
             ))
-        return pa.concat_tables(parts) if parts else pa.table({})
+        return pa.concat_tables(parts) if parts else empty()
 
-    out_schema = pa.schema(([("tag", pa.string())] if marginals else [])
-                           + [("ta", pa.string()), ("tb", pa.string()),
-                              (out_count, pa.int64())])
     shard_counts = shard_apply(ds, [key_col], per_shard, prepare=partial,
-                               num_shards=num_shards, out_schema=out_schema)
+                               num_shards=num_shards)
     keys = (["tag"] if marginals else []) + ["ta", "tb"]
     if bounded_final:
         import ray.data

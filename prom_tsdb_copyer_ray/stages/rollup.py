@@ -269,7 +269,7 @@ def rollup_raw(
     return shard_apply(
         samples_ds, ["series_key"], per_group,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=num_shards, out_schema=CHUNK_SCHEMA,
+        num_shards=num_shards,
     )
 
 
@@ -303,7 +303,7 @@ def rollup_up(
     return shard_apply(
         finer_ds, ["series_key"], per_group,
         prepare=with_group_window("window_start", d * group_factor), by=("_gw",),
-        coalesce=False, num_shards=num_shards, out_schema=CHUNK_SCHEMA,
+        coalesce=False, num_shards=num_shards,
     )
 
 

@@ -1,7 +1,6 @@
 """stages.common.shard_apply — the one hash-shard exchange every keyed
 operator runs on: per-key results must not depend on the shard count, the
-coalesce hop or a ``by`` group column, and typed output must survive groups
-whose kernel emits nothing."""
+coalesce hop or a ``by`` group column."""
 
 from __future__ import annotations
 
@@ -34,6 +33,9 @@ def test_matches_pandas_oracle(ray_session, num_shards, coalesce, by):
     # nested: Ray pickles module-level test functions by reference, and
     # workers cannot import the test module
     def sum_kernel(t: pa.Table) -> pa.Table:
+        # kernels carry no empty-input branch: Ray's sort never hands
+        # map_groups an empty group
+        assert t.num_rows > 0
         assert "_shard" not in t.column_names and "_b" not in t.column_names
         return t.group_by(["k", "s"]).aggregate([("v", "sum"), ("v", "count")])
 
@@ -53,37 +55,6 @@ def test_matches_pandas_oracle(ray_session, num_shards, coalesce, by):
     # each key reaches exactly one kernel call: no duplicated keys
     assert not got.duplicated(["k", "s"]).any()
     pd.testing.assert_frame_equal(got[list(want.columns)], want, check_dtype=False)
-
-
-def test_empty_kernel_results_carry_out_schema(ray_session):
-    """Most groups emit nothing (the kernel returns a column-less table);
-    every block that comes back has ``out_schema`` — except the zero-row,
-    zero-column blocks Ray's sort emits for key ranges that got no rows at
-    all, on which Ray calls no batch UDF."""
-    import ray
-    import ray.data
-
-    out_schema = pa.schema([("k", pa.int64()), ("total", pa.int64())])
-
-    def only_key_zero(t: pa.Table) -> pa.Table:
-        t = t.filter(pa.compute.equal(t["k"], 0))
-        if t.num_rows == 0:
-            return pa.table({})
-        return pa.table({"k": t["k"].slice(0, 1),
-                         "total": pa.array([int(pa.compute.sum(t["v"]).as_py())],
-                                           pa.int64())})
-
-    t = _events(n_keys=5)
-    ds = shard_apply(ray.data.from_arrow(t).repartition(6), ["k"], only_key_zero,
-                     num_shards=64, out_schema=out_schema)
-    tables = ray.get(ds.to_arrow_refs())
-    typed = [tb for tb in tables if tb.num_columns]
-    assert len(typed) >= 2  # key 0's block plus at least one emptied group
-    for tb in tables:
-        assert tb.schema.equals(out_schema) or (tb.num_rows == 0 and tb.num_columns == 0)
-    rows = pa.concat_tables(typed).to_pylist()
-    assert rows == [{"k": 0, "total": int(t.filter(pa.compute.equal(t["k"], 0))["v"]
-                                          .to_numpy().sum())}]
 
 
 def test_rollup_raw_independent_of_num_shards(ray_session):
