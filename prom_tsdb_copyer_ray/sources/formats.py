@@ -56,12 +56,15 @@ def read_pages_jsonl(paths):
 
 
 def read_pages_csv(paths):
-    """Pages Dataset from CSV files (html base64, warc_ts epoch-ms/ISO)."""
+    """Pages Dataset from CSV files (html base64, warc_ts epoch-ms/ISO), rows
+    in file order."""
     import ray.data
 
-    return ray.data.read_csv(paths).map_batches(
-        _normalize_pages_batch, batch_format="pyarrow"
-    )
+    ds = ray.data.read_csv(paths)
+    # Ray splits even one small file's read into several blocks and would
+    # hand back their decode tasks' output in completion order
+    ds.context.execution_options.preserve_order = True
+    return ds.map_batches(_normalize_pages_batch, batch_format="pyarrow")
 
 
 def write_pages_jsonl(table: pa.Table, path: str) -> None:

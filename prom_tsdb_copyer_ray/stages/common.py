@@ -13,6 +13,9 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_column
 
+# inputs below this row count run as one task (see shard_apply)
+SMALL_ROWS = 50_000
+
 
 def mix64(x: np.ndarray) -> np.ndarray:
     """Splitmix-style avalanche over int-like input; uint64 out."""
@@ -76,6 +79,28 @@ def fanin() -> int:
     return max(8, n // 2)
 
 
+def _apply_by(table: pa.Table, by: list[str], kernel) -> pa.Table:
+    """``kernel`` once per distinct ``by`` value (ascending, helper columns
+    dropped), results concatenated; no rows -> an empty, column-less table."""
+    if not table.num_rows:
+        return pa.table({})
+    if not by:
+        return kernel(table)
+    table = table.sort_by([(c, "ascending") for c in by])
+    change = np.zeros(table.num_rows, dtype=bool)
+    change[0] = True
+    for c in by:
+        v = table[c].to_numpy()
+        change[1:] |= v[1:] != v[:-1]
+    bounds = np.append(np.flatnonzero(change), table.num_rows)
+    rest = table.drop_columns(by)
+    # promote: a kernel may type an all-null column as null in one call;
+    # the exchange's separate blocks get the same unification downstream
+    return pa.concat_tables(
+        [kernel(rest.slice(a, b - a)) for a, b in zip(bounds[:-1], bounds[1:])],
+        promote_options="default")
+
+
 def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
                 num_shards=64):
     """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
@@ -103,13 +128,39 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     input arrives in many small blocks, a pure barrier when it is already
     O(fanin) blocks of collapsed rows.
 
-    Ray's sort hands ``map_groups`` only non-empty groups, so a kernel needs
-    no empty-input branch; it must still return typed columns when a
-    non-empty group yields no rows.  Ray emits a zero-row, zero-column
-    block for a key range that received no rows; consumers that
+    Size rule: a ``MaterializedDataset`` (its ``count()`` is block
+    metadata, free) of fewer than :data:`SMALL_ROWS` rows skips the hash,
+    the coalesce and the sort: one ``map_batches`` task runs ``prepare`` on
+    the whole input, splits it on ``by`` in ascending order and calls
+    ``kernel`` once per ``by`` value — exactly the ``num_shards=1``
+    semantics, since each key still reaches one call.  Basis, measured on
+    one core: 50k rows are ~0.15 s of rollup kernel (340k raw rows/s),
+    against 1.7-3.3 s of fixed sort-exchange cost per rollup tier, whose
+    64 shards x group windows make hundreds of ``map_groups`` calls for a
+    few thousand rows.  A lazy input always takes the exchange (counting it
+    would execute it); callers that want the rule materialize first.
+    ``SMALL_ROWS = 0`` turns the path off.
+
+    Ray's sort hands ``map_groups`` only non-empty groups, and the
+    single-task path only calls ``kernel`` on non-empty ``by`` groups, so a
+    kernel needs no empty-input branch; it must still return typed columns
+    when a non-empty group yields no rows.  Ray emits a zero-row,
+    zero-column block for a key range that received no rows (and the
+    single-task path returns one for an empty input); consumers that
     concatenate blocks must tolerate those.
     """
+    from ray.data.dataset import MaterializedDataset
+
     keys = list(keys)
+    by = list(by)
+    if isinstance(ds, MaterializedDataset) and ds.count() < SMALL_ROWS:
+        def one_task(table: pa.Table) -> pa.Table:
+            if prepare is not None:
+                table = prepare(table)
+            return _apply_by(table, by, kernel)
+
+        return ds.repartition(1).map_batches(one_task, batch_size=None,
+                                             batch_format="pyarrow")
     helpers = [*by, "_shard"]
 
     def add_shard(batch: pa.Table) -> pa.Table:

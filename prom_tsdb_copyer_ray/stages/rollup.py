@@ -27,7 +27,10 @@ keyed by ``series_key`` with ``by=("_gw",)`` — a coarse *group* window
 write).  One ``map_groups`` call covers MANY (series, tier-window) cells and
 processes them fully vectorized (lexsort + ``np.*.reduceat``); within a shard
 a hot series is bounded by the group window (the memory-bounding role the
-reference's ``-S`` slice duration plays, ``main.go:121``).
+reference's ``-S`` slice duration plays, ``main.go:121``).  Under
+``shard_apply``'s size rule, a materialized input of fewer than
+``SMALL_ROWS`` rows skips the exchange: one task calls the kernel once per
+group window, in window order, and emits one block per tier.
 """
 
 from __future__ import annotations

@@ -217,9 +217,11 @@ def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) 
 
     tdir = tier_dir(out_dir, tier)
     os.makedirs(tdir, exist_ok=True)
-    # rollup stages group by (_gw, _shard) — time-major — so their output
-    # blocks are already time-clustered and the hive write makes a handful of
-    # contiguous files per partition rather than one tiny file per block
+    # the hive write makes one file per (block, partition) pair.  A sharded
+    # rollup's blocks are sort partitions over a range of (_gw, _shard) keys,
+    # time-major, so each covers few days and a day gets a handful of files;
+    # a small rollup (shard_apply's single-task path) is one block, so one
+    # file per partition
     ds.map_batches(add_parts, batch_format="pyarrow").write_parquet(
         tdir, partition_cols=part_cols
     )

@@ -3,8 +3,8 @@
 The reference keeps per-series copy / flush duration histograms and prints
 them with ``--show-metrics`` (``copyer.go:22-34``, summary ``main.go``).
 The Ray analogue: a zero-CPU named actor collects per-group stage wall
-times fired from inside ``map_groups`` tasks (fire-and-forget, one tiny
-message per vectorized group — thousands per run, not per row), and
+times sent from inside ``map_groups`` tasks (one tiny awaited call per
+vectorized group — thousands per run, not per row), and
 ``drain()`` folds them into count/sum/quantile summaries that ``run_copy``
 attaches to its result and the CLI prints.
 
@@ -95,11 +95,16 @@ def _get_handle():
 
 
 def record(sink, key: str, wall_ms: float) -> None:
-    """Fire-and-forget a timing sample from inside a task.
+    """Record a timing sample from inside a task; returns once the sink has it.
 
     ``sink`` is the actor handle shipped WITH the task closure (the stage
     captured it when the pipeline was built) — no per-call actor lookup,
-    strictly zero overhead when metrics are off (``sink is None``)."""
+    strictly zero overhead when metrics are off (``sink is None``).  The
+    call waits for the sink, so a sample lands before its task returns and
+    a short run's ``drain()`` cannot miss it (a fire-and-forget message
+    could still be in flight when ``run_copy`` drains the sink)."""
     if sink is None:
         return
-    sink.record.remote(key, [float(wall_ms)])
+    import ray
+
+    ray.get(sink.record.remote(key, [float(wall_ms)]))

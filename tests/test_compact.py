@@ -9,6 +9,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 
 from prom_tsdb_copyer_ray.sources.pages import generate_pages
+from prom_tsdb_copyer_ray.stages import common
 
 
 def _tier_df(out: str, tier: str) -> pd.DataFrame:
@@ -17,12 +18,15 @@ def _tier_df(out: str, tier: str) -> pd.DataFrame:
     return df[cols].sort_values(["series_key", "window_start"]).reset_index(drop=True)
 
 
-def test_compact_tier_preserves_content(ray_session, tmp_path):
+def test_compact_tier_preserves_content(ray_session, tmp_path, monkeypatch):
     import ray.data
 
     from prom_tsdb_copyer_ray.pipelines.compact import _leaf_dirs, compact_tier
     from prom_tsdb_copyer_ray.pipelines.copy import run_copy
 
+    # the distributed path: a small input's single task writes one file per
+    # partition, and this fixture needs multi-file partitions
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
     out = str(tmp_path / "out")
     pages = generate_pages(2000, seed=7)
     run_copy(lambda: ray.data.from_arrow(pages).repartition(16), out)

@@ -613,7 +613,7 @@ def test_minhash_index_query_matches_full_lsh(ray_session, tmp_path):
     sel = {
         (int(b), int(np.uint64(h) % np.uint64(MINHASH_INDEX_BUCKETS)))
         for b, h in zip(rows["band"].to_pylist(),
-                        np.array(rows["band_hash"].to_pylist(), np.uint64))
+                        np.array(rows["band_hash"].to_pylist(), np.int64).view(np.uint64))
     }
     assert len(sel) <= 32
     victim = None

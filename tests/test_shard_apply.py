@@ -73,3 +73,53 @@ def test_rollup_raw_independent_of_num_shards(ray_session):
     one, many = rows(1), rows(64)
     assert len(one) > 0
     pd.testing.assert_frame_equal(one, many)
+
+
+@pytest.mark.parametrize("by", [(), ("_b",)])
+def test_small_materialized_input_runs_one_task(ray_session, by):
+    """A materialized input under ``SMALL_ROWS`` skips the exchange: one
+    kernel call per ``by`` value (the ``num_shards=1`` semantics), the same
+    rows as the pandas oracle and as the exchange a lazy input takes."""
+    import ray.data
+
+    t = _events()
+
+    def sum_kernel(t: pa.Table) -> pa.Table:
+        assert t.num_rows > 0
+        assert "_shard" not in t.column_names and "_b" not in t.column_names
+        out = t.group_by(["k", "s"]).aggregate([("v", "sum"), ("v", "count")])
+        return out.append_column("call_rows", pa.array([t.num_rows] * out.num_rows, pa.int64()))
+
+    def with_bucket(batch: pa.Table) -> pa.Table:
+        b = batch["k"].to_numpy() // 10
+        return batch.append_column("_b", pa.array(b, pa.int64()))
+
+    def run(ds) -> pd.DataFrame:
+        df = shard_apply(ds, ["k", "s"], sum_kernel,
+                         prepare=with_bucket if by else None, by=by).to_pandas()
+        return df.sort_values(["k", "s"]).reset_index(drop=True)
+
+    src = ray.data.from_arrow(t).repartition(9)
+    small, lazy = run(src.materialize()), run(src)
+    want = (t.to_pandas().groupby(["k", "s"], as_index=False)["v"]
+            .agg(v_sum="sum", v_count="count")).sort_values(["k", "s"]).reset_index(drop=True)
+    cols = list(want.columns)
+    pd.testing.assert_frame_equal(small[cols], want, check_dtype=False)
+    pd.testing.assert_frame_equal(lazy[cols], small[cols])
+    # each call saw its whole by group; the lazy input was sharded instead
+    df = t.to_pandas()
+    group_rows = (df["k"] // 10).value_counts() if by else None
+    want_calls = (small["k"] // 10).map(group_rows) if by else t.num_rows
+    assert (small["call_rows"] == want_calls).all()
+    assert (lazy["call_rows"] < small["call_rows"]).any()
+
+
+def test_small_path_empty_input(ray_session):
+    """An empty materialized input never reaches the kernel and yields no rows."""
+    import ray.data
+
+    def kernel(t: pa.Table) -> pa.Table:
+        raise AssertionError("kernel called on an empty input")
+
+    ds = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())})).materialize()
+    assert shard_apply(ds, ["k"], kernel, by=()).count() == 0
