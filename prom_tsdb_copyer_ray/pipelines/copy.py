@@ -123,8 +123,7 @@ def build_tiers(
     of magnitude smaller than the raw input) so upstream extraction executes
     once, not once per consumer.
     """
-    # materialized, so shard_apply can size it (stages/common.py)
-    samples = pages_to_samples(pages_ds, matchers, relabels, validate, **kw).materialize()
+    samples = pages_to_samples(pages_ds, matchers, relabels, validate, **kw)
     out = {}
     raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
     t5 = rollup_raw(samples, "5m", **raw_kw).materialize()
@@ -176,7 +175,7 @@ def run_copy_samples(
                     if c not in ("value_type", "h_count", "h_sum", "h_buckets")]
             return batch.select(keep)
 
-        fs = float_ds.map_batches(to_float_cols, batch_format="pyarrow").materialize()
+        fs = float_ds.map_batches(to_float_cols, batch_format="pyarrow")
         raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
         t5 = rollup_raw(fs, "5m", **raw_kw).materialize()
         manifests["5m"] = write_tier(t5, out_dir, "5m", group_window_ms=group_window_ms)
@@ -196,7 +195,7 @@ def run_copy_samples(
             keep = ["series_key", "ts", "h_count", "h_sum", "h_buckets"]
             return batch.select([c for c in keep if c in batch.column_names])
 
-        hs = h_ds.map_batches(to_hist_cols, batch_format="pyarrow").materialize()
+        hs = h_ds.map_batches(to_hist_cols, batch_format="pyarrow")
         raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
         prev = rollup_histograms(hs, "5m", value_type=vt, **raw_kw).materialize()
         manifests[f"{vt}_5m"] = write_tier(
@@ -218,7 +217,7 @@ def run_copy_samples(
                     }
                 ),
                 batch_format="pyarrow",
-            ).materialize()
+            )
             prev = rollup_histograms(finer_as_samples, tier, value_type=vt).materialize()
             manifests[f"{vt}_{tier}"] = write_tier(
                 prev, out_dir, f"{vt}_{tier}", group_window_ms=group_window_ms
@@ -312,12 +311,10 @@ def run_copy(
     m5 = load_manifest(out_dir, "5m")
     t5 = None
     if incremental or must_run or m5["status"] != "complete":
-        # materialized, so shard_apply can size the rollup's input
-        # (stages/common.py): a small one runs as one task, not a shuffle
         samples = pages_to_samples(
             pages_ds_factory(), matchers, relabels, validate,
             metrics_sink=sink, **kw,
-        ).materialize()
+        )
         # materialize the collapsed tier rows (small vs raw input) so the
         # write and the 1h rollup both feed from the object store instead of
         # re-executing extraction or round-tripping through Parquet
@@ -330,8 +327,7 @@ def run_copy(
     t1h = None
     if incremental or must_run or m1h["status"] != "complete":
         t1h = rollup_up(
-            t5 if t5 is not None else read_tier(out_dir, "5m").materialize(), "1h",
-            metrics_sink=sink,
+            t5 if t5 is not None else read_tier(out_dir, "5m"), "1h", metrics_sink=sink
         ).materialize()
         m1h = write_tier(t1h, out_dir, "1h", group_window_ms=group_window_ms)
     manifests["1h"] = m1h
@@ -339,8 +335,7 @@ def run_copy(
     m1d = load_manifest(out_dir, "1d")
     if incremental or must_run or m1d["status"] != "complete":
         t1d = rollup_up(
-            t1h if t1h is not None else read_tier(out_dir, "1h").materialize(), "1d",
-            metrics_sink=sink,
+            t1h if t1h is not None else read_tier(out_dir, "1h"), "1d", metrics_sink=sink
         )
         m1d = write_tier(t1d, out_dir, "1d", group_window_ms=group_window_ms)
     manifests["1d"] = m1d

@@ -101,6 +101,26 @@ def _apply_by(table: pa.Table, by: list[str], kernel) -> pa.Table:
         promote_options="default")
 
 
+def materialize_if_small(ds):
+    """``ds`` materialized if it has fewer than :data:`SMALL_ROWS` rows (so
+    :func:`shard_apply` takes its single-task path), else ``ds`` unchanged.
+
+    A lazy input is probed with ``limit(SMALL_ROWS)``, which executes the
+    upstream only until it has that many rows.  A small input is then whole
+    in the probe and executes once.  A large one stays lazy and streams
+    into the exchange, so its blocks are not held in the object store
+    beside the sort's; the cost is re-running the probed prefix of its
+    upstream, so pass only inputs whose upstream is a streaming map (a
+    scan, an extraction), never an exchange.
+    """
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(ds, MaterializedDataset):
+        return ds
+    head = ds.limit(SMALL_ROWS).materialize()
+    return head if head.count() < SMALL_ROWS else ds
+
+
 def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
                 num_shards=64):
     """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
@@ -133,13 +153,18 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     the coalesce and the sort: one ``map_batches`` task runs ``prepare`` on
     the whole input, splits it on ``by`` in ascending order and calls
     ``kernel`` once per ``by`` value — exactly the ``num_shards=1``
-    semantics, since each key still reaches one call.  Basis, measured on
-    one core: 50k rows are ~0.15 s of rollup kernel (340k raw rows/s),
-    against 1.7-3.3 s of fixed sort-exchange cost per rollup tier, whose
-    64 shards x group windows make hundreds of ``map_groups`` calls for a
-    few thousand rows.  A lazy input always takes the exchange (counting it
-    would execute it); callers that want the rule materialize first.
-    ``SMALL_ROWS = 0`` turns the path off.
+    semantics, since each key still reaches one call.  The bound counts
+    input rows, before ``prepare`` (which may multiply them, e.g. an
+    explode).  Its basis is the rollup kernel only, measured on one core:
+    50k rows are ~0.15 s of kernel (340k raw rows/s), against 1.7-3.3 s of
+    fixed sort-exchange cost per rollup tier, whose 64 shards x group
+    windows make hundreds of ``map_groups`` calls for a few thousand rows.
+    Other callers that pass a materialized input take the same path
+    untimed; a CPU-heavy kernel there gives up its parallelism for it.  A
+    lazy input always takes the exchange: ``shard_apply`` never executes
+    its input (a chained exchange would run twice); the rollup stages size
+    theirs first with :func:`materialize_if_small`.  ``SMALL_ROWS = 0``
+    turns the path off.
 
     Ray's sort hands ``map_groups`` only non-empty groups, and the
     single-task path only calls ``kernel`` on non-empty ``by`` groups, so a

@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_windows
 from ..windows import MS_1D, TIERS, window_start_np
-from .common import shard_apply
+from .common import materialize_if_small, shard_apply
 from .rollup import DEFAULT_NUM_SHARDS, _series_codes, with_group_window
 
 
@@ -204,7 +204,7 @@ def rollup_histograms(
         )
 
     return shard_apply(
-        samples_ds, ["series_key"], per_group,
+        materialize_if_small(samples_ds), ["series_key"], per_group,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
         num_shards=num_shards,
     )

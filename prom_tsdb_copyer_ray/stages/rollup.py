@@ -27,10 +27,12 @@ keyed by ``series_key`` with ``by=("_gw",)`` — a coarse *group* window
 write).  One ``map_groups`` call covers MANY (series, tier-window) cells and
 processes them fully vectorized (lexsort + ``np.*.reduceat``); within a shard
 a hot series is bounded by the group window (the memory-bounding role the
-reference's ``-S`` slice duration plays, ``main.go:121``).  Under
-``shard_apply``'s size rule, a materialized input of fewer than
-``SMALL_ROWS`` rows skips the exchange: one task calls the kernel once per
-group window, in window order, and emits one block per tier.
+reference's ``-S`` slice duration plays, ``main.go:121``).  Every rollup
+sizes its input with ``materialize_if_small`` first: under
+``shard_apply``'s size rule, an input of fewer than ``SMALL_ROWS`` rows
+skips the exchange (one task calls the kernel once per group window, in
+window order, and emits one block per tier); a larger lazy one streams
+into the exchange unmaterialized.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import pyarrow as pa
 
 from ..codec import encode_timestamps_many, encode_values_many
 from ..windows import MS_1D, TIER_PARENT, TIERS, window_start_np
-from .common import shard_apply
+from .common import materialize_if_small, shard_apply
 
 LABEL_COLS = ("__name__", "domain", "lang")
 DEFAULT_NUM_SHARDS = 64
@@ -270,7 +272,7 @@ def rollup_raw(
         return out
 
     return shard_apply(
-        samples_ds, ["series_key"], per_group,
+        materialize_if_small(samples_ds), ["series_key"], per_group,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
         num_shards=num_shards,
     )
@@ -304,7 +306,7 @@ def rollup_up(
     # no coalesce hop: merge inputs are already collapsed chunk rows in
     # O(partitions) blocks; an extra repartition is a pure latency barrier
     return shard_apply(
-        finer_ds, ["series_key"], per_group,
+        materialize_if_small(finer_ds), ["series_key"], per_group,
         prepare=with_group_window("window_start", d * group_factor), by=("_gw",),
         coalesce=False, num_shards=num_shards,
     )

@@ -9,7 +9,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from prom_tsdb_copyer_ray.stages.common import shard_apply
+from prom_tsdb_copyer_ray.stages.common import materialize_if_small, shard_apply
 
 
 def _events(n: int = 3000, n_keys: int = 97, seed: int = 3) -> pa.Table:
@@ -123,3 +123,23 @@ def test_small_path_empty_input(ray_session):
 
     ds = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())})).materialize()
     assert shard_apply(ds, ["k"], kernel, by=()).count() == 0
+
+
+def test_materialize_if_small(ray_session, monkeypatch):
+    """A small lazy input comes back materialized with all its rows; a large
+    one comes back as the same lazy Dataset; a materialized one as itself."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from prom_tsdb_copyer_ray.stages import common
+
+    t = _events()
+    lazy = ray.data.from_arrow(t).repartition(5).map_batches(lambda b: b, batch_format="pyarrow")
+    small = materialize_if_small(lazy)
+    assert isinstance(small, MaterializedDataset)
+    order = [(c, "ascending") for c in t.column_names]
+    got = pa.Table.from_pandas(small.to_pandas(), preserve_index=False)
+    assert got.sort_by(order).equals(t.sort_by(order))
+    assert materialize_if_small(small) is small
+    monkeypatch.setattr(common, "SMALL_ROWS", t.num_rows)
+    assert materialize_if_small(lazy) is lazy
