@@ -3,20 +3,26 @@
 End-to-end plan (SURVEY.md §3 Ray translation)::
 
     pages Dataset
-      -> map_batches(PageToSamples, actor pool)   # extraction, O8
+      -> map_batches(_extract_batch, task pool)   # extraction, O8
       -> matcher filter kernel                    # O5 (before relabel, as
                                                   #  Select() runs before the
                                                   #  label rewrite, copyer.go:91)
       -> relabel kernel                           # O7
-      -> rollup_raw  -> 5m tier                   # O11 (encode) shuffle #1
-      -> rollup_up   -> 1h tier                   # O14 (merge)  shuffle #2
-      -> rollup_up   -> 1d tier                   #              shuffle #3
+      -> rollup_raw  -> 5m tier                   # O11 (encode)
+      -> rollup_up   -> 1h tier                   # O14 (merge)
+      -> rollup_up   -> 1d tier
       -> write_parquet per tier + manifests       # resumable, state/manifest
 
-:func:`run_copy` checkpoints each tier to Parquet and feeds the next tier
-from the *written* tier (the analogue of compaction reading written blocks),
-so a resumed run never recomputes a completed tier, and the in-memory
-lineage is never executed twice.
+Every rollup is one ``stages.common.shard_apply`` call: an input of fewer
+than ``SMALL_ROWS`` rows runs as one task, a larger one takes the hash-shard
+sort exchange.
+
+:func:`_run_tiers` is the one resumable 5m -> 1h -> 1d loop.
+:func:`run_copy` drives it once; :func:`run_copy_samples` drives it for the
+float samples and for each histogram type.  A complete tier is skipped (a
+resumed run never recomputes it), a tier that a later tier consumes is
+materialized once and fed on from the object store, and the last tier
+streams into its write, so no lineage executes twice.
 
 :func:`build_tiers` is the all-in-memory variant for driver queries/tests:
 it materializes the collapsed 5m tier (small relative to input) before
@@ -31,7 +37,9 @@ from ..functions.matchers import Matcher, make_filter_fn
 from ..functions.relabel import make_relabel_fn
 from ..stages.extract import SAMPLE_LABELS, PageToSamples
 from ..stages.rollup import rollup_raw, rollup_up
-from ..state.manifest import load_manifest, read_tier, write_tier
+from ..state.manifest import load_manifest, read_tier, record_inputs, write_tier
+from ..state.metrics import create_sink, drain_sink
+from ..windows import MS_1D, TIER_PARENT, TIERS
 
 
 _EXTRACTORS: dict[str, PageToSamples] = {}
@@ -66,39 +74,27 @@ def pages_to_samples(
     validate: str = "strict",
     batch_size: int = 4096,
     concurrency=None,
-    use_actors: bool = False,
     metrics_sink=None,
 ):
     """pages -> filtered/relabeled samples Dataset (extraction stage).
 
-    ``use_actors=True`` runs the stage as an explicit actor pool
-    (``concurrency`` = pool size, the semaphore analogue, pool.go); the
-    default task pool keeps identical once-per-worker state semantics via
-    the module singleton and scales/fuses better with the read.  In the task
-    pool, ``concurrency`` (int, or a (min, max) tuple whose max is taken)
-    caps concurrent tasks — the CLI's ``-t`` / the reference's ``-T`` knob;
-    ``None`` lets Ray pack up to the CPU count.
+    The task pool keeps once-per-worker extractor state through the module
+    singleton and fuses with the read.  ``concurrency`` (int, or a
+    (min, max) tuple whose max is taken) caps concurrent tasks — the CLI's
+    ``-t`` / the reference's ``-T`` knob; ``None`` lets Ray pack up to the
+    CPU count.
     """
     import functools
 
-    if use_actors:
-        samples = pages_ds.map_batches(
-            PageToSamples,
-            fn_constructor_kwargs={"validate": validate},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency or (1, 8),
-        )
-    else:
-        max_tasks = None
-        if concurrency is not None:
-            max_tasks = int(concurrency[-1]) if isinstance(concurrency, (tuple, list)) else int(concurrency)
-        samples = pages_ds.map_batches(
-            functools.partial(_extract_batch, validate=validate, metrics_sink=metrics_sink),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=max_tasks,
-        )
+    max_tasks = None
+    if concurrency is not None:
+        max_tasks = int(concurrency[-1]) if isinstance(concurrency, (tuple, list)) else int(concurrency)
+    samples = pages_ds.map_batches(
+        functools.partial(_extract_batch, validate=validate, metrics_sink=metrics_sink),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=max_tasks,
+    )
     if matchers:
         samples = samples.map_batches(make_filter_fn(matchers), batch_format="pyarrow")
     if relabels:
@@ -125,8 +121,7 @@ def build_tiers(
     """
     samples = pages_to_samples(pages_ds, matchers, relabels, validate, **kw)
     out = {}
-    raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
-    t5 = rollup_raw(samples, "5m", **raw_kw).materialize()
+    t5 = rollup_raw(samples, "5m", group_window_ms=group_window_ms or MS_1D).materialize()
     out["5m"] = t5
     if "1h" in tiers or "1d" in tiers:
         t1h = rollup_up(t5, "1h").materialize()
@@ -136,18 +131,46 @@ def build_tiers(
     return {t: out[t] for t in tiers}
 
 
-def run_copy_samples(
-    samples_ds,
-    out_dir: str,
-    group_window_ms: int | None = None,
-    tiers: Sequence[str] = ("5m", "1h", "1d"),
-) -> dict:
+def _run_tiers(out_dir: str, first_tier, next_tier, must_run: bool,
+               group_window_ms: int, prefix: str = "") -> dict:
+    """The resumable 5m -> 1h -> 1d chain; returns {prefix + tier: manifest}.
+
+    ``first_tier()`` builds the 5m tier Dataset; it is called only when 5m
+    runs, so a resumed run never builds the read.  ``next_tier(finer, tier)``
+    builds a coarser tier from the finer one: in memory when the finer tier
+    ran, else read back from its Parquet.  A tier whose manifest is complete
+    is skipped unless ``must_run``.  Every tier but the last is materialized,
+    as both its write and the next tier consume it; the last one streams
+    into its write.
+    """
+    manifests: dict = {}
+    finer = None
+    for tier in TIERS:
+        key = prefix + tier
+        manifests[key] = load_manifest(out_dir, key)
+        if not must_run and manifests[key]["status"] == "complete":
+            finer = None
+            continue
+        if tier not in TIER_PARENT:
+            ds = first_tier()
+        else:
+            if finer is None:
+                finer = read_tier(out_dir, prefix + TIER_PARENT[tier])
+            ds = next_tier(finer, tier)
+        if tier in TIER_PARENT.values():  # a later tier consumes it
+            ds = ds.materialize()
+        manifests[key] = write_tier(ds, out_dir, key, group_window_ms=group_window_ms)
+        finer = ds
+    return manifests
+
+
+def run_copy_samples(samples_ds, out_dir: str, group_window_ms: int | None = None) -> dict:
     """Mixed-value-type samples -> typed, checkpointed tiers.
 
     The reference's inner loop switches per sample among float / Histogram /
     FloatHistogram appenders writing into one block (``copyer.go:108-127``);
-    here each type gets its own tier chain because the tier schemas differ
-    (float chunks vs encoded bucket payloads):
+    here each type drives the tier loop on its own because the tier schemas
+    differ (float chunks vs encoded bucket payloads):
 
     * ``float`` rows -> the standard 5m/1h/1d chunk chain (``rollup_raw`` /
       ``rollup_up``), manifests ``5m``/``1h``/``1d``;
@@ -157,13 +180,15 @@ def run_copy_samples(
       operator on the finer tier (last-of-lasts; ts := finer max_ts).
 
     Unknown value types hard-error inside :func:`route_samples` (the
-    reference aborts, ``copyer.go:123-126``).  Every tier write is resumable
-    (day / sub-day group checkpoints).  Returns {manifest_key: manifest}.
+    reference aborts, ``copyer.go:123-126``).  Every tier is recomputed and
+    its write is resumable (day / sub-day group checkpoints).  Returns
+    {manifest_key: manifest}.
     """
     import pyarrow as pa
 
     from ..stages.histograms import HISTOGRAM_TYPES, rollup_histograms, route_samples
 
+    gw = group_window_ms or MS_1D
     routed = route_samples(samples_ds)
     manifests: dict = {}
 
@@ -176,53 +201,62 @@ def run_copy_samples(
             return batch.select(keep)
 
         fs = float_ds.map_batches(to_float_cols, batch_format="pyarrow")
-        raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
-        t5 = rollup_raw(fs, "5m", **raw_kw).materialize()
-        manifests["5m"] = write_tier(t5, out_dir, "5m", group_window_ms=group_window_ms)
-        prev = t5
-        for tier in ("1h", "1d"):
-            if tier not in tiers:
-                continue
-            prev = rollup_up(prev, tier).materialize()
-            manifests[tier] = write_tier(prev, out_dir, tier, group_window_ms=group_window_ms)
+        manifests |= _run_tiers(
+            out_dir, lambda: rollup_raw(fs, "5m", group_window_ms=gw),
+            lambda finer, tier: rollup_up(finer, tier), True, gw,
+        )
+
+    def to_hist_cols(batch: pa.Table) -> pa.Table:
+        keep = ["series_key", "ts", "h_count", "h_sum", "h_buckets"]
+        return batch.select([c for c in keep if c in batch.column_names])
+
+    def finer_as_samples(b: pa.Table) -> pa.Table:
+        # finer tier rows -> samples for the coarser pass (ts := max_ts
+        # carries last-ness; last-of-lasts == last)
+        return pa.table({"series_key": b["series_key"], "ts": b["max_ts"],
+                         "h_count": b["h_count"], "h_sum": b["h_sum"],
+                         "h_buckets": b["h_buckets"]})
 
     for vt in HISTOGRAM_TYPES:
         h_ds = routed[vt].materialize()
         if not h_ds.count():
             continue
-
-        def to_hist_cols(batch, vt=vt):
-            keep = ["series_key", "ts", "h_count", "h_sum", "h_buckets"]
-            return batch.select([c for c in keep if c in batch.column_names])
-
         hs = h_ds.map_batches(to_hist_cols, batch_format="pyarrow")
-        raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
-        prev = rollup_histograms(hs, "5m", value_type=vt, **raw_kw).materialize()
-        manifests[f"{vt}_5m"] = write_tier(
-            prev, out_dir, f"{vt}_5m", group_window_ms=group_window_ms
+        manifests |= _run_tiers(
+            out_dir,
+            lambda: rollup_histograms(hs, "5m", group_window_ms=gw, value_type=vt),
+            lambda finer, tier: rollup_histograms(
+                finer.map_batches(finer_as_samples, batch_format="pyarrow"), tier,
+                value_type=vt),
+            True, gw, prefix=f"{vt}_",
         )
-        for tier in ("1h", "1d"):
-            if tier not in tiers:
-                continue
-            # finer tier rows -> samples for the coarser pass (ts := max_ts
-            # carries last-ness; last-of-lasts == last)
-            finer_as_samples = prev.map_batches(
-                lambda b: pa.table(
-                    {
-                        "series_key": b["series_key"],
-                        "ts": b["max_ts"],
-                        "h_count": b["h_count"],
-                        "h_sum": b["h_sum"],
-                        "h_buckets": b["h_buckets"],
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-            prev = rollup_histograms(finer_as_samples, tier, value_type=vt).materialize()
-            manifests[f"{vt}_{tier}"] = write_tier(
-                prev, out_dir, f"{vt}_{tier}", group_window_ms=group_window_ms
-            )
     return manifests
+
+
+def _evict_changed_inputs(out_dir: str, input_files: Sequence[str]) -> bool:
+    """Late-data check: True when any input file is new or grown since the
+    last recorded run; every committed day such a file touches (by its
+    Parquet footer time stats) is first evicted from every tier."""
+    import os
+
+    from ..sources.parquet import file_time_stats
+    from ..state.manifest import invalidate_days, load_inputs
+
+    recorded = load_inputs(out_dir)
+    changed = [f for f in input_files if recorded.get(f) != os.path.getsize(f)]
+    if changed and recorded:  # evict committed days the changed files touch
+        days: set[int] | None = set()
+        for f in changed:
+            mn, mx, _n = file_time_stats(f, "warc_ts")
+            if mn is None or mx is None:
+                days = None  # no stats -> conservative full eviction
+                break
+            d0 = (mn // MS_1D) * MS_1D
+            d1 = (mx // MS_1D) * MS_1D
+            days.update(range(d0, d1 + MS_1D, MS_1D))
+        for tier in TIERS:
+            invalidate_days(out_dir, tier, days)
+    return bool(changed)
 
 
 def run_copy(
@@ -231,30 +265,24 @@ def run_copy(
     matchers: Sequence[Matcher] | None = None,
     relabels: Mapping[str, str] | None = None,
     validate: str = "strict",
-    incremental: bool = False,
     group_window_ms: int | None = None,
     collect_metrics: bool = False,
     input_files: Sequence[str] | None = None,
-    ts_col: str = "warc_ts",
     **kw,
 ) -> dict:
     """Checkpointed end-to-end run; returns {tier: manifest}.
 
-    ``collect_metrics=True`` stands up the zero-CPU metrics sink for the
-    run (state/metrics.py): extraction batches and rollup groups report
-    wall-time samples, folded into histograms under the ``"_metrics"`` key
-    of the returned dict — the reference's ``--show-metrics`` duration
-    histograms (``copyer.go:22-34``).
+    ``collect_metrics=True`` stands up a zero-CPU metrics sink for the run
+    (state/metrics.py), killed when the run ends however it ends:
+    extraction batches and rollup groups report wall-time samples, folded
+    into histograms under the ``"_metrics"`` key of the returned dict — the
+    reference's ``--show-metrics`` duration histograms
+    (``copyer.go:22-34``).
 
     ``pages_ds_factory`` is a zero-arg callable returning the pages Dataset
     (a factory so a resumed run whose 5m tier is already complete never even
-    constructs the read).  Each tier is written (resumably, day-partitioned)
-    before the next tier reads it back from Parquet.
-
-    ``incremental=False`` (resume mode): a tier whose manifest is complete is
-    skipped entirely.  ``incremental=True`` (append-ingest mode): every tier
-    re-runs, but ``write_tier`` filters out already-manifested days, so only
-    NEW days of a grown input are computed/written — the day-level checkpoint.
+    constructs the read).  Each tier is written resumably, day-partitioned;
+    a tier whose manifest is complete is skipped.
 
     ``input_files`` enables LATE-DATA invalidation: the run records the
     input file set (path + size) in ``manifests/inputs.json``; on resume,
@@ -263,87 +291,38 @@ def run_copy(
     every day they touch is evicted from every tier's checkpoint before
     the run, so late rows landing in an already-committed day recompute
     exactly those days instead of being silently skipped.  A new file
-    without footer stats conservatively evicts everything.  CONTRACT: pass
-    ``input_files`` only when ``pages_ds_factory`` reads the FULL input —
-    eviction + a time-pruned factory would drop evicted days outside the
-    bounds (the CLI disables this under -F/-T for that reason).
+    without footer stats conservatively evicts everything.  Any input
+    change re-runs every tier (a changed file whose days are all new would
+    otherwise be skipped as "complete" yet recorded as processed);
+    ``write_tier``'s committed-day filter keeps the recompute to the evicted
+    and brand-new days, which also covers append-only ingest.  CONTRACT:
+    pass ``input_files`` only when ``pages_ds_factory`` reads the FULL
+    input — eviction + a time-pruned factory would drop evicted days
+    outside the bounds (the CLI disables this under -F/-T for that reason).
     """
-    sink = None
-    if collect_metrics:
-        from ..state.metrics import create_sink
+    gw = group_window_ms or MS_1D
+    sink = create_sink() if collect_metrics else None
+    try:
+        must_run = input_files is not None and _evict_changed_inputs(out_dir, input_files)
 
-        sink = create_sink()
+        def first_tier():
+            samples = pages_to_samples(
+                pages_ds_factory(), matchers, relabels, validate,
+                metrics_sink=sink, **kw,
+            )
+            return rollup_raw(samples, "5m", group_window_ms=gw, metrics_sink=sink)
 
-    must_run = False
-    if input_files is not None:
-        import os as _os
-
-        from ..sources.parquet import file_time_stats
-        from ..state.manifest import invalidate_days, load_inputs, record_inputs
-        from ..windows import MS_1D
-
-        recorded = load_inputs(out_dir)
-        changed = [
-            f for f in input_files
-            if recorded.get(f) != _os.path.getsize(f)
-        ]
-        if changed:
-            # ANY input change re-runs the tiers: a changed file whose days
-            # are all new would otherwise be skipped as "complete" yet
-            # recorded as processed — permanent data loss (review finding).
-            # write_tier's committed-day filter keeps the recompute bounded
-            # to evicted + brand-new days.
-            must_run = True
-            if recorded:  # evict committed days the changed files touch
-                days: set[int] | None = set()
-                for f in changed:
-                    mn, mx, _n = file_time_stats(f, ts_col)
-                    if mn is None or mx is None:
-                        days = None  # no stats -> conservative full eviction
-                        break
-                    d0 = (mn // MS_1D) * MS_1D
-                    d1 = (mx // MS_1D) * MS_1D
-                    days.update(range(d0, d1 + MS_1D, MS_1D))
-                for tier in ("5m", "1h", "1d"):
-                    invalidate_days(out_dir, tier, days)
-
-    manifests = {}
-    m5 = load_manifest(out_dir, "5m")
-    t5 = None
-    if incremental or must_run or m5["status"] != "complete":
-        samples = pages_to_samples(
-            pages_ds_factory(), matchers, relabels, validate,
-            metrics_sink=sink, **kw,
+        manifests = _run_tiers(
+            out_dir, first_tier,
+            lambda finer, tier: rollup_up(finer, tier, metrics_sink=sink), must_run, gw,
         )
-        # materialize the collapsed tier rows (small vs raw input) so the
-        # write and the 1h rollup both feed from the object store instead of
-        # re-executing extraction or round-tripping through Parquet
-        raw_kw = {"group_window_ms": group_window_ms} if group_window_ms else {}
-        t5 = rollup_raw(samples, "5m", metrics_sink=sink, **raw_kw).materialize()
-        m5 = write_tier(t5, out_dir, "5m", group_window_ms=group_window_ms)
-    manifests["5m"] = m5
+        if input_files is not None:
+            record_inputs(out_dir, list(input_files))
+        if sink is not None:
+            manifests["_metrics"] = drain_sink(sink)
+        return manifests
+    finally:
+        if sink is not None:
+            import ray
 
-    m1h = load_manifest(out_dir, "1h")
-    t1h = None
-    if incremental or must_run or m1h["status"] != "complete":
-        t1h = rollup_up(
-            t5 if t5 is not None else read_tier(out_dir, "5m"), "1h", metrics_sink=sink
-        ).materialize()
-        m1h = write_tier(t1h, out_dir, "1h", group_window_ms=group_window_ms)
-    manifests["1h"] = m1h
-
-    m1d = load_manifest(out_dir, "1d")
-    if incremental or must_run or m1d["status"] != "complete":
-        t1d = rollup_up(
-            t1h if t1h is not None else read_tier(out_dir, "1h"), "1d", metrics_sink=sink
-        )
-        m1d = write_tier(t1d, out_dir, "1d", group_window_ms=group_window_ms)
-    manifests["1d"] = m1d
-    if input_files is not None:
-        record_inputs(out_dir, list(input_files))
-    if sink is not None:
-        from ..state.metrics import destroy_sink, drain_sink
-
-        manifests["_metrics"] = drain_sink(sink)
-        destroy_sink()
-    return manifests
+            ray.kill(sink)

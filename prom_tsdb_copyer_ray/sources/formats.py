@@ -57,10 +57,13 @@ def read_pages_jsonl(paths):
 
 def read_pages_csv(paths):
     """Pages Dataset from CSV files (html base64, warc_ts epoch-ms/ISO), rows
-    in file order."""
+    in file order.  Quoted text cells may hold newlines."""
+    import pyarrow.csv as pacsv
     import ray.data
 
-    ds = ray.data.read_csv(paths)
+    # without newlines_in_values, a file larger than one read block whose
+    # quoted cells hold newlines fails: the chunker splits inside a cell
+    ds = ray.data.read_csv(paths, parse_options=pacsv.ParseOptions(newlines_in_values=True))
     # Ray splits even one small file's read into several blocks and would
     # hand back their decode tasks' output in completion order
     ds.context.execution_options.preserve_order = True

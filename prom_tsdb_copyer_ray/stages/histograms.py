@@ -26,7 +26,8 @@ histogram paths with the same posture:
   ``value_type`` and raises the reference's hard error on unknown types.
 
 Grouping uses the same (time-major group window, hash shard) shuffle key as
-the float rollup, vectorized with lexsort + boundary reduceat.
+the float rollup, and the same sort / keep-first dedup / window-segment step
+(``rollup.dedup_segments``) with its own payload tiebreak.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_windows
-from ..windows import MS_1D, TIERS, window_start_np
+from ..windows import MS_1D, TIERS
 from .common import materialize_if_small, shard_apply
-from .rollup import DEFAULT_NUM_SHARDS, _series_codes, with_group_window
+from .rollup import DEFAULT_NUM_SHARDS, _series_codes, dedup_segments, with_group_window
 
 
 def _bucket_hash(group: pa.Table) -> np.ndarray:
@@ -130,7 +131,6 @@ def decode_hist_buckets(buf: bytes, n_buckets: int, value_type: str) -> np.ndarr
 def rollup_histograms(
     samples_ds,
     tier: str = "5m",
-    num_shards: int = DEFAULT_NUM_SHARDS,
     group_window_ms: int = MS_1D,
     value_type: str = "float_histogram",
 ):
@@ -156,25 +156,11 @@ def rollup_histograms(
         codes, dictionary = _series_codes(group)
         ts = group["ts"].to_numpy().astype(np.int64, copy=False)
         # ties on (series, ts) break by payload (min h_count, then min h_sum,
-        # then bucket-payload hash), never by nondeterministic input order —
-        # keep-first below is then well-defined, mirroring the float path's
-        # min-value tiebreak (rollup.py)
+        # then bucket-payload hash) — the float path's min-value tiebreak
         cnt_key = group["h_count"].to_numpy().astype(np.int64, copy=False)
         sum_key = group["h_sum"].to_numpy().astype(np.float64, copy=False)
-        order = np.lexsort((_bucket_hash(group), sum_key, cnt_key, ts, codes))
-        codes_s, ts_s = codes[order], ts[order]
-        # dedup identical (series, ts): keep first occurrence in sorted order
-        keep = np.empty(len(ts_s), dtype=bool)
-        keep[0] = True
-        np.logical_or(codes_s[1:] != codes_s[:-1], ts_s[1:] != ts_s[:-1], out=keep[1:])
-        order, codes_s, ts_s = order[keep], codes_s[keep], ts_s[keep]
-
-        win = window_start_np(ts_s, d_ms)
-        newgrp = np.empty(len(ts_s), dtype=bool)
-        newgrp[0] = True
-        np.logical_or(codes_s[1:] != codes_s[:-1], win[1:] != win[:-1], out=newgrp[1:])
-        starts = np.flatnonzero(newgrp)
-        ends = np.r_[starts[1:], len(ts_s)]
+        order, codes_s, ts_s, win, starts, ends = dedup_segments(
+            codes, ts, (_bucket_hash(group), sum_key, cnt_key), d_ms)
         last_idx = order[ends - 1]
 
         take_last = pa.array(last_idx)
@@ -206,7 +192,7 @@ def rollup_histograms(
     return shard_apply(
         materialize_if_small(samples_ds), ["series_key"], per_group,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=num_shards,
+        num_shards=DEFAULT_NUM_SHARDS,
     )
 
 

@@ -46,6 +46,7 @@ from .common import materialize_if_small, shard_apply
 
 LABEL_COLS = ("__name__", "domain", "lang")
 DEFAULT_NUM_SHARDS = 64
+MERGE_GROUP_FACTOR = 16  # coarser windows per rollup_up group window
 
 CHUNK_FIELDS = [
     ("series_key", pa.string()),
@@ -132,28 +133,48 @@ def _build_chunk_table(
     return pa.table(cols)
 
 
+def _segment_starts(codes_s: np.ndarray, win_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start / end offsets of the runs of equal ``(codes_s, win_s)`` in rows
+    sorted by both — one (series, window) cell per run."""
+    newgrp = np.empty(len(codes_s), dtype=bool)
+    newgrp[0] = True
+    np.logical_or(codes_s[1:] != codes_s[:-1], win_s[1:] != win_s[:-1], out=newgrp[1:])
+    starts = np.flatnonzero(newgrp)
+    return starts, np.r_[starts[1:], len(codes_s)]
+
+
+def dedup_segments(codes: np.ndarray, ts: np.ndarray, tiebreak: tuple, d_ms: int):
+    """Sort samples by (series, ts), keep the first of each identical
+    (series, ts) — the compactor's overlap-dedup rule, ``compact.go:37`` —
+    and cut the kept samples into (series, tier-window) segments.
+
+    ``tiebreak`` holds the lexsort keys (least significant first) that order
+    duplicates by payload, never by nondeterministic input order, so
+    keep-first is well-defined.  Returns ``(order, codes_s, ts_s, win,
+    starts, ends)``: ``order`` indexes the kept samples in the input, in
+    sorted order; ``win`` is each one's tier window start; segment ``j`` is
+    kept samples ``starts[j]:ends[j]``.
+    """
+    order = np.lexsort((*tiebreak, ts, codes))
+    codes_s, ts_s = codes[order], ts[order]
+    keep = np.empty(len(ts_s), dtype=bool)
+    keep[0] = True
+    np.logical_or(codes_s[1:] != codes_s[:-1], ts_s[1:] != ts_s[:-1], out=keep[1:])
+    order, codes_s, ts_s = order[keep], codes_s[keep], ts_s[keep]
+    win = window_start_np(ts_s, d_ms)
+    starts, ends = _segment_starts(codes_s, win)
+    return order, codes_s, ts_s, win, starts, ends
+
+
 def _rollup_raw_group(group: pa.Table, tier: str) -> pa.Table:
     """One (shard, group-window) of raw samples -> tier chunk rows (vectorized)."""
-    d_ms = TIERS[tier]
     group = group.combine_chunks()
     codes, dictionary = _series_codes(group)
     ts = group["ts"].to_numpy().astype(np.int64, copy=False)
     val = group["value"].to_numpy().astype(np.float64, copy=False)
-
-    order = np.lexsort((val, ts, codes))
-    codes_s, ts_s, val_s = codes[order], ts[order], val[order]
-    # dedup: same (series, ts) keep first (min value) — deterministic
-    keep = np.empty(len(ts_s), dtype=bool)
-    keep[0] = True
-    np.logical_or(codes_s[1:] != codes_s[:-1], ts_s[1:] != ts_s[:-1], out=keep[1:])
-    order, codes_s, ts_s, val_s = order[keep], codes_s[keep], ts_s[keep], val_s[keep]
-
-    win = window_start_np(ts_s, d_ms)
-    newgrp = np.empty(len(ts_s), dtype=bool)
-    newgrp[0] = True
-    np.logical_or(codes_s[1:] != codes_s[:-1], win[1:] != win[:-1], out=newgrp[1:])
-    starts = np.flatnonzero(newgrp)
-    ends = np.r_[starts[1:], len(ts_s)]
+    # duplicates keep the min value
+    order, codes_s, ts_s, win, starts, ends = dedup_segments(codes, ts, (val,), TIERS[tier])
+    val_s = val[order]
 
     sums = np.add.reduceat(val_s, starts)
     mins = np.minimum.reduceat(val_s, starts)
@@ -198,11 +219,7 @@ def _rollup_merge_group(group: pa.Table, tier: str, finer_ms: int) -> pa.Table:
     min_ts = group["min_ts"].to_numpy().astype(np.int64, copy=False)[order]
     max_ts = group["max_ts"].to_numpy().astype(np.int64, copy=False)[order]
 
-    newgrp = np.empty(len(w_s), dtype=bool)
-    newgrp[0] = True
-    np.logical_or(codes_s[1:] != codes_s[:-1], cw_s[1:] != cw_s[:-1], out=newgrp[1:])
-    starts = np.flatnonzero(newgrp)
-    ends = np.r_[starts[1:], len(w_s)]
+    starts, ends = _segment_starts(codes_s, cw_s)
 
     counts = np.add.reduceat(cnt, starts)
     sums = np.add.reduceat(s, starts)
@@ -278,17 +295,12 @@ def rollup_raw(
     )
 
 
-def rollup_up(
-    finer_ds,
-    tier: str,
-    num_shards: int = DEFAULT_NUM_SHARDS,
-    group_factor: int = 16,
-    metrics_sink=None,
-):
+def rollup_up(finer_ds, tier: str, metrics_sink=None):
     """Finer-tier chunk Dataset -> coarser tier (partial+final merge shuffle).
 
-    Group window = ``tier * group_factor`` so one vectorized call merges many
-    coarser windows (map_groups overhead amortized, same as rollup_raw).
+    Group window = ``tier * MERGE_GROUP_FACTOR`` so one vectorized call
+    merges many coarser windows (map_groups overhead amortized, same as
+    rollup_raw).
     """
     finer_ms = TIERS[TIER_PARENT[tier]]
     d = TIERS[tier]
@@ -307,8 +319,8 @@ def rollup_up(
     # O(partitions) blocks; an extra repartition is a pure latency barrier
     return shard_apply(
         materialize_if_small(finer_ds), ["series_key"], per_group,
-        prepare=with_group_window("window_start", d * group_factor), by=("_gw",),
-        coalesce=False, num_shards=num_shards,
+        prepare=with_group_window("window_start", d * MERGE_GROUP_FACTOR), by=("_gw",),
+        coalesce=False, num_shards=DEFAULT_NUM_SHARDS,
     )
 
 

@@ -21,7 +21,7 @@ Commit protocol (write-then-manifest):
 2. delete any partial day dirs for the days about to be (re)written;
 3. ``write_parquet(partition_cols=["window_day"])`` (streaming, partitioned);
 4. enumerate written day dirs, then atomically (tmp + ``os.replace``) merge
-   the day list + row counts + wall time into the manifest.
+   the day list + row and file counts into the manifest.
 
 A crash before step 4 leaves unmanifested day dirs which step 2 cleans up on
 the next run; a crash after step 4 is a completed tier.  Resume therefore
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -176,7 +175,6 @@ def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) 
     filtered out *before* the write, so a resume recomputes only the
     missing group windows.
     """
-    t0 = time.monotonic()
     sub_day = group_window_ms is not None and 0 < group_window_ms < MS_1D
     done = completed_groups(out_dir, tier)
     watermark = retention_watermark(out_dir, tier)
@@ -227,7 +225,6 @@ def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) 
     )
 
     manifest = load_manifest(out_dir, tier)
-    wall_s = time.monotonic() - t0
     for name in sorted(os.listdir(tdir)):
         if not name.startswith("window_day="):
             continue
@@ -237,7 +234,7 @@ def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) 
         entry = manifest["days"].get(day)
         if group_dirs:
             if entry is None:
-                entry = {"n_rows": 0, "n_files": 0, "wall_s": round(wall_s, 3), "groups": {}}
+                entry = {"n_rows": 0, "n_files": 0, "groups": {}}
             groups = entry.setdefault("groups", {})
             for g in group_dirs:
                 gstart = g.split("=", 1)[1]
@@ -252,11 +249,7 @@ def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) 
             if entry is not None:
                 continue
             n_rows, n_files = _dir_stats(ddir)
-            manifest["days"][day] = {
-                "n_rows": n_rows,
-                "n_files": n_files,
-                "wall_s": round(wall_s, 3),
-            }
+            manifest["days"][day] = {"n_rows": n_rows, "n_files": n_files}
     manifest["status"] = "complete"
     manifest["tier"] = tier
     manifest["version"] = MANIFEST_VERSION

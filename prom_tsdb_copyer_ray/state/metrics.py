@@ -2,14 +2,14 @@
 
 The reference keeps per-series copy / flush duration histograms and prints
 them with ``--show-metrics`` (``copyer.go:22-34``, summary ``main.go``).
-The Ray analogue: a zero-CPU named actor collects per-group stage wall
-times sent from inside ``map_groups`` tasks (one tiny awaited call per
-vectorized group — thousands per run, not per row), and
+The Ray analogue: a zero-CPU actor, created and killed by one run, collects
+per-group stage wall times sent from inside ``map_groups`` tasks (one tiny
+awaited call per vectorized group — thousands per run, not per row), and
 ``drain()`` folds them into count/sum/quantile summaries that ``run_copy``
 attaches to its result and the CLI prints.
 
-The sink is OPT-IN (created by the driver entrypoint); when absent the
-stage-side ``record()`` is a cached no-op — zero overhead for library use.
+The sink is OPT-IN (``run_copy(collect_metrics=True)``); when absent the
+stage-side ``record()`` is a no-op — zero overhead for library use.
 This is the one shared-mutable-state case where a raw Ray actor is the
 right tool (a Dataset can't express a cross-stage metrics channel).
 """
@@ -17,11 +17,6 @@ right tool (a Dataset can't express a cross-stage metrics channel).
 from __future__ import annotations
 
 import numpy as np
-
-SINK_NAME = "graft_metrics_sink"
-SINK_NAMESPACE = "graft_metrics"
-
-_local_handle_cache: dict[str, object] = {}
 
 
 def _sink_actor_cls():
@@ -54,44 +49,15 @@ def _sink_actor_cls():
 
 
 def create_sink():
-    """Create (or fetch) the named sink — call from the driver entrypoint."""
+    """A fresh anonymous sink for one run; the caller kills it when done, so
+    no sample outlives the run that recorded it."""
+    return _sink_actor_cls().remote()
+
+
+def drain_sink(handle) -> dict:
     import ray
 
-    return _sink_actor_cls().options(
-        name=SINK_NAME, namespace=SINK_NAMESPACE, get_if_exists=True,
-        lifetime="detached",
-    ).remote()
-
-
-def drain_sink(handle=None) -> dict:
-    import ray
-
-    h = handle or _get_handle()
-    if h is None:
-        return {}
-    return ray.get(h.drain.remote())
-
-
-def destroy_sink() -> None:
-    import ray
-
-    h = _get_handle()
-    if h is not None:
-        ray.kill(h)
-    _local_handle_cache.clear()
-
-
-def _get_handle():
-    if "h" in _local_handle_cache:
-        return _local_handle_cache["h"]
-    import ray
-
-    try:
-        h = ray.get_actor(SINK_NAME, namespace=SINK_NAMESPACE)
-        _local_handle_cache["h"] = h
-        return h
-    except ValueError:
-        return None
+    return ray.get(handle.drain.remote())
 
 
 def record(sink, key: str, wall_ms: float) -> None:

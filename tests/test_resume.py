@@ -101,6 +101,34 @@ def test_collect_metrics_timing_histograms(ray_session, out_dir):
     assert "_metrics" not in manifests2
 
 
+def test_metrics_sink_dies_with_a_failed_run(ray_session, out_dir, monkeypatch):
+    """A run that fails after its 5m write leaves no metrics sink behind: the
+    re-run skips 5m, so no extraction sample may reach its ``_metrics``."""
+    import ray.data
+
+    from prom_tsdb_copyer_ray.pipelines import copy
+
+    pages = generate_pages(800, seed=42, span_ms=86_400_000)
+    write_tier_orig = copy.write_tier
+
+    def write_tier_failing_1h(ds, out, tier, **kw):
+        if tier == "1h":
+            raise RuntimeError("injected 1h write failure")
+        return write_tier_orig(ds, out, tier, **kw)
+
+    monkeypatch.setattr(copy, "write_tier", write_tier_failing_1h)
+    with pytest.raises(RuntimeError, match="injected"):
+        copy.run_copy(lambda: ray.data.from_arrow(pages), out_dir,
+                      concurrency=(1, 2), collect_metrics=True)
+    monkeypatch.undo()
+
+    manifests = copy.run_copy(lambda: ray.data.from_arrow(pages), out_dir,
+                              concurrency=(1, 2), collect_metrics=True)
+    assert all(manifests[t]["status"] == "complete" for t in ("5m", "1h", "1d"))
+    assert "extract_batch_ms" not in manifests["_metrics"]
+    assert "rollup_up_1h_group_ms" in manifests["_metrics"]
+
+
 def test_subday_group_resume_recomputes_only_killed_group(ray_session, out_dir):
     """Sub-day checkpoint (the reference's 2 h slice analogue): kill one
     (day, group) part; resume rewrites ONLY that group window."""

@@ -70,3 +70,60 @@ def test_all_samples_filtered(ray_session, tmp_path, monkeypatch):
         for tier in TIERS:
             assert manifests[tier]["days"] == {}
             assert sum(_leaf_file_counts(out, tier)) == 0
+
+
+def test_run_copy_calls_the_traced_layers(ray_session, tmp_path, monkeypatch):
+    """``rollbench --trace 1`` times a job by patching ``pipelines.copy``'s
+    layer functions and ``state.manifest.invalidate_days``: the tier loop
+    must reach every layer through those names, once per tier that runs."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from prom_tsdb_copyer_ray.pipelines import copy
+    from prom_tsdb_copyer_ray.state import manifest
+    from prom_tsdb_copyer_ray.windows import MS_1D, ts_to_ms
+
+    calls = []
+
+    def spy(mod, name, arg):
+        orig = getattr(mod, name)
+
+        def wrapped(*a, **kw):
+            calls.append((name, a[arg] if arg is not None else None))
+            return orig(*a, **kw)
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    spy(copy, "pages_to_samples", None)
+    spy(copy, "rollup_raw", 1)
+    spy(copy, "rollup_up", 1)
+    spy(copy, "write_tier", 2)
+    spy(copy, "read_tier", 1)
+    spy(manifest, "invalidate_days", 1)
+
+    day = ts_to_ms(PAGES["warc_ts"]).to_numpy() // MS_1D
+    late = np.arange(len(day)) % 7 == 0  # a late file inside committed days
+    base, extra = str(tmp_path / "base.parquet"), str(tmp_path / "late.parquet")
+    pq.write_table(PAGES.filter(pa.array(~late)), base)
+    pq.write_table(PAGES.filter(pa.array(late)), extra)
+    out = str(tmp_path / "out")
+
+    def go(files):
+        calls.clear()
+        copy.run_copy(lambda: ray.data.read_parquet(files), out, input_files=files)
+        return sorted(calls, key=repr)
+
+    computed = [("pages_to_samples", None), ("rollup_raw", "5m"), ("rollup_up", "1d"),
+                ("rollup_up", "1h"), ("write_tier", "1d"), ("write_tier", "1h"),
+                ("write_tier", "5m")]
+    assert go([base]) == computed
+    assert go([base]) == []  # unchanged input: every tier is skipped
+    evicted = [("invalidate_days", t) for t in TIERS]
+    assert go([base, extra]) == sorted(computed + evicted, key=repr)
+
+    # a run that lost its 1h and 1d commits reads the finer tier back
+    for tier in ("1h", "1d"):
+        os.remove(manifest.manifest_path(out, tier))
+    assert go([base, extra]) == [("read_tier", "5m"), ("rollup_up", "1d"), ("rollup_up", "1h"),
+                                 ("write_tier", "1d"), ("write_tier", "1h")]

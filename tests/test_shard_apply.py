@@ -57,12 +57,16 @@ def test_matches_pandas_oracle(ray_session, num_shards, coalesce, by):
     pd.testing.assert_frame_equal(got[list(want.columns)], want, check_dtype=False)
 
 
-def test_rollup_raw_independent_of_num_shards(ray_session):
+def test_rollup_raw_independent_of_num_shards(ray_session, monkeypatch):
     import ray.data
 
     from prom_tsdb_copyer_ray.pipelines.copy import pages_to_samples
     from prom_tsdb_copyer_ray.sources.pages import generate_pages
+    from prom_tsdb_copyer_ray.stages import common
     from prom_tsdb_copyer_ray.stages.rollup import rollup_raw
+
+    # the input is under SMALL_ROWS: force both runs through the exchange
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
 
     samples = pages_to_samples(ray.data.from_arrow(generate_pages(600, seed=9))).materialize()
 

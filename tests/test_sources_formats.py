@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pandas as pd
 
 from prom_tsdb_copyer_ray.sources.formats import read_pages_jsonl, write_pages_jsonl
@@ -57,6 +59,35 @@ def test_csv_pages_roundtrip_pipeline(ray_session, tmp_path):
     df = ds.to_pandas()
     assert len(df) == pages.num_rows
     assert bytes(df["html"].iloc[0]) == pages["html"][0].as_py()
+    assert df["warc_ts"].astype("datetime64[ms]").astype("int64").tolist() == ts
+
+
+def test_csv_newlines_in_text_beyond_one_read_block(ray_session, tmp_path):
+    """A CSV file larger than one pyarrow read block (~1 MB) whose quoted
+    text cells hold newlines reads back row for row."""
+    import base64
+    import csv as csvmod
+
+    from prom_tsdb_copyer_ray.sources.formats import read_pages_csv
+    from prom_tsdb_copyer_ray.windows import ts_to_ms
+
+    pages = generate_pages(6000, seed=42)
+    texts = pages["text"].to_pylist()
+    assert sum("\n" in t for t in texts) > 100
+    path = str(tmp_path / "pages.csv")
+    ts = ts_to_ms(pages["warc_ts"]).to_pylist()
+    with open(path, "w", newline="") as f:
+        w = csvmod.writer(f)
+        w.writerow(["url", "warc_ts", "html", "text", "lang"])
+        for i in range(pages.num_rows):
+            w.writerow([pages["url"][i].as_py(), ts[i],
+                        base64.b64encode(pages["html"][i].as_py()).decode(),
+                        texts[i], pages["lang"][i].as_py()])
+    assert os.path.getsize(path) > 1 << 20
+
+    df = read_pages_csv(path).to_pandas()
+    assert df["text"].tolist() == texts
+    assert df["url"].tolist() == pages["url"].to_pylist()
     assert df["warc_ts"].astype("datetime64[ms]").astype("int64").tolist() == ts
 
 
