@@ -7,11 +7,13 @@ block-format-free Ray Data pipeline over Parquet tables of Common-Crawl-style we
 pages:
 
     read_parquet(pages)
-      -> map_batches(Extractor actor pool)        # html -> text, derive samples
+      -> map_batches(extraction task pool)        # html -> text, derive samples
       -> matcher filter / relabel Arrow kernels   # copyer.go:91-105 semantics
-      -> groupby(series_key, window).map_groups   # gap-fill + dod/Gorilla encode
-      -> 5m -> 1h -> 1d continuous-aggregate tiers (partial+final merge)
-      -> write_parquet per tier + lineage manifests (resumable)
+      -> one hash-shard exchange on (group window, series shard), or one
+         task for a small input; per group the tier cascade builds 5m
+         chunks (dod/Gorilla encode) and merges them into 1h and 1d
+         (partial+final merge, gap-filled)
+      -> one Datasink write of every tier + lineage manifests (resumable)
 
 Nothing is copied from the reference; all chunk codecs (delta-of-delta
 timestamps, Gorilla XOR floats) are built from scratch on the published

@@ -9,8 +9,7 @@ re-mapped to the Ray engine:
   -L/--label-append      blind-upsert relabels ``k=v`` (``main.go:43-45``)
   -F/--from, -T/--to     time range (RFC3339-ish, O16); default: discovered
   -S/--query-duration    group-window minutes (memory knob, ``main.go:121``)
-  -t/--thread            extraction actor-pool max size (``pool.go`` analogue)
-  --num-shards           rollup hash-shard count (shuffle parallelism)
+  -t/--thread            max concurrent extraction tasks (``pool.go`` analogue)
   --show-metrics         print the manifest summary (O18 analogue)
 
 Run via ``python -m prom_tsdb_copyer_ray.cli SOURCE TARGET [flags]`` — the
@@ -69,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", "--thread", type=int, default=int(_env_default("THREAD", 0)),
                    help="max concurrent extraction tasks/actors (0 = let Ray "
                         "schedule up to num_cpus)")
-    p.add_argument("--num-shards", type=int, default=64)
     p.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     p.add_argument("--validate", choices=["strict", "count", "off"], default="strict")
     p.add_argument("--retention-before", action="append", default=None,

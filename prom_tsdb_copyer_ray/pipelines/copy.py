@@ -8,21 +8,26 @@ End-to-end plan (SURVEY.md §3 Ray translation)::
                                                   #  Select() runs before the
                                                   #  label rewrite, copyer.go:91)
       -> relabel kernel                           # O7
-      -> rollup_raw  -> 5m tier                   # O11 (encode)
-      -> rollup_up   -> 1h tier                   # O14 (merge)
-      -> rollup_up   -> 1d tier
-      -> write_parquet per tier + manifests       # resumable, state/manifest
+      -> rollup_cascade -> 5m + 1h + 1d rows      # O11 (encode) + O14 (merge)
+      -> write_tiers: one TierSink write          # resumable, state/manifest
+                      + every tier's manifest
 
-Every rollup is one ``stages.common.shard_apply`` call: an input of fewer
+The cascade is one ``stages.common.shard_apply`` call: an input of fewer
 than ``SMALL_ROWS`` rows runs as one task, a larger one takes the hash-shard
-sort exchange.
+sort exchange.  Each (group window, shard) call builds the 5m rows and
+merges them into every coarser tier whose window divides the group window
+(1h and 1d in the default day mode), so a day-mode run is two Ray Data
+executions — the size probe of the extraction, then cascade + write — with
+one exchange at scale, and no tier is held in the object store.
 
 :func:`_run_tiers` is the one resumable 5m -> 1h -> 1d loop.
 :func:`run_copy` drives it once; :func:`run_copy_samples` drives it for the
 float samples and for each histogram type.  A complete tier is skipped (a
-resumed run never recomputes it), a tier that a later tier consumes is
-materialized once and fed on from the object store, and the last tier
-streams into its write, so no lineage executes twice.
+resumed run never recomputes it).  A tier the cascade does not build (a
+sub-day group window that the tier's window does not divide, or a coarser
+tier lost on resume) is rolled up from the finer tier with
+``rollup_up`` — read back from Parquet, or kept in the object store when
+this loop built it — so no lineage executes twice.
 
 :func:`build_tiers` is the all-in-memory variant for driver queries/tests:
 it materializes the collapsed 5m tier (small relative to input) before
@@ -36,8 +41,8 @@ from typing import Mapping, Sequence
 from ..functions.matchers import Matcher, make_filter_fn
 from ..functions.relabel import make_relabel_fn
 from ..stages.extract import SAMPLE_LABELS, PageToSamples
-from ..stages.rollup import rollup_raw, rollup_up
-from ..state.manifest import load_manifest, read_tier, record_inputs, write_tier
+from ..stages.rollup import cascade_tiers, rollup_cascade, rollup_raw, rollup_up
+from ..state.manifest import load_manifest, read_tier, record_inputs, write_tier, write_tiers
 from ..state.metrics import create_sink, drain_sink
 from ..windows import MS_1D, TIER_PARENT, TIERS
 
@@ -63,7 +68,7 @@ def _extract_batch(batch, validate: str, metrics_sink=None):
         ex = _EXTRACTORS[validate] = PageToSamples(validate)
     t0 = time.monotonic()
     out = ex(batch)
-    metrics.record(metrics_sink, "extract_batch_ms", (time.monotonic() - t0) * 1000)
+    metrics.record(metrics_sink, {"extract_batch_ms": (time.monotonic() - t0) * 1000})
     return out
 
 
@@ -131,35 +136,41 @@ def build_tiers(
     return {t: out[t] for t in tiers}
 
 
-def _run_tiers(out_dir: str, first_tier, next_tier, must_run: bool,
+def _run_tiers(out_dir: str, cascade, next_tier, must_run: bool,
                group_window_ms: int, prefix: str = "") -> dict:
     """The resumable 5m -> 1h -> 1d chain; returns {prefix + tier: manifest}.
 
-    ``first_tier()`` builds the 5m tier Dataset; it is called only when 5m
-    runs, so a resumed run never builds the read.  ``next_tier(finer, tier)``
-    builds a coarser tier from the finer one: in memory when the finer tier
-    ran, else read back from its Parquet.  A tier whose manifest is complete
-    is skipped unless ``must_run``.  Every tier but the last is materialized,
-    as both its write and the next tier consume it; the last one streams
+    A tier whose manifest is complete is skipped unless ``must_run``.  When
+    5m runs, ``cascade()`` builds the rows of every ``cascade_tiers`` tier
+    from one exchange, and one :func:`write_tiers` commits all of the
+    pending ones.  A pending tier the cascade did not build — one whose
+    window does not divide a sub-day group window, or a coarser tier lost
+    on resume — is built by ``next_tier(finer, tier)`` from the finer tier:
+    in memory when the finer tier was built by this loop, else read back
+    from its Parquet.  Such a tier is materialized when a later one consumes
+    it (its write and the next tier both read it); the last one streams
     into its write.
     """
-    manifests: dict = {}
+    manifests = {prefix + t: load_manifest(out_dir, prefix + t) for t in TIERS}
+    pending = [t for t in TIERS
+               if must_run or manifests[prefix + t]["status"] != "complete"]
+    built: tuple[str, ...] = ()
+    if pending and pending[0] not in TIER_PARENT:
+        built = cascade_tiers(group_window_ms)
+        manifests |= write_tiers(cascade(), out_dir,
+                                 {t: prefix + t for t in built if t in pending},
+                                 group_window_ms)
     finer = None
-    for tier in TIERS:
-        key = prefix + tier
-        manifests[key] = load_manifest(out_dir, key)
-        if not must_run and manifests[key]["status"] == "complete":
-            finer = None
+    for tier in pending:
+        if tier in built:
             continue
-        if tier not in TIER_PARENT:
-            ds = first_tier()
-        else:
-            if finer is None:
-                finer = read_tier(out_dir, prefix + TIER_PARENT[tier])
-            ds = next_tier(finer, tier)
-        if tier in TIER_PARENT.values():  # a later tier consumes it
+        if finer is None:
+            finer = read_tier(out_dir, prefix + TIER_PARENT[tier])
+        ds = next_tier(finer, tier)
+        if tier in TIER_PARENT.values() and tier != pending[-1]:
             ds = ds.materialize()
-        manifests[key] = write_tier(ds, out_dir, key, group_window_ms=group_window_ms)
+        manifests[prefix + tier] = write_tier(ds, out_dir, prefix + tier,
+                                              group_window_ms=group_window_ms)
         finer = ds
     return manifests
 
@@ -172,59 +183,55 @@ def run_copy_samples(samples_ds, out_dir: str, group_window_ms: int | None = Non
     here each type drives the tier loop on its own because the tier schemas
     differ (float chunks vs encoded bucket payloads):
 
-    * ``float`` rows -> the standard 5m/1h/1d chunk chain (``rollup_raw`` /
-      ``rollup_up``), manifests ``5m``/``1h``/``1d``;
+    * ``float`` rows -> the standard 5m/1h/1d chunk cascade
+      (``rollup_cascade``), manifests ``5m``/``1h``/``1d``;
     * ``histogram`` / ``float_histogram`` rows -> last-per-window histogram
       tiers with bit-encoded buckets (stages/histograms.py), manifests
       ``histogram_5m`` etc.  Coarser histogram tiers re-apply the same
-      operator on the finer tier (last-of-lasts; ts := finer max_ts).
+      kernel on the finer rows (last-of-lasts; ts := finer max_ts).
 
-    Unknown value types hard-error inside :func:`route_samples` (the
-    reference aborts, ``copyer.go:123-126``).  Every tier is recomputed and
-    its write is resumable (day / sub-day group checkpoints).  Returns
-    {manifest_key: manifest}.
+    The input executes once: :func:`route_samples` materializes the
+    type-checked samples before the split, and unknown value types
+    hard-error there (the reference aborts, ``copyer.go:123-126``).  Every
+    tier is recomputed and its write is resumable (day / sub-day group
+    checkpoints).  Returns {manifest_key: manifest}.
     """
     import pyarrow as pa
 
-    from ..stages.histograms import HISTOGRAM_TYPES, rollup_histograms, route_samples
+    from ..stages.histograms import (
+        HISTOGRAM_TYPES,
+        finer_as_samples,
+        rollup_histogram_cascade,
+        rollup_histograms,
+        route_samples,
+    )
 
     gw = group_window_ms or MS_1D
     routed = route_samples(samples_ds)
     manifests: dict = {}
 
-    # float chain (only if any float rows — count on the routed stream once)
-    float_ds = routed["float"].materialize()
-    if float_ds.count():
-        def to_float_cols(batch: pa.Table) -> pa.Table:
-            keep = [c for c in batch.column_names
-                    if c not in ("value_type", "h_count", "h_sum", "h_buckets")]
-            return batch.select(keep)
+    def float_cols(batch: pa.Table) -> pa.Table:
+        return batch.drop_columns([c for c in ("value_type", "h_count", "h_sum", "h_buckets")
+                                   if c in batch.column_names])
 
-        fs = float_ds.map_batches(to_float_cols, batch_format="pyarrow")
-        manifests |= _run_tiers(
-            out_dir, lambda: rollup_raw(fs, "5m", group_window_ms=gw),
-            lambda finer, tier: rollup_up(finer, tier), True, gw,
-        )
-
-    def to_hist_cols(batch: pa.Table) -> pa.Table:
+    def hist_cols(batch: pa.Table) -> pa.Table:
         keep = ["series_key", "ts", "h_count", "h_sum", "h_buckets"]
         return batch.select([c for c in keep if c in batch.column_names])
 
-    def finer_as_samples(b: pa.Table) -> pa.Table:
-        # finer tier rows -> samples for the coarser pass (ts := max_ts
-        # carries last-ness; last-of-lasts == last)
-        return pa.table({"series_key": b["series_key"], "ts": b["max_ts"],
-                         "h_count": b["h_count"], "h_sum": b["h_sum"],
-                         "h_buckets": b["h_buckets"]})
+    fs = routed["float"].map_batches(float_cols, batch_format="pyarrow").materialize()
+    if fs.count():
+        manifests |= _run_tiers(
+            out_dir, lambda: rollup_cascade(fs, gw),
+            lambda finer, tier: rollup_up(finer, tier), True, gw,
+        )
 
     for vt in HISTOGRAM_TYPES:
-        h_ds = routed[vt].materialize()
-        if not h_ds.count():
+        hs = routed[vt].map_batches(hist_cols, batch_format="pyarrow").materialize()
+        if not hs.count():
             continue
-        hs = h_ds.map_batches(to_hist_cols, batch_format="pyarrow")
         manifests |= _run_tiers(
             out_dir,
-            lambda: rollup_histograms(hs, "5m", group_window_ms=gw, value_type=vt),
+            lambda: rollup_histogram_cascade(hs, gw, value_type=vt),
             lambda finer, tier: rollup_histograms(
                 finer.map_batches(finer_as_samples, batch_format="pyarrow"), tier,
                 value_type=vt),
@@ -305,15 +312,15 @@ def run_copy(
     try:
         must_run = input_files is not None and _evict_changed_inputs(out_dir, input_files)
 
-        def first_tier():
+        def cascade():
             samples = pages_to_samples(
                 pages_ds_factory(), matchers, relabels, validate,
                 metrics_sink=sink, **kw,
             )
-            return rollup_raw(samples, "5m", group_window_ms=gw, metrics_sink=sink)
+            return rollup_cascade(samples, gw, metrics_sink=sink)
 
         manifests = _run_tiers(
-            out_dir, first_tier,
+            out_dir, cascade,
             lambda finer, tier: rollup_up(finer, tier, metrics_sink=sink), must_run, gw,
         )
         if input_files is not None:

@@ -3,8 +3,8 @@
 The analogue of the reference's inner per-series copy loop (operator O8,
 ``copyer.go:92-156``): read a record, emit samples.  Here the record is a web
 page; the stage extracts text from HTML (compiled regexes built once per
-actor — the per-slice DB-handle pattern of ``copyer.go:60`` mapped to actor
-``__init__``) and derives two metrics per page, keyed by
+worker process — the per-slice DB-handle pattern of ``copyer.go:60`` mapped
+to a per-worker extractor) and derives two metrics per page, keyed by
 ``(domain, lang)`` labels:
 
 * ``crawl_rate``      — value 1.0 per page (rollup count/sum = pages per window)
@@ -15,10 +15,12 @@ byte-identical to the page's ``text`` column; ``validate="strict"`` raises on
 the first mismatch, ``"count"`` tallies mismatches into the output, ``"off"``
 skips extraction-vs-column comparison (but still extracts).
 
-Usage::
+Usage: ``pipelines.copy.pages_to_samples`` runs it as a task pool, one
+extractor per worker process::
 
-    samples = pages.map_batches(PageToSamples, batch_format="pyarrow",
-                                batch_size=4096, concurrency=8)
+    samples = pages_to_samples(pages, matchers, relabels, validate="strict")
+
+or directly on one Arrow batch: ``PageToSamples("strict")(pages_table)``.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ SAMPLES_SCHEMA = pa.schema(
 
 
 class PageToSamples:
-    """Actor-pool ``map_batches`` callable: pages batch -> samples batch."""
+    """``map_batches`` callable: pages batch -> samples batch."""
 
     def __init__(self, validate: str = "strict") -> None:
         if validate not in ("strict", "count", "off"):
             raise ValueError(f"bad validate mode: {validate}")
         self.validate = validate
-        # touch the module-level compiled regexes once per actor
+        # touch the module-level compiled regexes once per extractor
         self._extract = extract_text
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -38,8 +38,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_windows
 from ..windows import MS_1D, TIERS
-from .common import materialize_if_small, shard_apply
-from .rollup import DEFAULT_NUM_SHARDS, _series_codes, dedup_segments, with_group_window
+from .rollup import _series_codes, cascade_kernel, cascade_tiers, dedup_segments, rollup_samples
 
 
 def _bucket_hash(group: pa.Table) -> np.ndarray:
@@ -71,8 +70,10 @@ def route_samples(samples_ds, value_type_col: str = "value_type"):
     ``{"float": ds, "histogram": ds, "float_histogram": ds}`` — the
     reference's three-way switch (``copyer.go:108-127``).
 
-    Unknown value types raise :class:`UnsupportedValueTypeError` inside the
-    batch kernel (aborting the job — the reference aborts the slice,
+    The input executes once, here: the type-checked samples are
+    materialized before the split, so each view re-runs only its filter.
+    Unknown value types raise :class:`UnsupportedValueTypeError` from the
+    check (aborting the job — the reference aborts the slice,
     ``copyer.go:123-126``).
     """
 
@@ -83,7 +84,7 @@ def route_samples(samples_ds, value_type_col: str = "value_type"):
             raise UnsupportedValueTypeError(f"不支持的数据格式: {bad}")
         return batch
 
-    checked = samples_ds.map_batches(check, batch_format="pyarrow")
+    checked = samples_ds.map_batches(check, batch_format="pyarrow").materialize()
     out = {}
     for vt in SUPPORTED_VALUE_TYPES:
         out[vt] = checked.map_batches(
@@ -128,6 +129,60 @@ def decode_hist_buckets(buf: bytes, n_buckets: int, value_type: str) -> np.ndarr
     raise UnsupportedValueTypeError(f"不支持的数据格式: {value_type!r}")
 
 
+def _rollup_hist_group(group: pa.Table, tier: str, value_type: str) -> pa.Table:
+    """One (shard, group-window) of histogram samples -> per-(series, tier
+    window) last-histogram rows (vectorized)."""
+    group = group.combine_chunks()
+    codes, dictionary = _series_codes(group)
+    ts = group["ts"].to_numpy().astype(np.int64, copy=False)
+    # ties on (series, ts) break by payload (min h_count, then min h_sum,
+    # then bucket-payload hash) — the float path's min-value tiebreak
+    cnt_key = group["h_count"].to_numpy().astype(np.int64, copy=False)
+    sum_key = group["h_sum"].to_numpy().astype(np.float64, copy=False)
+    order, codes_s, ts_s, win, starts, ends = dedup_segments(
+        codes, ts, (_bucket_hash(group), sum_key, cnt_key), TIERS[tier])
+    last_idx = order[ends - 1]
+
+    take_last = pa.array(last_idx)
+    kept = group["h_buckets"].take(take_last)
+    if isinstance(kept, pa.ChunkedArray):
+        kept = kept.combine_chunks()
+    flat = pc.list_flatten(kept).to_numpy(zero_copy_only=False).astype(np.float64)
+    lens = pc.list_value_length(kept).to_numpy(zero_copy_only=False).astype(np.int64)
+    offs = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=offs[1:])
+    bucket_bytes = encode_hist_buckets_many(flat, offs, value_type)
+    return pa.table(
+        {
+            "series_key": dictionary.take(pa.array(codes_s[starts])),
+            "tier": pa.nulls(len(starts), pa.string()).fill_null(tier),
+            "value_type": pa.nulls(len(starts), pa.string()).fill_null(value_type),
+            "window_start": pa.array(win[starts], pa.int64()),
+            "min_ts": pa.array(ts_s[starts], pa.int64()),
+            "max_ts": pa.array(ts_s[ends - 1], pa.int64()),
+            "n_samples": pa.array((ends - starts).astype(np.int64)),
+            "h_count": pc.cast(group["h_count"].take(take_last), pa.int64()),
+            "h_sum": pc.cast(group["h_sum"].take(take_last), pa.float64()),
+            "h_buckets": kept,
+            "h_buckets_bytes": pa.array(bucket_bytes, pa.binary()),
+            "n_buckets": pa.array(lens),
+        }
+    )
+
+
+def finer_as_samples(finer: pa.Table) -> pa.Table:
+    """Histogram tier rows -> samples for the next coarser pass (ts :=
+    max_ts carries last-ness; last-of-lasts == last)."""
+    return pa.table({"series_key": finer["series_key"], "ts": finer["max_ts"],
+                     "h_count": finer["h_count"], "h_sum": finer["h_sum"],
+                     "h_buckets": finer["h_buckets"]})
+
+
+def _check_value_type(value_type: str) -> None:
+    if value_type not in HISTOGRAM_TYPES:
+        raise UnsupportedValueTypeError(f"不支持的数据格式: {value_type!r}")
+
+
 def rollup_histograms(
     samples_ds,
     tier: str = "5m",
@@ -141,59 +196,34 @@ def rollup_histograms(
     histogram (as the working list column AND bit-encoded
     ``h_buckets_bytes``/``n_buckets``, the float tiers' ts_bytes/val_bytes
     analogue), its observation count, and min/max ts — mergeable upward by
-    re-applying the same operator at a coarser tier (last-of-lasts).
-    ``value_type`` selects the bucket codec (int dod vs Gorilla) and is
-    stamped on every output row.
+    re-applying the same operator at a coarser tier (last-of-lasts, on
+    :func:`finer_as_samples` of the finer rows).  ``value_type`` selects
+    the bucket codec (int dod vs Gorilla) and is stamped on every output
+    row.
     """
-    if value_type not in HISTOGRAM_TYPES:
-        raise UnsupportedValueTypeError(f"不支持的数据格式: {value_type!r}")
-    d_ms = TIERS[tier]
-    if group_window_ms % d_ms != 0:
+    _check_value_type(value_type)
+    if group_window_ms % TIERS[tier] != 0:
         raise ValueError(f"group window {group_window_ms} not a multiple of tier {tier}")
+    kernel = cascade_kernel(lambda g, t: _rollup_hist_group(g, t, value_type), None, (tier,))
+    return rollup_samples(samples_ds, kernel, group_window_ms)
 
-    def per_group(group: pa.Table) -> pa.Table:
-        group = group.combine_chunks()
-        codes, dictionary = _series_codes(group)
-        ts = group["ts"].to_numpy().astype(np.int64, copy=False)
-        # ties on (series, ts) break by payload (min h_count, then min h_sum,
-        # then bucket-payload hash) — the float path's min-value tiebreak
-        cnt_key = group["h_count"].to_numpy().astype(np.int64, copy=False)
-        sum_key = group["h_sum"].to_numpy().astype(np.float64, copy=False)
-        order, codes_s, ts_s, win, starts, ends = dedup_segments(
-            codes, ts, (_bucket_hash(group), sum_key, cnt_key), d_ms)
-        last_idx = order[ends - 1]
 
-        take_last = pa.array(last_idx)
-        kept = group["h_buckets"].take(take_last)
-        if isinstance(kept, pa.ChunkedArray):
-            kept = kept.combine_chunks()
-        flat = pc.list_flatten(kept).to_numpy(zero_copy_only=False).astype(np.float64)
-        lens = pc.list_value_length(kept).to_numpy(zero_copy_only=False).astype(np.int64)
-        offs = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
-        bucket_bytes = encode_hist_buckets_many(flat, offs, value_type)
-        return pa.table(
-            {
-                "series_key": dictionary.take(pa.array(codes_s[starts])),
-                "tier": pa.nulls(len(starts), pa.string()).fill_null(tier),
-                "value_type": pa.nulls(len(starts), pa.string()).fill_null(value_type),
-                "window_start": pa.array(win[starts], pa.int64()),
-                "min_ts": pa.array(ts_s[starts], pa.int64()),
-                "max_ts": pa.array(ts_s[ends - 1], pa.int64()),
-                "n_samples": pa.array((ends - starts).astype(np.int64)),
-                "h_count": pc.cast(group["h_count"].take(take_last), pa.int64()),
-                "h_sum": pc.cast(group["h_sum"].take(take_last), pa.float64()),
-                "h_buckets": kept,
-                "h_buckets_bytes": pa.array(bucket_bytes, pa.binary()),
-                "n_buckets": pa.array(lens),
-            }
-        )
+def rollup_histogram_cascade(samples_ds, group_window_ms: int = MS_1D,
+                             value_type: str = "float_histogram"):
+    """Histogram samples -> the rows of every ``cascade_tiers`` tier from
+    one exchange: the kernel re-applied, in the same call, to the finer
+    rows it just built (the float :func:`rollup.rollup_cascade` shape)."""
+    _check_value_type(value_type)
 
-    return shard_apply(
-        materialize_if_small(samples_ds), ["series_key"], per_group,
-        prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=DEFAULT_NUM_SHARDS,
-    )
+    def first(group: pa.Table, tier: str) -> pa.Table:
+        return _rollup_hist_group(group, tier, value_type)
+
+    def merge(finer: pa.Table, tier: str) -> pa.Table:
+        return _rollup_hist_group(finer_as_samples(finer), tier, value_type)
+
+    return rollup_samples(
+        samples_ds, cascade_kernel(first, merge, cascade_tiers(group_window_ms)),
+        group_window_ms)
 
 
 def histogram_quantile(tier_table: pa.Table, q: float, les: list[float]) -> pa.Table:

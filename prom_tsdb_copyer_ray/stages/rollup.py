@@ -19,7 +19,16 @@ compaction (operators O11 + O14):
   and encode a **gap-filled** grid of finer-window means as the coarser
   chunk (missing finer slots -> NaN points, ts = finer window starts).
 
-Partitioning / skew design: both tiers run through the shared hash-shard
+* :func:`rollup_cascade` — both in one pass: each group's raw samples are
+  rolled into 5m chunks and, in the same kernel call, merged into every
+  coarser tier whose window divides the group window (1h and 1d for the
+  default day window).  A coarser window then lies whole inside one group,
+  so the rows equal the ``rollup_raw`` -> ``rollup_up`` chain's (the
+  VLDB 2020 compressed-time-series view of tiers as mergeable aggregates)
+  at one exchange instead of three.  All tiers come back in one Dataset,
+  told apart by the ``tier`` column.
+
+Partitioning / skew design: every rollup runs through the shared hash-shard
 exchange, :func:`stages.common.shard_apply` (its docstring holds the design),
 keyed by ``series_key`` with ``by=("_gw",)`` — a coarse *group* window
 (default 1 day for the raw tier) — so the shuffle key is ``(_gw, _shard)``
@@ -27,12 +36,13 @@ keyed by ``series_key`` with ``by=("_gw",)`` — a coarse *group* window
 write).  One ``map_groups`` call covers MANY (series, tier-window) cells and
 processes them fully vectorized (lexsort + ``np.*.reduceat``); within a shard
 a hot series is bounded by the group window (the memory-bounding role the
-reference's ``-S`` slice duration plays, ``main.go:121``).  Every rollup
-sizes its input with ``materialize_if_small`` first: under
+reference's ``-S`` slice duration plays, ``main.go:121``), and the cascade's
+coarser tiers add at most a fraction of the group's 5m rows to that bound.
+Every rollup sizes its input with ``materialize_if_small`` first: under
 ``shard_apply``'s size rule, an input of fewer than ``SMALL_ROWS`` rows
 skips the exchange (one task calls the kernel once per group window, in
-window order, and emits one block per tier); a larger lazy one streams
-into the exchange unmaterialized.
+window order, and emits one block); a larger lazy one streams into the
+exchange unmaterialized.
 """
 
 from __future__ import annotations
@@ -265,6 +275,58 @@ def with_group_window(ts_col: str, group_window_ms: int):
     return fn
 
 
+def cascade_tiers(group_window_ms: int) -> tuple[str, ...]:
+    """The tiers a group window of samples holds whole: 5m and every coarser
+    tier whose window divides ``group_window_ms`` (1h and 1d for a day)."""
+    if group_window_ms % TIERS["5m"] != 0:
+        raise ValueError(f"group window {group_window_ms} not a multiple of tier 5m")
+    return tuple(t for t, d in TIERS.items() if group_window_ms % d == 0)
+
+
+def cascade_kernel(first, merge, tiers, metrics_sink=None, first_step: str = "rollup_raw"):
+    """Kernel: one group -> the rows of every tier in ``tiers`` in one table,
+    told apart by their ``tier`` column.
+
+    ``first(group, tiers[0])`` builds the finest tier; ``merge(finer, tier)``
+    builds each next one from the rows just built, so a coarser tier never
+    needs an exchange of its own.  With a metrics sink, each step's wall time
+    (``{first_step}_{tier}_group_ms``, then ``rollup_up_{tier}_group_ms``)
+    reaches it in one awaited call per group.
+    """
+
+    def kernel(group: pa.Table) -> pa.Table:
+        import time
+
+        from ..state import metrics
+
+        out, timings = [], {}
+        for tier in tiers:
+            t0 = time.monotonic()
+            out.append(merge(out[-1], tier) if out else first(group, tier))
+            step = "rollup_up" if len(out) > 1 else first_step
+            timings[f"{step}_{tier}_group_ms"] = (time.monotonic() - t0) * 1000
+        metrics.record(metrics_sink, timings)
+        return out[0] if len(out) == 1 else pa.concat_tables(out, promote_options="default")
+
+    return kernel
+
+
+def rollup_samples(samples_ds, kernel, group_window_ms: int,
+                   num_shards: int = DEFAULT_NUM_SHARDS):
+    """Samples Dataset -> ``kernel`` applied per (group window, series shard):
+    the one wide exchange over raw samples (or one task under
+    ``SMALL_ROWS``)."""
+    return shard_apply(
+        materialize_if_small(samples_ds), ["series_key"], kernel,
+        prepare=with_group_window("ts", group_window_ms), by=("_gw",),
+        num_shards=num_shards,
+    )
+
+
+def _merge_finer(finer: pa.Table, tier: str) -> pa.Table:
+    return _rollup_merge_group(finer, tier, TIERS[TIER_PARENT[tier]])
+
+
 def rollup_raw(
     samples_ds,
     tier: str = "5m",
@@ -272,27 +334,24 @@ def rollup_raw(
     group_window_ms: int = MS_1D,
     metrics_sink=None,
 ):
-    """Raw samples Dataset -> tier chunk Dataset (the one wide shuffle over
-    raw data; every later tier shuffles only collapsed rows)."""
-    d = TIERS[tier]
-    if group_window_ms % d != 0:
+    """Raw samples Dataset -> one tier's chunk Dataset."""
+    if group_window_ms % TIERS[tier] != 0:
         raise ValueError(f"group window {group_window_ms} not a multiple of tier {tier}")
+    return rollup_samples(
+        samples_ds, cascade_kernel(_rollup_raw_group, None, (tier,), metrics_sink),
+        group_window_ms, num_shards)
 
-    def per_group(group: pa.Table) -> pa.Table:
-        import time
 
-        from ..state import metrics
-
-        t0 = time.monotonic()
-        out = _rollup_raw_group(group, tier)
-        metrics.record(metrics_sink, f"rollup_raw_{tier}_group_ms", (time.monotonic() - t0) * 1000)
-        return out
-
-    return shard_apply(
-        materialize_if_small(samples_ds), ["series_key"], per_group,
-        prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=num_shards,
-    )
+def rollup_cascade(samples_ds, group_window_ms: int = MS_1D, metrics_sink=None):
+    """Raw samples Dataset -> the rows of every :func:`cascade_tiers` tier
+    (5m, 1h and 1d for a day window) from one exchange: each group's 5m rows
+    are merged into its 1h rows, and those into its 1d rows, in the same
+    kernel call.  A coarser window lies whole inside one group window, so
+    the rows equal the :func:`rollup_raw` -> :func:`rollup_up` chain's."""
+    tiers = cascade_tiers(group_window_ms)
+    return rollup_samples(
+        samples_ds, cascade_kernel(_rollup_raw_group, _merge_finer, tiers, metrics_sink),
+        group_window_ms)
 
 
 def rollup_up(finer_ds, tier: str, metrics_sink=None):
@@ -302,25 +361,13 @@ def rollup_up(finer_ds, tier: str, metrics_sink=None):
     merges many coarser windows (map_groups overhead amortized, same as
     rollup_raw).
     """
-    finer_ms = TIERS[TIER_PARENT[tier]]
-    d = TIERS[tier]
-
-    def per_group(group: pa.Table) -> pa.Table:
-        import time
-
-        from ..state import metrics
-
-        t0 = time.monotonic()
-        out = _rollup_merge_group(group, tier, finer_ms)
-        metrics.record(metrics_sink, f"rollup_up_{tier}_group_ms", (time.monotonic() - t0) * 1000)
-        return out
-
+    kernel = cascade_kernel(_merge_finer, None, (tier,), metrics_sink, first_step="rollup_up")
     # no coalesce hop: merge inputs are already collapsed chunk rows in
     # O(partitions) blocks; an extra repartition is a pure latency barrier
     return shard_apply(
-        materialize_if_small(finer_ds), ["series_key"], per_group,
-        prepare=with_group_window("window_start", d * MERGE_GROUP_FACTOR), by=("_gw",),
-        coalesce=False, num_shards=DEFAULT_NUM_SHARDS,
+        materialize_if_small(finer_ds), ["series_key"], kernel,
+        prepare=with_group_window("window_start", TIERS[tier] * MERGE_GROUP_FACTOR),
+        by=("_gw",), coalesce=False, num_shards=DEFAULT_NUM_SHARDS,
     )
 
 

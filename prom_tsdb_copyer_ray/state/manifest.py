@@ -15,18 +15,23 @@ within the day, the reference's 2 h slice-unit analogue, ``main.go:121``)::
 In sub-day mode the checkpoint unit is (day, group window): a crashed run
 redoes one group window, not a whole day (round-1 verdict item 7).
 
-Commit protocol (write-then-manifest):
+Commit protocol (write-then-manifest), one :class:`TierSink` write for
+every tier a run builds (:func:`write_tiers`; :func:`write_tier` for one):
 
-1. rollup the tier Dataset, filtered to days NOT already in the manifest;
-2. delete any partial day dirs for the days about to be (re)written;
-3. ``write_parquet(partition_cols=["window_day"])`` (streaming, partitioned);
-4. enumerate written day dirs, then atomically (tmp + ``os.replace``) merge
-   the day list + row and file counts into the manifest.
+1. before any data moves, read each tier's committed (day, group) set and
+   retention watermark, then delete its partial (unmanifested) day / group
+   dirs;
+2. each write task drops the rows of committed or expired days / groups and
+   writes one Parquet file per (tier, day[, group]) of its blocks, returning
+   per-file row counts;
+3. after the last task, merge those counts into each tier's manifest and
+   replace it atomically (tmp + ``os.replace``), finest tier first.
 
-A crash before step 4 leaves unmanifested day dirs which step 2 cleans up on
-the next run; a crash after step 4 is a completed tier.  Resume therefore
-skips every manifested day and recomputes only the missing ones (the
-re-filter pushes down to the rollup input).
+A crash before step 3 leaves unmanifested dirs, which step 1 cleans up on
+the next run, and no manifest changed; a crash inside step 3 leaves the
+finer tiers committed, and the next run builds only the coarser ones.
+Resume therefore skips every manifested day and rewrites only the missing
+ones (the rollup recomputes every day; the write drops the committed ones).
 """
 
 from __future__ import annotations
@@ -34,9 +39,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from typing import Mapping
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from ray.data import Datasink
 
 from ..windows import MS_1D
 
@@ -160,101 +169,136 @@ def clean_uncommitted_days(out_dir: str, tier: str) -> list[int]:
     return removed
 
 
-def _dir_stats(d: str) -> tuple[int, int]:
-    files = [f for f in os.listdir(d) if f.endswith(".parquet")]
-    return sum(pq.read_metadata(os.path.join(d, f)).num_rows for f in files), len(files)
+class TierSink(Datasink):
+    """One Ray Data write that commits every tier it carries.
+
+    ``keys`` maps a row's ``tier`` value to the manifest key (and tier
+    directory) its rows go to; a ``None`` entry takes every row, whatever
+    its ``tier`` says.  Rows of a tier value with no entry are dropped.
+
+    * ``__init__`` (driver) reads each key's committed (day, group) set and
+      retention watermark before any data is touched (a manifest this code
+      cannot interpret raises here);
+    * ``on_write_start`` (driver) deletes each key's uncommitted day/group
+      dirs — the partial output of a crashed run;
+    * ``write`` (one per write task) drops the rows of committed or expired
+      days / groups and writes one Parquet file per (tier, day[, group])
+      of its blocks; it returns ``(key, day, group, n_rows)`` per file;
+    * ``on_write_complete`` (driver) merges those counts into each key's
+      manifest and commits it atomically, in ``keys`` order (finest tier
+      first, so a coarser tier never commits before the tier it comes from).
+    """
+
+    def __init__(self, out_dir: str, keys: Mapping[str | None, str],
+                 group_window_ms: int | None = None):
+        self.out_dir = out_dir
+        self.keys = dict(keys)
+        self.group_window_ms = (group_window_ms if group_window_ms is not None
+                                and 0 < group_window_ms < MS_1D else None)
+        self.done = {k: completed_groups(out_dir, k) for k in self.keys.values()}
+        self.watermark = {k: retention_watermark(out_dir, k) for k in self.keys.values()}
+        self.manifests: dict[str, dict] = {}
+
+    def on_write_start(self) -> None:
+        for key in self.keys.values():
+            clean_uncommitted_days(self.out_dir, key)
+
+    def _pending(self, key: str, ws: np.ndarray):
+        """(keep mask, day, group) of window starts ``ws``: rows of expired
+        or committed days / groups are not kept.  Floor division (numpy
+        ``//``), as in ``windows.window_start_np``, so the filter and the
+        rollup's grouping agree even before 1970."""
+        gw = self.group_window_ms
+        day = (ws // MS_1D) * MS_1D
+        grp = (ws // gw) * gw if gw else day
+        # expired days are DONE, not pending: a resume after retention must
+        # never resurrect deleted partitions
+        keep = day >= self.watermark[key]
+        for d, groups in self.done[key].items():
+            if groups is None or not gw:
+                keep &= day != d
+            elif groups:
+                keep &= ~((day == d) & np.isin(grp, np.fromiter(groups, np.int64)))
+        return keep, day, grp
+
+    def _write_file(self, table: pa.Table, path: str) -> None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(table, path)
+
+    def write(self, blocks, ctx) -> list[tuple[str, int, int | None, int]]:
+        from ray.data.block import BlockAccessor
+
+        # Ray's sort emits zero-row, zero-column blocks for empty key ranges
+        tables = [t for t in (BlockAccessor.for_block(b).to_arrow() for b in blocks)
+                  if t.num_rows]
+        if not tables:
+            return []
+        table = pa.concat_tables(tables, promote_options="default")
+        written = []
+        for tier, key in self.keys.items():
+            rows = table if tier is None else table.filter(pc.equal(table["tier"], tier))
+            ws = rows["window_start"].to_numpy().astype(np.int64)
+            keep, day, grp = self._pending(key, ws)
+            # one file per (day, group) — a group window that does not
+            # divide a day spans two — with rows in their block order
+            idx = np.flatnonzero(keep)
+            idx = idx[np.lexsort((grp[idx], day[idx]))]  # stable
+            if not len(idx):
+                continue
+            rows, day, grp = rows.take(pa.array(idx)), day[idx], grp[idx]
+            cut = np.r_[True, (day[1:] != day[:-1]) | (grp[1:] != grp[:-1]), True]
+            bounds = np.flatnonzero(cut)
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                d, g = int(day[a]), int(grp[a])
+                leaf = os.path.join(tier_dir(self.out_dir, key), f"window_day={d}")
+                if self.group_window_ms:
+                    leaf = os.path.join(leaf, f"window_group={g}")
+                self._write_file(rows.slice(a, b - a),
+                                 os.path.join(leaf, f"part-{ctx.task_idx:05d}.parquet"))
+                written.append((key, d, g if self.group_window_ms else None, int(b - a)))
+        return written
+
+    def on_write_complete(self, write_result) -> None:
+        files = [f for ret in write_result.write_returns for f in ret or ()]
+        for key in self.keys.values():
+            manifest = load_manifest(self.out_dir, key)
+            for k, day, grp, n_rows in files:
+                if k != key:
+                    continue
+                entry = manifest["days"].setdefault(str(day), {"n_rows": 0, "n_files": 0})
+                entry["n_rows"] += n_rows
+                entry["n_files"] += 1
+                if grp is not None:
+                    g = entry.setdefault("groups", {}).setdefault(
+                        str(grp), {"n_rows": 0, "n_files": 0})
+                    g["n_rows"] += n_rows
+                    g["n_files"] += 1
+            manifest.update(status="complete", tier=key, version=MANIFEST_VERSION)
+            _atomic_write_json(manifest_path(self.out_dir, key), manifest)
+            self.manifests[key] = manifest
+
+
+def write_tiers(ds, out_dir: str, keys: Mapping[str | None, str],
+                group_window_ms: int | None = None) -> dict[str, dict]:
+    """Resumable write of every tier in ``ds`` through one :class:`TierSink`
+    (one Ray Data execution); returns ``{key: manifest}``.
+
+    ``ds`` carries CHUNK_SCHEMA-shaped rows (``window_start``, ``tier``).
+    They land under ``tiers/{key}/window_day=<ms>/`` — plus
+    ``window_group=<ms>/`` when ``group_window_ms`` is a sub-day value (the
+    ``-S`` slice analogue).  Committed (day) / (day, group) parts are
+    skipped: their rows are dropped before the write, so a resume rewrites
+    only the missing group windows.
+    """
+    sink = TierSink(out_dir, keys, group_window_ms)
+    ds.write_datasink(sink)
+    return sink.manifests
 
 
 def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) -> dict:
-    """Resumable partitioned tier write; returns the updated manifest.
-
-    ``ds`` must carry the CHUNK_SCHEMA columns; a ``window_day`` partition
-    column is derived from ``window_start`` — plus ``window_group`` when
-    ``group_window_ms`` is a sub-day value (the ``-S`` slice analogue).
-    Committed (day) / (day, group) parts are skipped: their rows are
-    filtered out *before* the write, so a resume recomputes only the
-    missing group windows.
-    """
-    sub_day = group_window_ms is not None and 0 < group_window_ms < MS_1D
-    done = completed_groups(out_dir, tier)
-    watermark = retention_watermark(out_dir, tier)
-    clean_uncommitted_days(out_dir, tier)
-    part_cols = ["window_day", "window_group"] if sub_day else ["window_day"]
-
-    def add_parts(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        # floor division (numpy //), NOT pc.divide's truncation-toward-zero:
-        # identical keys to windows.window_start_np even for pre-1970 window
-        # starts, so the skip-filter and the rollup's grouping never diverge
-        ws = batch["window_start"].to_numpy().astype(np.int64, copy=False)
-        day = (ws // MS_1D) * MS_1D
-        batch = batch.append_column("window_day", pa.array(day, pa.int64()))
-        if sub_day:
-            grp = (ws // group_window_ms) * group_window_ms
-            batch = batch.append_column("window_group", pa.array(grp, pa.int64()))
-        if watermark:
-            # expired days are DONE, not pending: a resume after retention
-            # must never resurrect deleted partitions
-            batch = batch.filter(pa.array(day >= watermark))
-            ws = batch["window_start"].to_numpy().astype(np.int64, copy=False)
-            day = (ws // MS_1D) * MS_1D
-            if sub_day:
-                grp = (ws // group_window_ms) * group_window_ms
-        if done:
-            keep = np.ones(len(ws), dtype=bool)
-            for d, groups in done.items():
-                if groups is None or not sub_day:
-                    keep &= day != d
-                else:
-                    in_day = day == d
-                    if in_day.any() and groups:
-                        keep &= ~(in_day & np.isin(grp, np.fromiter(groups, np.int64)))
-            batch = batch.filter(pa.array(keep))
-        return batch
-
-    tdir = tier_dir(out_dir, tier)
-    os.makedirs(tdir, exist_ok=True)
-    # the hive write makes one file per (block, partition) pair.  A sharded
-    # rollup's blocks are sort partitions over a range of (_gw, _shard) keys,
-    # time-major, so each covers few days and a day gets a handful of files;
-    # a small rollup (shard_apply's single-task path) is one block, so one
-    # file per partition
-    ds.map_batches(add_parts, batch_format="pyarrow").write_parquet(
-        tdir, partition_cols=part_cols
-    )
-
-    manifest = load_manifest(out_dir, tier)
-    for name in sorted(os.listdir(tdir)):
-        if not name.startswith("window_day="):
-            continue
-        day = name.split("=", 1)[1]
-        ddir = os.path.join(tdir, name)
-        group_dirs = sorted(g for g in os.listdir(ddir) if g.startswith("window_group="))
-        entry = manifest["days"].get(day)
-        if group_dirs:
-            if entry is None:
-                entry = {"n_rows": 0, "n_files": 0, "groups": {}}
-            groups = entry.setdefault("groups", {})
-            for g in group_dirs:
-                gstart = g.split("=", 1)[1]
-                if gstart in groups:
-                    continue
-                n_rows, n_files = _dir_stats(os.path.join(ddir, g))
-                groups[gstart] = {"n_rows": n_rows, "n_files": n_files}
-            entry["n_rows"] = sum(v["n_rows"] for v in groups.values())
-            entry["n_files"] = sum(v["n_files"] for v in groups.values())
-            manifest["days"][day] = entry
-        else:
-            if entry is not None:
-                continue
-            n_rows, n_files = _dir_stats(ddir)
-            manifest["days"][day] = {"n_rows": n_rows, "n_files": n_files}
-    manifest["status"] = "complete"
-    manifest["tier"] = tier
-    manifest["version"] = MANIFEST_VERSION
-    _atomic_write_json(manifest_path(out_dir, tier), manifest)
-    return manifest
+    """Resumable write of ``ds``, every row to tier ``tier``; returns the
+    updated manifest (see :func:`write_tiers`)."""
+    return write_tiers(ds, out_dir, {None: tier}, group_window_ms)[tier]
 
 
 def read_tier(out_dir: str, tier: str):

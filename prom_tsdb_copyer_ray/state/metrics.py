@@ -27,8 +27,9 @@ def _sink_actor_cls():
         def __init__(self) -> None:
             self._samples: dict[str, list[float]] = {}
 
-        def record(self, key: str, values: list[float]) -> None:
-            self._samples.setdefault(key, []).extend(values)
+        def record(self, timings: dict[str, float]) -> None:
+            for key, wall_ms in timings.items():
+                self._samples.setdefault(key, []).append(wall_ms)
 
         def drain(self) -> dict:
             out = {}
@@ -60,17 +61,20 @@ def drain_sink(handle) -> dict:
     return ray.get(handle.drain.remote())
 
 
-def record(sink, key: str, wall_ms: float) -> None:
-    """Record a timing sample from inside a task; returns once the sink has it.
+def record(sink, timings: dict[str, float]) -> None:
+    """Record ``{key: wall_ms}`` timing samples from inside a task in one
+    call; returns once the sink has them.
 
     ``sink`` is the actor handle shipped WITH the task closure (the stage
     captured it when the pipeline was built) — no per-call actor lookup,
     strictly zero overhead when metrics are off (``sink is None``).  The
     call waits for the sink, so a sample lands before its task returns and
     a short run's ``drain()`` cannot miss it (a fire-and-forget message
-    could still be in flight when ``run_copy`` drains the sink)."""
+    could still be in flight when ``run_copy`` drains the sink).  One call
+    carries all of a kernel call's samples, so the round trip is paid once
+    per group, not once per tier."""
     if sink is None:
         return
     import ray
 
-    ray.get(sink.record.remote(key, [float(wall_ms)]))
+    ray.get(sink.record.remote({k: float(v) for k, v in timings.items()}))

@@ -269,6 +269,36 @@ def test_run_copy_samples_mixed_types(ray_session, tmp_path):
     assert "不支持的数据格式" in str(ei.value)
 
 
+def test_run_copy_samples_executes_its_input_once(ray_session, tmp_path):
+    """The three value types are split from ONE execution of the input: a
+    counting upstream ``map_batches`` over a one-block input runs once."""
+    import ray.data
+
+    from prom_tsdb_copyer_ray.pipelines.copy import run_copy_samples
+
+    t = pa.table({
+        "series_key": pa.array(["f", "h", "fh"], pa.string()),
+        "ts": pa.array([BASE, BASE + 1, BASE + 2], pa.int64()),
+        "value_type": pa.array(["float", "histogram", "float_histogram"], pa.string()),
+        "value": pa.array([1.0, None, None], pa.float64()),
+        "h_count": pa.array([None, 3, 4], pa.int64()),
+        "h_sum": pa.array([None, 1.5, 2.0], pa.float64()),
+        "h_buckets": pa.array([None, [1.0, 3.0], [2.0, 4.0]], pa.list_(pa.float64())),
+    })
+    log = str(tmp_path / "calls")
+
+    def counting(batch):
+        with open(log, "a") as f:
+            f.write("call\n")
+        return batch
+
+    upstream = ray.data.from_arrow(t).map_batches(counting, batch_format="pyarrow")
+    manifests = run_copy_samples(upstream, str(tmp_path / "out"))
+    assert {"5m", "histogram_5m", "float_histogram_5m"} <= set(manifests)
+    with open(log) as f:
+        assert f.read().count("call") == 1
+
+
 def test_histogram_quantile():
     t = pa.table(
         {

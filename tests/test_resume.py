@@ -103,30 +103,34 @@ def test_collect_metrics_timing_histograms(ray_session, out_dir):
 
 def test_metrics_sink_dies_with_a_failed_run(ray_session, out_dir, monkeypatch):
     """A run that fails after its 5m write leaves no metrics sink behind: the
-    re-run skips 5m, so no extraction sample may reach its ``_metrics``."""
+    re-run skips 5m, so no extraction sample may reach its ``_metrics``.  A
+    2 h group window commits 5m and 1h in one write and rolls 1d up after
+    it, so the failure is injected into the 1d write."""
     import ray.data
 
     from prom_tsdb_copyer_ray.pipelines import copy
 
     pages = generate_pages(800, seed=42, span_ms=86_400_000)
+    gw = 2 * 3_600_000
     write_tier_orig = copy.write_tier
 
-    def write_tier_failing_1h(ds, out, tier, **kw):
-        if tier == "1h":
-            raise RuntimeError("injected 1h write failure")
+    def write_tier_failing_1d(ds, out, tier, **kw):
+        if tier == "1d":
+            raise RuntimeError("injected 1d write failure")
         return write_tier_orig(ds, out, tier, **kw)
 
-    monkeypatch.setattr(copy, "write_tier", write_tier_failing_1h)
+    monkeypatch.setattr(copy, "write_tier", write_tier_failing_1d)
     with pytest.raises(RuntimeError, match="injected"):
-        copy.run_copy(lambda: ray.data.from_arrow(pages), out_dir,
+        copy.run_copy(lambda: ray.data.from_arrow(pages), out_dir, group_window_ms=gw,
                       concurrency=(1, 2), collect_metrics=True)
     monkeypatch.undo()
+    assert load_manifest(out_dir, "5m")["status"] == "complete"
 
     manifests = copy.run_copy(lambda: ray.data.from_arrow(pages), out_dir,
-                              concurrency=(1, 2), collect_metrics=True)
+                              group_window_ms=gw, concurrency=(1, 2), collect_metrics=True)
     assert all(manifests[t]["status"] == "complete" for t in ("5m", "1h", "1d"))
     assert "extract_batch_ms" not in manifests["_metrics"]
-    assert "rollup_up_1h_group_ms" in manifests["_metrics"]
+    assert "rollup_up_1d_group_ms" in manifests["_metrics"]
 
 
 def test_subday_group_resume_recomputes_only_killed_group(ray_session, out_dir):
