@@ -112,10 +112,16 @@ def materialize_if_small(ds):
     beside the sort's; the cost is re-running the probed prefix of its
     upstream, so pass only inputs whose upstream is a streaming map (a
     scan, an extraction), never an exchange.
+
+    A probe that reaches its limit ends its execution early, and Ray Data
+    interrupts the upstream tasks still running (``KeyboardInterrupt`` in
+    the worker); an interrupted Parquet read can leave its worker stuck on
+    a later task.  So ``SMALL_ROWS = 0`` (the path off) probes nothing: a
+    ``limit(0)`` probe would start and interrupt every upstream task.
     """
     from ray.data.dataset import MaterializedDataset
 
-    if isinstance(ds, MaterializedDataset):
+    if isinstance(ds, MaterializedDataset) or SMALL_ROWS <= 0:
         return ds
     head = ds.limit(SMALL_ROWS).materialize()
     return head if head.count() < SMALL_ROWS else ds

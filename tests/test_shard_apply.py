@@ -147,3 +147,18 @@ def test_materialize_if_small(ray_session, monkeypatch):
     assert materialize_if_small(small) is small
     monkeypatch.setattr(common, "SMALL_ROWS", t.num_rows)
     assert materialize_if_small(lazy) is lazy
+
+
+def test_materialize_if_small_path_off_executes_nothing(ray_session, monkeypatch):
+    """With the single-task path off (``SMALL_ROWS = 0``) a lazy input comes
+    back unexecuted: a ``limit(0)`` probe would start every upstream task
+    and interrupt it."""
+    import ray.data
+
+    from prom_tsdb_copyer_ray.stages import common
+
+    lazy = ray.data.from_arrow(_events()).map_batches(lambda b: b, batch_format="pyarrow")
+    monkeypatch.setattr(ray.data.Dataset, "materialize",
+                        lambda self: pytest.fail("the input was executed"))
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
+    assert materialize_if_small(lazy) is lazy
