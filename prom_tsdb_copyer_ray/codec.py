@@ -36,10 +36,15 @@ The sample count is NOT stored in the byte stream; callers persist it in the
 
 Encoding is **batch-vectorized** (:func:`encode_timestamps_many` /
 :func:`encode_values_many`): all chunks of a rollup group are encoded in ONE
-NumPy pass — classification, bit-offset computation and bit scatter are
-array ops over the concatenated samples; no per-sample (or even per-chunk)
-Python arithmetic.  This replaces the round-1 pure-Python BitWriter loop
-(~1 M pts/s/core), which was the flagship's CPU ceiling.
+NumPy pass — classification, bit-offset computation and packing are array
+ops over the concatenated samples; no per-sample (or even per-chunk) Python
+arithmetic.  Packing is word-level: each field is shifted into place in a
+``uint64`` word and OR-ed in (``np.bitwise_or.at``); a field that crosses a
+word boundary spills its low bits into the next word; one big-endian
+``astype`` then yields the MSB-first byte stream.  Chunks start byte-aligned,
+so the stream plus the chunk byte offsets IS an Arrow ``binary`` array:
+the batch encoders return a ``pa.BinaryArray`` built on those two buffers
+(``pa.Array.from_buffers``), with no per-chunk Python ``bytes``.
 
 Value-stream layout note: the vectorized encoder uses ONE XOR window per
 chunk (min leading / min trailing over the chunk's nonzero XORs, emitted as
@@ -55,6 +60,7 @@ encoder's (pytest cross-checks).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,8 +97,9 @@ class BitReader:
 
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
+    def __init__(self, buf) -> None:
+        # an element of an encode_*_many array reads as its bytes
+        self.buf = buf.as_py() if isinstance(buf, pa.Scalar) else buf
         self.pos = 0  # bit position
 
     def read(self, bits: int) -> int:
@@ -285,28 +292,46 @@ def trailing_zeros_u64(x: np.ndarray) -> np.ndarray:
     return np.where(x == 0, 64, popcount64(low - _U1)).astype(np.int64)
 
 
-def _scatter_fields(bits: np.ndarray, vals: np.ndarray, nbits: np.ndarray, offs: np.ndarray) -> None:
-    """Write the ``nbits[i]`` LSBs of ``vals[i]`` (MSB-first) at bit offset
-    ``offs[i]`` into the uint8 0/1 array ``bits``.
+def _pack_fields(vals: np.ndarray, nbits: np.ndarray, offs: np.ndarray,
+                 total_bits: int) -> np.ndarray:
+    """The ``total_bits // 8``-byte stream holding the ``nbits[i]`` low bits
+    of ``vals[i]`` MSB-first at bit offset ``offs[i]``; bits no field covers
+    are 0 (1-bit zero codes are dropped by callers for that reason).
 
-    Vectorized by WIDTH BUCKET: fields of equal width w become one
-    ``np.unpackbits`` bit matrix (1 byte/bit of traffic) plus one fancy
-    assignment — a handful of distinct widths exist per batch (1-bit zero
-    codes are dropped by callers since ``bits`` is pre-zeroed).
+    Word-level: field i lands in ``uint64`` word ``offs[i] // 64``, shifted
+    so it ends at bit ``(offs[i] % 64) + nbits[i]``; a field that ends past
+    the word (``nbits <= 64``, so at most one boundary) spills its low bits
+    into the next word.  Fields never overlap, so OR-ing every piece in
+    (``np.bitwise_or.at``, which handles repeated word indices) builds the
+    stream; the big-endian ``astype`` puts each word's MSB first in memory.
     """
-    nbits = np.asarray(nbits, dtype=np.int64)
-    if len(nbits) == 0:
-        return
-    vals = np.asarray(vals, dtype=np.uint64)
-    offs = np.asarray(offs, dtype=np.int64)
-    for w in np.unique(nbits):
-        w = int(w)
-        m = nbits == w
-        vw = vals[m]
-        # (k, 64) MSB-first bit matrix -> last w columns are the field bits
-        bm = np.unpackbits(vw.view(np.uint8).reshape(-1, 8)[:, ::-1], axis=1)
-        pos = offs[m][:, None] + np.arange(w, dtype=np.int64)[None, :]
-        bits[pos.ravel()] = bm[:, 64 - w :].ravel()
+    n_words = (total_bits + 63) // 64
+    words = np.zeros(n_words + 1, dtype=np.uint64)  # +1: the last spill
+    word = offs >> 6
+    shift = 64 - (offs & 63) - nbits  # < 0: the field spills
+    spill = shift < 0
+    head = np.where(spill, vals >> np.maximum(-shift, 0).astype(np.uint64),
+                    vals << np.maximum(shift, 0).astype(np.uint64))
+    np.bitwise_or.at(words, word, head)
+    np.bitwise_or.at(words, word[spill] + 1, vals[spill] << (64 + shift[spill]).astype(np.uint64))
+    return words[:n_words].astype(">u8").view(np.uint8)[: total_bits // 8]
+
+
+# pa.binary() offsets are int32: one array holds at most this many bytes
+MAX_BINARY_BYTES = 2**31 - 1
+
+
+def _binary_array(data: np.ndarray, chunk_byte_off: np.ndarray) -> pa.BinaryArray:
+    """Chunk ``c`` = ``data[chunk_byte_off[c]:chunk_byte_off[c+1]]``, as one
+    ``pa.BinaryArray`` over ``data`` (no copy per chunk).  Raises
+    ``OverflowError`` rather than let the int32 offsets wrap."""
+    if chunk_byte_off[-1] > MAX_BINARY_BYTES:
+        raise OverflowError(
+            f"{int(chunk_byte_off[-1])} encoded bytes exceed the {MAX_BINARY_BYTES}-byte "
+            "int32 offsets of a binary array; encode fewer chunks per call")
+    return pa.Array.from_buffers(
+        pa.binary(), len(chunk_byte_off) - 1,
+        [None, pa.py_buffer(chunk_byte_off.astype(np.int32)), pa.py_buffer(data)])
 
 
 def _chunk_layout(lens: np.ndarray, starts: np.ndarray, counts: np.ndarray):
@@ -324,27 +349,20 @@ def _chunk_layout(lens: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     return pos_off, (chunk_bit_off // 8).astype(np.int64), int(chunk_bit_off[-1])
 
 
-def _slice_chunks(bits: np.ndarray, chunk_byte_off: np.ndarray, counts: np.ndarray) -> list[bytes]:
-    buf = np.packbits(bits).tobytes()
-    return [
-        buf[int(a):int(b)] if c else b""
-        for a, b, c in zip(chunk_byte_off[:-1], chunk_byte_off[1:], counts)
-    ]
-
-
-def encode_timestamps_many(ts: np.ndarray, offsets: np.ndarray) -> list[bytes]:
+def encode_timestamps_many(ts: np.ndarray, offsets: np.ndarray) -> pa.BinaryArray:
     """Encode MANY timestamp chunks in one vectorized pass.
 
     ``ts`` is the concatenation of all chunks' int64 ms timestamps (each
-    chunk sorted); ``offsets`` (n_chunks + 1) delimits chunks.  Returns one
-    ``bytes`` per chunk, bit-identical to :func:`encode_timestamps_scalar`.
+    chunk sorted); ``offsets`` (n_chunks + 1) delimits chunks.  Returns a
+    ``pa.BinaryArray`` with one element per chunk, each bit-identical to
+    :func:`encode_timestamps_scalar`.
     """
     ts = np.asarray(ts, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(ts)
     starts, counts = offsets[:-1], (offsets[1:] - offsets[:-1])
     if n == 0:
-        return [b""] * len(starts)
+        return _binary_array(np.empty(0, np.uint8), np.zeros(len(offsets), np.int64))
     is_first = np.zeros(n, dtype=bool)
     is_first[starts[counts > 0]] = True
 
@@ -369,7 +387,6 @@ def encode_timestamps_many(ts: np.ndarray, offsets: np.ndarray) -> list[bytes]:
     lens = CLS_BITS[cls + 1]
     pos_off, chunk_byte_off, total_bits = _chunk_layout(lens, starts, counts)
 
-    bits = np.zeros(total_bits, dtype=np.uint8)
     dod_u = dod.astype(np.uint64)
 
     f_vals, f_bits, f_offs = [], [], []
@@ -394,30 +411,27 @@ def encode_timestamps_many(ts: np.ndarray, offsets: np.ndarray) -> list[bytes]:
     f_bits.append(np.full(n4, 64, dtype=np.int64))
     f_offs.append(pos_off[m4] + 4)
 
-    _scatter_fields(
-        bits,
-        np.concatenate(f_vals) if f_vals else np.empty(0, np.uint64),
-        np.concatenate(f_bits),
-        np.concatenate(f_offs),
-    )
-    return _slice_chunks(bits, chunk_byte_off, counts)
+    data = _pack_fields(np.concatenate(f_vals), np.concatenate(f_bits),
+                        np.concatenate(f_offs), total_bits)
+    return _binary_array(data, chunk_byte_off)
 
 
-def encode_values_many(values: np.ndarray, offsets: np.ndarray) -> list[bytes]:
+def encode_values_many(values: np.ndarray, offsets: np.ndarray) -> pa.BinaryArray:
     """Encode MANY float64 value chunks in one vectorized pass.
 
     Chunk-global XOR window (see module docstring): one '11' header per
     chunk carrying (min leading, 64 - min leading - min trailing over the
     chunk's nonzero XORs); later changed values emit '10' + window bits;
     unchanged values emit '0'.  Decodable by :func:`decode_values`
-    unmodified; round-trip is bit-exact.
+    unmodified; round-trip is bit-exact.  Returns a ``pa.BinaryArray``, one
+    element per chunk.
     """
     values = np.asarray(values, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
     n = len(values)
     starts, counts = offsets[:-1], (offsets[1:] - offsets[:-1])
     if n == 0:
-        return [b""] * len(starts)
+        return _binary_array(np.empty(0, np.uint8), np.zeros(len(offsets), np.int64))
     u = values.view(np.uint64)
     is_first = np.zeros(n, dtype=bool)
     is_first[starts[counts > 0]] = True
@@ -468,7 +482,6 @@ def encode_values_many(values: np.ndarray, offsets: np.ndarray) -> list[bytes]:
     lens[later_nz] = 2 + sig_pos[later_nz]
 
     pos_off, chunk_byte_off, total_bits = _chunk_layout(lens, starts, counts)
-    bits = np.zeros(total_bits, dtype=np.uint8)
 
     gt_pos = np.zeros(n, dtype=np.int64)
     gt_pos[nz] = gt[chunk_idx[nz]]
@@ -512,27 +525,23 @@ def encode_values_many(values: np.ndarray, offsets: np.ndarray) -> list[bytes]:
     f_bits.append(s_l[nl])
     f_offs.append(pos_off[later_nz][nl] + 2)
 
-    _scatter_fields(
-        bits,
-        np.concatenate(f_vals),
-        np.concatenate(f_bits),
-        np.concatenate(f_offs),
-    )
-    return _slice_chunks(bits, chunk_byte_off, counts)
+    data = _pack_fields(np.concatenate(f_vals), np.concatenate(f_bits),
+                        np.concatenate(f_offs), total_bits)
+    return _binary_array(data, chunk_byte_off)
 
 
 def encode_timestamps(ts: np.ndarray) -> bytes:
     """Delta-of-delta encode one int64 ms timestamp array (sorted); the
     single-chunk convenience wrapper over :func:`encode_timestamps_many`."""
     ts = np.asarray(ts, dtype=np.int64)
-    return encode_timestamps_many(ts, np.array([0, len(ts)]))[0]
+    return encode_timestamps_many(ts, np.array([0, len(ts)]))[0].as_py()
 
 
 def encode_values(values: np.ndarray) -> bytes:
     """Gorilla-XOR encode one float64 array (bit-exact round-trip); the
     single-chunk convenience wrapper over :func:`encode_values_many`."""
     values = np.asarray(values, dtype=np.float64)
-    return encode_values_many(values, np.array([0, len(values)]))[0]
+    return encode_values_many(values, np.array([0, len(values)]))[0].as_py()
 
 
 def encode_chunk(ts: np.ndarray, values: np.ndarray) -> tuple[bytes, bytes]:

@@ -16,9 +16,16 @@ The cascade is one ``stages.common.shard_apply`` call: an input of fewer
 than ``SMALL_ROWS`` rows runs as one task, a larger one takes the hash-shard
 sort exchange.  Each (group window, shard) call builds the 5m rows and
 merges them into every coarser tier whose window divides the group window
-(1h and 1d in the default day mode), so a day-mode run is two Ray Data
-executions — the size probe of the extraction, then cascade + write — with
-one exchange at scale, and no tier is held in the object store.
+(1h and 1d in the default day mode), and no tier is held in the object
+store.  The size is known before anything executes: the pages' Parquet
+footer row counts times the extractor's fixed fan-out
+(``SAMPLES_PER_PAGE``) bound the samples.  So a day-mode run is ONE Ray
+Data execution: small, the read tasks feed one fused extract -> cascade ->
+write task; large, the extraction streams into the one exchange and the
+write.  Only a pages input whose size the footers cannot give (a mapped or
+non-Parquet Dataset) is extracted and materialized first, and so is a small
+one whose pages would not fit one Ray block (the single task then receives
+samples, not pages).
 
 :func:`_run_tiers` is the one resumable 5m -> 1h -> 1d loop.
 :func:`run_copy` drives it once; :func:`run_copy_samples` drives it for the
@@ -40,7 +47,8 @@ from typing import Mapping, Sequence
 
 from ..functions.matchers import Matcher, make_filter_fn
 from ..functions.relabel import make_relabel_fn
-from ..stages.extract import SAMPLE_LABELS, PageToSamples
+from ..stages import common
+from ..stages.extract import SAMPLE_LABELS, SAMPLES_PER_PAGE, PageToSamples
 from ..stages.rollup import cascade_tiers, rollup_cascade, rollup_raw, rollup_up
 from ..state.manifest import load_manifest, read_tier, record_inputs, write_tier, write_tiers
 from ..state.metrics import create_sink, drain_sink
@@ -107,6 +115,33 @@ def pages_to_samples(
             make_relabel_fn(relabels, SAMPLE_LABELS), batch_format="pyarrow"
         )
     return samples
+
+
+def _sized_samples(pages_ds, samples_ds):
+    """``(samples_ds, rows)``: ``rows`` bounds the samples from the pages'
+    Parquet footers (``None`` when the footers cannot tell).
+
+    A small bound lets the rollup fuse with the read's extraction, so one
+    task holds every page of the job; that is allowed only while the pages'
+    uncompressed footer bytes fit one Ray block
+    (``DataContext.target_max_block_size``).  Otherwise the samples are
+    materialized here, so the single task receives samples, never pages.
+    """
+    import ray.data
+    from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
+
+    if common.SMALL_ROWS <= 0:
+        return samples_ds, None
+    footprint = common.parquet_footprint(pages_ds, -(-common.SMALL_ROWS // SAMPLES_PER_PAGE))
+    if footprint is None:
+        return samples_ds, None
+    pages, nbytes = footprint
+    rows = pages * SAMPLES_PER_PAGE
+    block = ray.data.DataContext.get_current().target_max_block_size or DEFAULT_TARGET_MAX_BLOCK_SIZE
+    if rows < common.SMALL_ROWS and nbytes > block:
+        samples_ds = samples_ds.materialize()
+        return samples_ds, samples_ds.count()
+    return samples_ds, rows
 
 
 def build_tiers(
@@ -313,11 +348,11 @@ def run_copy(
         must_run = input_files is not None and _evict_changed_inputs(out_dir, input_files)
 
         def cascade():
-            samples = pages_to_samples(
-                pages_ds_factory(), matchers, relabels, validate,
-                metrics_sink=sink, **kw,
-            )
-            return rollup_cascade(samples, gw, metrics_sink=sink)
+            pages = pages_ds_factory()
+            samples, rows = _sized_samples(pages, pages_to_samples(
+                pages, matchers, relabels, validate, metrics_sink=sink, **kw,
+            ))
+            return rollup_cascade(samples, gw, metrics_sink=sink, rows=rows)
 
         manifests = _run_tiers(
             out_dir, cascade,

@@ -101,34 +101,71 @@ def _apply_by(table: pa.Table, by: list[str], kernel) -> pa.Table:
         promote_options="default")
 
 
-def materialize_if_small(ds):
-    """``ds`` materialized if it has fewer than :data:`SMALL_ROWS` rows (so
-    :func:`shard_apply` takes its single-task path), else ``ds`` unchanged.
+def parquet_footprint(ds, stop_rows: int) -> tuple[int, int] | None:
+    """``(rows, uncompressed bytes)`` of a bare Parquet read, from the footers
+    of ``ds.input_files()``, summed file by file until ``rows`` reaches
+    ``stop_rows``; ``None`` when ``ds`` is not one.
 
-    A lazy input is probed with ``limit(SMALL_ROWS)``, which executes the
-    upstream only until it has that many rows.  A small input is then whole
-    in the probe and executes once.  A large one stays lazy and streams
-    into the exchange, so its blocks are not held in the object store
-    beside the sort's; the cost is re-running the probed prefix of its
-    upstream, so pass only inputs whose upstream is a streaming map (a
-    scan, an extraction), never an exchange.
+    Nothing executes: a footer is a few KB of metadata.  ``input_files()``
+    is empty after any map, union or other operator that could add rows
+    (only a read and row-preserving or row-dropping steps such as
+    ``limit``, ``repartition`` or a pushed-down ``filter=`` keep it), so
+    the sum is an upper bound on the rows ``ds`` yields.  A file without a
+    readable Parquet footer (another format, a remote path) makes the
+    whole answer ``None``.
+    """
+    import pyarrow.parquet as pq
 
-    A probe that reaches its limit ends its execution early, and Ray Data
+    files = ds.input_files()
+    if not files:
+        return None
+    rows = nbytes = 0
+    for f in sorted(files):
+        if rows >= stop_rows:
+            break
+        try:
+            md = pq.read_metadata(f)
+        except (OSError, pa.ArrowException):
+            return None
+        rows += md.num_rows
+        nbytes += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    return rows, nbytes
+
+
+def size_input(ds, rows: int | None = None):
+    """``(ds, rows)`` for :func:`shard_apply`'s size rule, never by a probe.
+
+    ``rows`` is an upper bound on ``ds``'s row count.  A caller that knows
+    one passes it (``run_copy`` scales its pages' footer count by the
+    extractor's fan-out).  Else it is the count of a ``MaterializedDataset``
+    (block metadata) or the footer row count of a bare Parquet read
+    (:func:`parquet_footprint`, summed only until it reaches
+    :data:`SMALL_ROWS`); with either, ``ds`` is handed back unexecuted, so
+    a large input streams into the exchange.  A lazy input of unknown size
+    (mapped, or not Parquet) executes once, fully, with ``materialize()``,
+    and its exact count decides.  With the single-task path off
+    (``SMALL_ROWS <= 0``) nothing is sized or executed.
+
+    Sizing never ends an execution early: a ``limit`` probe that fills
     interrupts the upstream tasks still running (``KeyboardInterrupt`` in
-    the worker); an interrupted Parquet read can leave its worker stuck on
-    a later task.  So ``SMALL_ROWS = 0`` (the path off) probes nothing: a
-    ``limit(0)`` probe would start and interrupt every upstream task.
+    the worker), an interrupted Parquet read can leave its worker stuck for
+    a later task, and a large input's probed prefix would run twice.
     """
     from ray.data.dataset import MaterializedDataset
 
-    if isinstance(ds, MaterializedDataset) or SMALL_ROWS <= 0:
-        return ds
-    head = ds.limit(SMALL_ROWS).materialize()
-    return head if head.count() < SMALL_ROWS else ds
+    if rows is not None or SMALL_ROWS <= 0:
+        return ds, rows
+    if isinstance(ds, MaterializedDataset):
+        return ds, ds.count()
+    footprint = parquet_footprint(ds, SMALL_ROWS)
+    if footprint is not None:
+        return ds, footprint[0]
+    ds = ds.materialize()
+    return ds, ds.count()
 
 
 def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
-                num_shards=64):
+                num_shards=64, rows=None):
     """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
 
     Shape: per batch, the optional ``prepare`` (projection, cast, combiner,
@@ -154,23 +191,30 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     input arrives in many small blocks, a pure barrier when it is already
     O(fanin) blocks of collapsed rows.
 
-    Size rule: a ``MaterializedDataset`` (its ``count()`` is block
-    metadata, free) of fewer than :data:`SMALL_ROWS` rows skips the hash,
-    the coalesce and the sort: one ``map_batches`` task runs ``prepare`` on
-    the whole input, splits it on ``by`` in ascending order and calls
-    ``kernel`` once per ``by`` value — exactly the ``num_shards=1``
-    semantics, since each key still reaches one call.  The bound counts
-    input rows, before ``prepare`` (which may multiply them, e.g. an
-    explode).  Its basis is the rollup kernel only, measured on one core:
-    50k rows are ~0.15 s of kernel (340k raw rows/s), against 1.7-3.3 s of
-    fixed sort-exchange cost per rollup tier, whose 64 shards x group
-    windows make hundreds of ``map_groups`` calls for a few thousand rows.
-    Other callers that pass a materialized input take the same path
-    untimed; a CPU-heavy kernel there gives up its parallelism for it.  A
-    lazy input always takes the exchange: ``shard_apply`` never executes
-    its input (a chained exchange would run twice); the rollup stages size
-    theirs first with :func:`materialize_if_small`.  ``SMALL_ROWS = 0``
-    turns the path off.
+    Size rule: an input known to hold fewer than :data:`SMALL_ROWS` rows
+    skips the hash, the coalesce and the sort.  ``rows`` is that knowledge:
+    an upper bound on the input's row count, known before it executes
+    (:func:`size_input` finds one); without it, a ``MaterializedDataset``'s
+    ``count()`` (block metadata, free) is used, and any other input takes
+    the exchange — ``shard_apply`` never executes its input (a chained
+    exchange would run twice).  A small input runs as ``map_batches(one_task,
+    batch_size=SMALL_ROWS)``: ``prepare`` on the whole input, a split on
+    ``by`` in ascending order and one ``kernel`` call per ``by`` value —
+    exactly the ``num_shards=1`` semantics, since each key still reaches
+    one call.  Bundling contract: Ray Data bundles a map's input blocks
+    until they hold ``batch_size`` rows or the input ends, so an input of
+    fewer rows reaches ONE task as ONE batch, however many blocks it
+    arrives in; and a ``map_batches`` chain fuses, so a lazy input (read
+    -> extraction -> this map -> a write) runs as one task in one
+    execution, with no exchange and no materialized intermediate.  The
+    bound counts input rows, before ``prepare`` (which may multiply them,
+    e.g. an explode).  Its basis is the rollup kernel only, measured on one
+    core: 50k rows are ~0.15 s of kernel (340k raw rows/s), against
+    1.7-3.3 s of fixed sort-exchange cost per rollup tier, whose 64 shards
+    x group windows make hundreds of ``map_groups`` calls for a few
+    thousand rows.  Other callers that pass a materialized input take the
+    same path untimed; a CPU-heavy kernel there gives up its parallelism
+    for it.  ``SMALL_ROWS = 0`` turns the path off.
 
     Ray's sort hands ``map_groups`` only non-empty groups, and the
     single-task path only calls ``kernel`` on non-empty ``by`` groups, so a
@@ -184,14 +228,15 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
 
     keys = list(keys)
     by = list(by)
-    if isinstance(ds, MaterializedDataset) and ds.count() < SMALL_ROWS:
+    if rows is None and isinstance(ds, MaterializedDataset):
+        rows = ds.count()
+    if rows is not None and rows < SMALL_ROWS:
         def one_task(table: pa.Table) -> pa.Table:
             if prepare is not None:
                 table = prepare(table)
             return _apply_by(table, by, kernel)
 
-        return ds.repartition(1).map_batches(one_task, batch_size=None,
-                                             batch_format="pyarrow")
+        return ds.map_batches(one_task, batch_size=SMALL_ROWS, batch_format="pyarrow")
     helpers = [*by, "_shard"]
 
     def add_shard(batch: pa.Table) -> pa.Table:

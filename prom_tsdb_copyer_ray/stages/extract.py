@@ -35,6 +35,14 @@ from ..windows import ts_to_ms
 
 SAMPLE_LABELS = ("__name__", "domain", "lang")
 
+# the metrics every page yields, one sample each, in output order
+PAGE_METRICS = ("crawl_rate", "page_size_bytes")
+# fixed fan-out: a pages input of n rows yields exactly n * SAMPLES_PER_PAGE
+# samples in every validate mode, which makes n * SAMPLES_PER_PAGE an upper
+# bound on the samples after the matcher and relabel kernels (they only
+# drop or rewrite rows); run_copy sizes its rollup with it
+SAMPLES_PER_PAGE = len(PAGE_METRICS)
+
 SAMPLES_SCHEMA = pa.schema(
     [
         ("series_key", pa.string()),
@@ -98,6 +106,5 @@ class PageToSamples:
             )
             return t.add_column(0, "series_key", series_key(t, SAMPLE_LABELS))
 
-        crawl = metric("crawl_rate", np.ones(n, dtype=np.float64))
-        size = metric("page_size_bytes", sizes)
-        return pa.concat_tables([crawl, size]).combine_chunks()
+        values = {"crawl_rate": np.ones(n, dtype=np.float64), "page_size_bytes": sizes}
+        return pa.concat_tables([metric(m, values[m]) for m in PAGE_METRICS]).combine_chunks()

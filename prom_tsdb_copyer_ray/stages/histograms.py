@@ -94,8 +94,10 @@ def route_samples(samples_ds, value_type_col: str = "value_type"):
     return out
 
 
-def encode_hist_buckets_many(flat: np.ndarray, offsets: np.ndarray, value_type: str) -> list[bytes]:
-    """Bit-encode many cumulative bucket arrays in one vectorized pass.
+def encode_hist_buckets_many(flat: np.ndarray, offsets: np.ndarray,
+                             value_type: str) -> pa.BinaryArray:
+    """Bit-encode many cumulative bucket arrays in one vectorized pass; one
+    ``pa.BinaryArray`` element per array.
 
     ``histogram``: integral counts — delta-of-delta over the cumulative
     int64 series (cumulative counts are monotone, deltas are per-bucket
@@ -164,7 +166,7 @@ def _rollup_hist_group(group: pa.Table, tier: str, value_type: str) -> pa.Table:
             "h_count": pc.cast(group["h_count"].take(take_last), pa.int64()),
             "h_sum": pc.cast(group["h_sum"].take(take_last), pa.float64()),
             "h_buckets": kept,
-            "h_buckets_bytes": pa.array(bucket_bytes, pa.binary()),
+            "h_buckets_bytes": bucket_bytes,
             "n_buckets": pa.array(lens),
         }
     )

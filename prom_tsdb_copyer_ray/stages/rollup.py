@@ -38,11 +38,15 @@ processes them fully vectorized (lexsort + ``np.*.reduceat``); within a shard
 a hot series is bounded by the group window (the memory-bounding role the
 reference's ``-S`` slice duration plays, ``main.go:121``), and the cascade's
 coarser tiers add at most a fraction of the group's 5m rows to that bound.
-Every rollup sizes its input with ``materialize_if_small`` first: under
-``shard_apply``'s size rule, an input of fewer than ``SMALL_ROWS`` rows
-skips the exchange (one task calls the kernel once per group window, in
-window order, and emits one block); a larger lazy one streams into the
-exchange unmaterialized.
+Every rollup sizes its input with ``size_input`` first, never by a probe:
+an upper bound on its rows is known before it executes (a caller's bound,
+a materialized count or Parquet footer row counts), and only an input of
+unknown size is materialized to count it.  Under ``shard_apply``'s size
+rule an input of fewer than ``SMALL_ROWS`` rows skips the exchange: one
+task calls the kernel once per group window, in window order, and a lazy
+input fuses with it, so a small ``run_copy`` (read -> extract -> cascade
+-> write) is one task in one Ray Data execution.  A larger one streams
+into the exchange unmaterialized.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import pyarrow as pa
 
 from ..codec import encode_timestamps_many, encode_values_many
 from ..windows import MS_1D, TIER_PARENT, TIERS, window_start_np
-from .common import materialize_if_small, shard_apply
+from .common import shard_apply, size_input
 
 LABEL_COLS = ("__name__", "domain", "lang")
 DEFAULT_NUM_SHARDS = 64
@@ -105,8 +109,8 @@ def _build_chunk_table(
     min_ts: np.ndarray,
     max_ts: np.ndarray,
     n_samples: np.ndarray,
-    ts_bytes: list[bytes],
-    val_bytes: list[bytes],
+    ts_bytes: pa.BinaryArray,
+    val_bytes: pa.BinaryArray,
     agg_count: np.ndarray,
     agg_sum: np.ndarray,
     agg_min: np.ndarray,
@@ -131,8 +135,8 @@ def _build_chunk_table(
         "min_ts": pa.array(min_ts, pa.int64()),
         "max_ts": pa.array(max_ts, pa.int64()),
         "n_samples": pa.array(n_samples, pa.int64()),
-        "ts_bytes": pa.array(ts_bytes, pa.binary()),
-        "val_bytes": pa.array(val_bytes, pa.binary()),
+        "ts_bytes": ts_bytes,
+        "val_bytes": val_bytes,
         "agg_count": pa.array(agg_count, pa.int64()),
         "agg_sum": pa.array(agg_sum, pa.float64()),
         "agg_min": pa.array(agg_min, pa.float64()),
@@ -312,14 +316,15 @@ def cascade_kernel(first, merge, tiers, metrics_sink=None, first_step: str = "ro
 
 
 def rollup_samples(samples_ds, kernel, group_window_ms: int,
-                   num_shards: int = DEFAULT_NUM_SHARDS):
+                   num_shards: int = DEFAULT_NUM_SHARDS, rows: int | None = None):
     """Samples Dataset -> ``kernel`` applied per (group window, series shard):
     the one wide exchange over raw samples (or one task under
-    ``SMALL_ROWS``)."""
+    ``SMALL_ROWS``).  ``rows``: an upper bound on the samples, if known."""
+    samples_ds, rows = size_input(samples_ds, rows)
     return shard_apply(
-        materialize_if_small(samples_ds), ["series_key"], kernel,
+        samples_ds, ["series_key"], kernel,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=num_shards,
+        num_shards=num_shards, rows=rows,
     )
 
 
@@ -342,16 +347,18 @@ def rollup_raw(
         group_window_ms, num_shards)
 
 
-def rollup_cascade(samples_ds, group_window_ms: int = MS_1D, metrics_sink=None):
+def rollup_cascade(samples_ds, group_window_ms: int = MS_1D, metrics_sink=None,
+                   rows: int | None = None):
     """Raw samples Dataset -> the rows of every :func:`cascade_tiers` tier
     (5m, 1h and 1d for a day window) from one exchange: each group's 5m rows
     are merged into its 1h rows, and those into its 1d rows, in the same
     kernel call.  A coarser window lies whole inside one group window, so
-    the rows equal the :func:`rollup_raw` -> :func:`rollup_up` chain's."""
+    the rows equal the :func:`rollup_raw` -> :func:`rollup_up` chain's.
+    ``rows``: an upper bound on the samples, if known."""
     tiers = cascade_tiers(group_window_ms)
     return rollup_samples(
         samples_ds, cascade_kernel(_rollup_raw_group, _merge_finer, tiers, metrics_sink),
-        group_window_ms)
+        group_window_ms, rows=rows)
 
 
 def rollup_up(finer_ds, tier: str, metrics_sink=None):
@@ -364,10 +371,11 @@ def rollup_up(finer_ds, tier: str, metrics_sink=None):
     kernel = cascade_kernel(_merge_finer, None, (tier,), metrics_sink, first_step="rollup_up")
     # no coalesce hop: merge inputs are already collapsed chunk rows in
     # O(partitions) blocks; an extra repartition is a pure latency barrier
+    finer_ds, rows = size_input(finer_ds)
     return shard_apply(
-        materialize_if_small(finer_ds), ["series_key"], kernel,
+        finer_ds, ["series_key"], kernel,
         prepare=with_group_window("window_start", TIERS[tier] * MERGE_GROUP_FACTOR),
-        by=("_gw",), coalesce=False, num_shards=DEFAULT_NUM_SHARDS,
+        by=("_gw",), coalesce=False, num_shards=DEFAULT_NUM_SHARDS, rows=rows,
     )
 
 

@@ -302,20 +302,16 @@ def write_tier(ds, out_dir: str, tier: str, group_window_ms: int | None = None) 
 
 
 def read_tier(out_dir: str, tier: str):
-    """Ray Dataset over a written tier (committed days only)."""
+    """Ray Dataset over a written tier (committed days only).
+
+    A bare Parquet read: ``partitioning=None`` keeps the ``window_day=`` /
+    ``window_group=`` directory names out of the rows (the files carry no
+    such columns; downstream recomputes windows from ``window_start``), and
+    with no map on top the read's footers give its size
+    (``stages.common.size_input``)."""
     import ray.data
 
-    ds = ray.data.read_parquet(tier_dir(out_dir, tier))
-    # drop the hive partition columns; downstream recomputes them from
-    # window_start (they read back as string, which would pollute schemas)
-
-    def drop_parts(b: pa.Table) -> pa.Table:
-        for c in ("window_day", "window_group"):
-            if c in b.column_names:
-                b = b.drop_columns(c)
-        return b
-
-    return ds.map_batches(drop_parts, batch_format="pyarrow")
+    return ray.data.read_parquet(tier_dir(out_dir, tier), partitioning=None)
 
 
 def manifest_summary(out_dir: str) -> dict:

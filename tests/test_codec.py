@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prom_tsdb_copyer_ray import codec
 from prom_tsdb_copyer_ray.codec import (
     decode_chunk,
     decode_timestamps,
@@ -119,7 +121,7 @@ def test_vectorized_ts_bit_identical_to_scalar():
     ]
     concat = np.concatenate(chunks)
     offs = np.cumsum([0] + [len(c) for c in chunks])
-    outs = encode_timestamps_many(concat, offs)
+    outs = encode_timestamps_many(concat, offs).to_pylist()
     for c, o in zip(chunks, outs):
         assert o == encode_timestamps_scalar(c)
         np.testing.assert_array_equal(decode_timestamps(o, len(c)), c)
@@ -139,7 +141,7 @@ def test_vectorized_values_roundtrip_and_decoder_compat():
     ]
     concat = np.concatenate(chunks)
     offs = np.cumsum([0] + [len(c) for c in chunks])
-    for c, o in zip(chunks, encode_values_many(concat, offs)):
+    for c, o in zip(chunks, encode_values_many(concat, offs).to_pylist()):
         np.testing.assert_array_equal(
             decode_values(o, len(c)).view(np.uint64), c.view(np.uint64)
         )
@@ -162,7 +164,7 @@ def test_many_ts_property_matches_scalar(chunk_deltas):
     chunks = [np.cumsum(np.asarray([BASE_MS] + d, dtype=np.int64)) for d in chunk_deltas]
     concat = np.concatenate(chunks)
     offs = np.cumsum([0] + [len(c) for c in chunks])
-    for c, o in zip(chunks, encode_timestamps_many(concat, offs)):
+    for c, o in zip(chunks, encode_timestamps_many(concat, offs).to_pylist()):
         assert o == encode_timestamps_scalar(c)
 
 
@@ -178,7 +180,7 @@ def test_many_values_property_roundtrip(chunk_vals):
     chunks = [np.asarray(v, dtype=np.float64) for v in chunk_vals]
     concat = np.concatenate(chunks) if chunks else np.empty(0)
     offs = np.cumsum([0] + [len(c) for c in chunks])
-    for c, o in zip(chunks, encode_values_many(concat, offs)):
+    for c, o in zip(chunks, encode_values_many(concat, offs).to_pylist()):
         np.testing.assert_array_equal(
             decode_values(o, len(c)).view(np.uint64), c.view(np.uint64)
         )
@@ -209,3 +211,85 @@ def test_ts_roundtrip_property(deltas):
 )
 def test_vals_roundtrip_property(vals):
     roundtrip_vals(np.asarray(vals, dtype=np.float64))
+
+
+# --- word-packed Arrow output ----------------------------------------------
+
+def test_many_returns_binary_arrays_single_returns_bytes():
+    from prom_tsdb_copyer_ray.stages.histograms import encode_hist_buckets_many
+
+    ts = BASE_MS + 15_000 * np.arange(10, dtype=np.int64)
+    offs = np.array([0, 0, 4, 10])
+    for arr in (encode_timestamps_many(ts, offs), encode_values_many(ts * 0.5, offs),
+                encode_hist_buckets_many(ts.astype(np.float64), offs, "histogram"),
+                encode_hist_buckets_many(ts * 0.5, offs, "float_histogram")):
+        assert isinstance(arr, pa.BinaryArray) and len(arr) == 3
+        assert arr[0].as_py() == b""
+    assert encode_timestamps_many(ts[:0], np.array([0, 0])).to_pylist() == [b""]
+    assert encode_values_many(ts[:0] * 0.5, np.array([0])).to_pylist() == []
+    assert isinstance(encode_timestamps(ts), bytes)
+    assert isinstance(encode_values(ts * 0.5), bytes)
+
+
+def test_binary_offsets_overflow_is_an_error(monkeypatch):
+    """The int32 offsets of a binary array never wrap silently: more encoded
+    bytes than the limit raise instead."""
+    ts = BASE_MS + 15_000 * np.arange(100, dtype=np.int64)
+    offs = np.array([0, 50, 100])
+    total = sum(map(len, encode_timestamps_many(ts, offs).to_pylist()))
+    monkeypatch.setattr(codec, "MAX_BINARY_BYTES", total - 1)
+    with pytest.raises(OverflowError):
+        encode_timestamps_many(ts, offs)
+    with pytest.raises(OverflowError):
+        encode_values_many(np.arange(100, dtype=np.float64), offs)
+    monkeypatch.setattr(codec, "MAX_BINARY_BYTES", total)
+    assert len(encode_timestamps_many(ts, offs)) == 2
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def _windowed_chunk(draw):
+    """float64 chunk whose FIRST XOR sets the widest meaningful-bit window
+    (its top and bottom bits set) and whose later XORs fit inside it: the
+    scalar adaptive-window encoder then reuses that window throughout, so it
+    emits the same bits as the chunk-global-window batch encoder."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    lead = draw(st.integers(min_value=0, max_value=31))
+    trail = draw(st.integers(min_value=0, max_value=63 - lead))
+    sig = 64 - lead - trail
+    mask = (1 << sig) - 1
+    first = ((draw(_U64) & mask) | 1 | (1 << (sig - 1))) << trail
+    words = [draw(_U64), first] + [
+        (draw(_U64) & mask) << trail if draw(st.booleans()) else 0 for _ in range(n)]
+    out, cur = [], 0
+    for w in words[: draw(st.integers(min_value=0, max_value=len(words)))]:
+        cur ^= w
+        out.append(cur)
+    return np.array(out, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_windowed_chunk(), min_size=1, max_size=10))
+def test_many_values_match_scalar_across_words(chunks):
+    """Word packing vs the scalar oracle: raw 64-bit first values, 13 + 64-bit
+    headers (a full-width window) and fields at every bit offset, so many
+    cross a 64-bit word boundary."""
+    concat = np.concatenate(chunks)
+    offs = np.cumsum([0] + [len(c) for c in chunks])
+    got = encode_values_many(concat, offs).to_pylist()
+    assert got == [encode_values_scalar(c) for c in chunks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=-(2**60), max_value=2**60), max_size=20),
+                min_size=1, max_size=10))
+def test_many_ts_match_scalar_with_64_bit_fields(chunk_ts):
+    """Timestamps anywhere in +-2**60: most delta-of-deltas take the '1111' +
+    64-bit form, so 64-bit fields land at arbitrary offsets across words."""
+    chunks = [np.sort(np.asarray(c, dtype=np.int64)) for c in chunk_ts]
+    concat = np.concatenate(chunks)
+    offs = np.cumsum([0] + [len(c) for c in chunks])
+    got = encode_timestamps_many(concat, offs).to_pylist()
+    assert got == [encode_timestamps_scalar(c) for c in chunks]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pandas as pd
 import pyarrow.parquet as pq
@@ -58,6 +59,68 @@ def test_single_task_equals_shuffle(ray_session, tmp_path, monkeypatch, group_wi
         # the single-task path writes one block per tier: one file per leaf
         assert set(_leaf_file_counts(small, tier)) == {1}
     # the forced exchange really ran: its sort partitions split the leaves
+    assert max(_leaf_file_counts(big, "1d")) > 1
+
+
+def _parquet_pages(tmp_path, n_files: int = 5) -> list[str]:
+    step = -(-PAGES.num_rows // n_files)
+    files = []
+    for i in range(n_files):
+        files.append(str(tmp_path / f"pages-{i}.parquet"))
+        pq.write_table(PAGES.slice(i * step, step), files[-1])
+    return files
+
+
+def test_run_copy_sizes_parquet_from_footers(ray_session, tmp_path, monkeypatch):
+    """``run_copy`` over a Parquet read sizes its rollup from the footers:
+    no ``Dataset.limit`` probe and no early ``materialize`` on either side of
+    ``SMALL_ROWS``.  A bound at or above ``SMALL_ROWS`` (patched low) streams
+    the extraction into the exchange and writes the same tiers as the
+    single task; so does the memory guard, which materializes the samples
+    (once) when the pages would not fit one Ray block."""
+    import ray.data
+    from ray.data import DataContext
+
+    from prom_tsdb_copyer_ray.pipelines.copy import run_copy
+
+    files = _parquet_pages(tmp_path)
+    calls = []
+
+    def engine_calls(name: str) -> None:
+        # Ray calls both itself (groupby looks for a cached schema through
+        # limit(1), a write executes through materialize()); only the
+        # engine's own calls count
+        real = getattr(ray.data.Dataset, name)
+
+        def spy(self, *a):
+            if sys._getframe(1).f_globals["__name__"].startswith("prom_tsdb_copyer_ray"):
+                calls.append(name)
+            return real(self, *a)
+
+        monkeypatch.setattr(ray.data.Dataset, name, spy)
+
+    engine_calls("limit")
+    engine_calls("materialize")
+
+    def go(name: str, small_rows: int) -> str:
+        monkeypatch.setattr(common, "SMALL_ROWS", small_rows)
+        out = str(tmp_path / name)
+        run_copy(lambda: ray.data.read_parquet(files), out, input_files=files)
+        return out
+
+    small = go("small", 50_000)
+    big = go("big", 2 * PAGES.num_rows // 3)  # two of five files reach it
+    assert calls == []
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1024)
+    guarded = go("guarded", 50_000)
+    assert calls == ["materialize"]
+    for tier in TIERS:
+        want = _tier_df(small, tier)
+        assert len(want) > 0
+        pd.testing.assert_frame_equal(_tier_df(big, tier), want)
+        pd.testing.assert_frame_equal(_tier_df(guarded, tier), want)
+        assert set(_leaf_file_counts(small, tier)) == {1}
+        assert set(_leaf_file_counts(guarded, tier)) == {1}
     assert max(_leaf_file_counts(big, "1d")) > 1
 
 

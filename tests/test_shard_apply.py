@@ -9,7 +9,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from prom_tsdb_copyer_ray.stages.common import materialize_if_small, shard_apply
+from prom_tsdb_copyer_ray.stages.common import parquet_footprint, shard_apply, size_input
 
 
 def _events(n: int = 3000, n_keys: int = 97, seed: int = 3) -> pa.Table:
@@ -129,36 +129,114 @@ def test_small_path_empty_input(ray_session):
     assert shard_apply(ds, ["k"], kernel, by=()).count() == 0
 
 
-def test_materialize_if_small(ray_session, monkeypatch):
-    """A small lazy input comes back materialized with all its rows; a large
-    one comes back as the same lazy Dataset; a materialized one as itself."""
+def _write_parts(tmp_path, t: pa.Table, n_files: int) -> list[str]:
+    import pyarrow.parquet as pq
+
+    step = -(-t.num_rows // n_files)
+    paths = []
+    for i in range(n_files):
+        paths.append(str(tmp_path / f"part-{i:03d}.parquet"))
+        pq.write_table(t.slice(i * step, step), paths[-1])
+    return paths
+
+
+def test_size_input_small_executes_once(ray_session, tmp_path):
+    """A lazy input of unknown size executes once, fully: it comes back
+    materialized with all its rows and its exact count, and the single task
+    then runs on the materialized blocks without executing it again; a
+    materialized input comes back as itself with its count."""
     import ray.data
     from ray.data.dataset import MaterializedDataset
+
+    t = _events()
+    log = str(tmp_path / "calls")
+
+    def counting(b: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("call\n")
+        return b
+
+    lazy = ray.data.from_arrow(t).map_batches(counting, batch_format="pyarrow")
+    small, rows = size_input(lazy)
+    assert isinstance(small, MaterializedDataset) and rows == t.num_rows
+    order = [(c, "ascending") for c in t.column_names]
+    got = pa.Table.from_pandas(small.to_pandas(), preserve_index=False)
+    assert got.sort_by(order).equals(t.sort_by(order))
+    assert size_input(small) == (small, t.num_rows)
+    assert shard_apply(small, ["k"], lambda g: g, rows=rows).count() == t.num_rows
+    with open(log) as f:
+        assert f.read().count("call") == 1
+
+
+def test_size_input_executes_nothing_early(ray_session, tmp_path, monkeypatch):
+    """No sizing executes anything before the job runs: a caller's bound is
+    kept, a bare Parquet read is sized from its footers (read only until
+    they reach ``SMALL_ROWS``) and comes back as the same lazy Dataset, and
+    with the single-task path off (``SMALL_ROWS = 0``) a lazy input of
+    unknown size comes back unexecuted."""
+    import pyarrow.parquet as pq
+    import ray.data
 
     from prom_tsdb_copyer_ray.stages import common
 
     t = _events()
-    lazy = ray.data.from_arrow(t).repartition(5).map_batches(lambda b: b, batch_format="pyarrow")
-    small = materialize_if_small(lazy)
-    assert isinstance(small, MaterializedDataset)
-    order = [(c, "ascending") for c in t.column_names]
-    got = pa.Table.from_pandas(small.to_pandas(), preserve_index=False)
-    assert got.sort_by(order).equals(t.sort_by(order))
-    assert materialize_if_small(small) is small
-    monkeypatch.setattr(common, "SMALL_ROWS", t.num_rows)
-    assert materialize_if_small(lazy) is lazy
-
-
-def test_materialize_if_small_path_off_executes_nothing(ray_session, monkeypatch):
-    """With the single-task path off (``SMALL_ROWS = 0``) a lazy input comes
-    back unexecuted: a ``limit(0)`` probe would start every upstream task
-    and interrupt it."""
-    import ray.data
-
-    from prom_tsdb_copyer_ray.stages import common
-
-    lazy = ray.data.from_arrow(_events()).map_batches(lambda b: b, batch_format="pyarrow")
+    paths = _write_parts(tmp_path, t, 6)
+    read = ray.data.read_parquet(paths)
+    mapped = read.map_batches(lambda b: b, batch_format="pyarrow")
+    footers = []
+    real = pq.read_metadata
+    monkeypatch.setattr(pq, "read_metadata", lambda f: footers.append(f) or real(f))
     monkeypatch.setattr(ray.data.Dataset, "materialize",
                         lambda self: pytest.fail("the input was executed"))
+    monkeypatch.setattr(ray.data.Dataset, "limit",
+                        lambda self, n: pytest.fail("the input was probed"))
+
+    assert size_input(mapped, 123) == (mapped, 123)
+    assert size_input(read) == (read, t.num_rows)
+    assert len(footers) == 6
+    per_file = -(-t.num_rows // 6)
+    footers.clear()
+    monkeypatch.setattr(common, "SMALL_ROWS", per_file + 1)
+    ds, rows = size_input(read)
+    assert ds is read and rows == 2 * per_file and len(footers) == 2
     monkeypatch.setattr(common, "SMALL_ROWS", 0)
-    assert materialize_if_small(lazy) is lazy
+    assert size_input(mapped) == (mapped, None)
+    # a mapped read has no input files: its size is unknown
+    assert parquet_footprint(mapped, 10**9) is None
+    rows, nbytes = parquet_footprint(read, 10**9)
+    assert rows == t.num_rows and nbytes > 0
+
+
+@pytest.mark.parametrize("by", [(), ("_b",)])
+def test_small_lazy_input_one_call_per_by_value(ray_session, tmp_path, by):
+    """The single-task contract: a lazy input of many blocks whose bound is
+    under ``SMALL_ROWS`` reaches the kernel exactly once per ``by`` value,
+    in one task, with no exchange and without executing it beforehand."""
+    import ray.data
+
+    t = _events()
+    log = str(tmp_path / "calls")
+
+    def kernel(g: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write(f"{g.num_rows}\n")
+        return g.group_by(["k", "s"]).aggregate([("v", "sum")])
+
+    def with_bucket(batch: pa.Table) -> pa.Table:
+        return batch.append_column("_b", pa.array(batch["k"].to_numpy() // 10, pa.int64()))
+
+    for src in (ray.data.from_arrow(t).repartition(48).map_batches(
+                    lambda b: b, batch_format="pyarrow", batch_size=None),
+                ray.data.read_parquet(_write_parts(tmp_path, t, 40), override_num_blocks=40)):
+        assert src.materialize().num_blocks() >= 40
+        open(log, "w").close()
+        out = shard_apply(src, ["k", "s"], kernel, prepare=with_bucket if by else None,
+                          by=by, rows=t.num_rows).to_pandas()
+        with open(log) as f:
+            calls = sorted(int(x) for x in f.read().split())
+        df = t.to_pandas()
+        want_calls = sorted((df["k"] // 10).value_counts()) if by else [t.num_rows]
+        assert calls == want_calls
+        want = df.groupby(["k", "s"], as_index=False)["v"].sum().rename(columns={"v": "v_sum"})
+        got = out.sort_values(["k", "s"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[list(want.columns)], want, check_dtype=False)
