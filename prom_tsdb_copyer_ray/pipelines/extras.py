@@ -75,7 +75,7 @@ def q_video_pure_frames(sf_dir: str):
 KHOP_MAX_DRIVER_NODES = 5_000_000
 
 
-def _khop_sharded_hop(edge_rows, frontier_ds, num_shards: int = 64):
+def _khop_sharded_hop(edge_rows, frontier_ds):
     """One BFS hop with NOTHING driver-side: (k, v) edge rows (both
     orientations) co-partition with frontier nodes by k-hash; each shard
     emits the distinct v of edges whose k is in the frontier."""
@@ -108,7 +108,7 @@ def _khop_sharded_hop(edge_rows, frontier_ds, num_shards: int = 64):
 
     both = edge_rows.map_batches(tag_edges, batch_format="pyarrow").union(
         frontier_ds.map_batches(tag_frontier, batch_format="pyarrow"))
-    return shard_apply(both, ["k"], per_shard, num_shards=num_shards)
+    return shard_apply(both, ["k"], per_shard)
 
 
 def q_khop_reach(sf_dir: str, max_driver_nodes: int | None = None):
@@ -238,7 +238,7 @@ def q_l_diversity(sf_dir: str):
 
     return count_distinct_per_group(
         docs.map_batches(prep, batch_format="pyarrow"),
-        ["lang", "size_bucket"], "source", out_col="l", num_shards=8,
+        ["lang", "size_bucket"], "source", out_col="l",
     )
 
 
@@ -258,7 +258,7 @@ def _value_census(sf_dir: str):
 
     return sharded_grouped_agg(
         ds.map_batches(census, batch_format="pyarrow"),
-        ["cv"], [("n", "sum")], num_shards=8,
+        ["cv"], [("n", "sum")],
     ).to_pandas().sort_values("cv")
 
 
@@ -328,7 +328,7 @@ def _type_value_census(sf_dir: str):
 
     return sharded_grouped_agg(
         ds.map_batches(census, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas().sort_values(["event_type", "cv"])
 
 
@@ -489,7 +489,7 @@ def q_cross_corr(sf_dir: str):
 
     census_df = sharded_grouped_agg(
         ds.map_batches(census, batch_format="pyarrow"),
-        ["event_type", "hr"], [("s", "sum")], num_shards=8,
+        ["event_type", "hr"], [("s", "sum")],
     ).to_pandas()
     x = {int(h): int(v) for h, v in
          census_df[census_df["event_type"] == "click"][["hr", "s"]].values}
@@ -539,7 +539,7 @@ def _contingency_census(sf_dir: str):
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("o", "sum")], num_shards=4,
+        ["event_type", "hod"], [("o", "sum")],
     ).to_pandas()
 
 
@@ -625,7 +625,7 @@ def q_jackknife_se(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("nh", "sum"), ("sh", "sum")], num_shards=4,
+        ["event_type", "hod"], [("nh", "sum"), ("sh", "sum")],
     ).to_pandas()
     out = {"event_type": [], "g_groups": [], "jk_se": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -681,7 +681,7 @@ def q_kaplan_meier(sf_dir: str):
 
     per_user = sharded_grouped_agg(
         ds.map_batches(per_user_partial, batch_format="pyarrow"),
-        ["user_id"], [("mn", "min"), ("mx", "max")], num_shards=8,
+        ["user_id"], [("mn", "min"), ("mx", "max")],
     ).materialize()
     data_max = int(per_user.max("mx"))
 
@@ -698,7 +698,7 @@ def q_kaplan_meier(sf_dir: str):
 
     census = sharded_grouped_agg(
         per_user.map_batches(dur_census, batch_format="pyarrow"),
-        ["dur", "cens"], [("cnt", "sum")], num_shards=4,
+        ["dur", "cens"], [("cnt", "sum")],
     ).to_pandas()
     g = census.groupby("dur", sort=True)
     durs = []
@@ -766,7 +766,7 @@ def q_linreg_2f(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["h", "d"], [("n", "sum"), ("sy", "sum")], num_shards=4,
+        ["h", "d"], [("n", "sum"), ("sy", "sum")],
     ).to_pandas()
     h = census["h"].to_numpy().astype(np.int64)
     d = census["d"].to_numpy().astype(np.int64)
@@ -824,7 +824,7 @@ def q_t_closeness(sf_dir: str):
 
     census = sharded_grouped_agg(
         docs.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "sb", "source"], [("ngs", "sum")], num_shards=4,
+        ["lang", "sb", "source"], [("ngs", "sum")],
     ).to_pandas()
     n = int(census["ngs"].sum())
     ns = census.groupby("source")["ngs"].sum().to_dict()
@@ -886,7 +886,7 @@ def q_adamic_adar(sf_dir: str):
 
     ded = sharded_grouped_agg(
         edges.map_batches(tag, batch_format="pyarrow"),
-        ["a", "b"], [("one", "min")], num_shards=8,
+        ["a", "b"], [("one", "min")],
     )
 
     def mirror(batch: pa.Table) -> pa.Table:
@@ -915,7 +915,7 @@ def q_adamic_adar(sf_dir: str):
     pair_scores = sharded_grouped_agg(
         ded.map_batches(mirror, batch_format="pyarrow")
         .groupby("w").map_groups(wedge, batch_format="pyarrow"),
-        ["a", "b"], [("s", "sum")], num_shards=8,
+        ["a", "b"], [("s", "sum")],
     ).to_pandas()
     pair_scores = pair_scores.sort_values(
         ["s", "a", "b"], ascending=[False, True, True]).head(20)
@@ -963,7 +963,6 @@ def q_readability(sf_dir: str):
         ["lang"],
         [("n_docs", "sum"), ("words", "sum"), ("longw", "sum"),
          ("vgroups", "sum")],
-        num_shards=4,
     ).to_pandas().sort_values("lang")
     wpd = census["words"].to_numpy().astype(np.float64) \
         / census["n_docs"].to_numpy().astype(np.float64)
@@ -1088,7 +1087,6 @@ def q_sax_words(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "day", "seg"], [("n", "sum"), ("ss", "sum")],
-        num_shards=4,
     ).to_pandas()
     gl = census.groupby("event_type").agg(nn=("n", "sum"), tot=("ss", "sum"))
     words = {}
@@ -1213,7 +1211,7 @@ def q_attribution(sf_dir: str):
     partial = ds.map_batches(prep, batch_format="pyarrow") \
         .groupby("user_id").map_groups(scan, batch_format="pyarrow")
     census = sharded_grouped_agg(
-        partial, ["attributed"], [("n_purchases", "sum")], num_shards=2,
+        partial, ["attributed"], [("n_purchases", "sum")],
     ).to_pandas().sort_values("attributed")
     return pa.table({
         "attributed": pa.array(census["attributed"].tolist(), pa.string()),
@@ -1245,7 +1243,7 @@ def q_fano_factor(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hr"], [("c", "sum")], num_shards=4,
+        ["event_type", "hr"], [("c", "sum")],
     ).to_pandas()
     h_lo = int(census["hr"].min())
     h_hi = int(census["hr"].max())

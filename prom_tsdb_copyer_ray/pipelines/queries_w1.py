@@ -27,47 +27,32 @@ def q_rollup_5m(sf_dir: str):
     return _round_sum(_rollup_events(sf_dir, MS_5M))
 
 
-def q_rollup_1h(sf_dir: str):
-    """Continuous aggregate: 1h computed FROM the 5m partials (merge path);
-    the oracle computes 1h directly — validating partial+final merge."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    t5 = _rollup_events(sf_dir, MS_5M)
-
-    def to_1h(batch: pa.Table) -> pa.Table:
-        w = window_start(batch["window_start"], MS_1H)
-        return batch.set_column(batch.column_names.index("window_start"), "window_start", w)
-
+def _rollup_merged(sf_dir: str, finer_ms: int, coarser_ms: int):
+    """Rollup at ``coarser_ms`` merged from the ``finer_ms`` partials (the
+    partial+final merge path); the oracles compute it directly."""
     from ..stages.keyed import sharded_grouped_agg
 
+    def to_coarser(batch: pa.Table) -> pa.Table:
+        w = window_start(batch["window_start"], coarser_ms)
+        return batch.set_column(batch.column_names.index("window_start"), "window_start", w)
+
     merged = sharded_grouped_agg(
-        t5.map_batches(to_1h, batch_format="pyarrow"),
+        _rollup_events(sf_dir, finer_ms).map_batches(to_coarser, batch_format="pyarrow"),
         ["event_type", "window_start"],
         [("n", "sum"), ("sum_value", "sum"),
          ("min_value", "min"), ("max_value", "max")],
     )
     return _round_sum(merged)
+
+
+def q_rollup_1h(sf_dir: str):
+    """Continuous aggregate: 1h computed FROM the 5m partials."""
+    return _rollup_merged(sf_dir, MS_5M, MS_1H)
 
 
 def q_rollup_1d(sf_dir: str):
     """1d computed from 1h partials (two merge hops vs direct SQL)."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    t1h = _rollup_events(sf_dir, MS_1H)
-
-    def to_1d(batch: pa.Table) -> pa.Table:
-        w = window_start(batch["window_start"], MS_1D)
-        return batch.set_column(batch.column_names.index("window_start"), "window_start", w)
-
-    from ..stages.keyed import sharded_grouped_agg
-
-    merged = sharded_grouped_agg(
-        t1h.map_batches(to_1d, batch_format="pyarrow"),
-        ["event_type", "window_start"],
-        [("n", "sum"), ("sum_value", "sum"),
-         ("min_value", "min"), ("max_value", "max")],
-    )
-    return _round_sum(merged)
+    return _rollup_merged(sf_dir, MS_1H, MS_1D)
 
 
 def q_range_discovery(sf_dir: str):
@@ -734,7 +719,7 @@ def q_gap_stats(sf_dir: str):
     return sharded_grouped_agg(
         lagged.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "user_id"],
-        [("max_gap_ms", "max"), ("n_gaps_1h", "sum")], num_shards=16,
+        [("max_gap_ms", "max"), ("n_gaps_1h", "sum")],
     )
 
 
@@ -1913,7 +1898,7 @@ def q_full_join(sf_dir: str):
 
         return sharded_grouped_agg(
             ds.map_batches(partial, batch_format="pyarrow"),
-            ["user_id"], [(out, "sum")], num_shards=16,
+            ["user_id"], [(out, "sum")],
         )
 
     left = side("signup", "n_signup")
@@ -2213,7 +2198,7 @@ def q_share_of_type(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "user_id"], [("n", "sum")], num_shards=16,
+        ["event_type", "user_id"], [("n", "sum")],
     )
     return ratio_to_total(counts, ["event_type"], "n",
                           carry_cols=["user_id"], out_col="share")
@@ -2488,7 +2473,6 @@ def q_dataset_split(sf_dir: str):
     return sharded_grouped_agg(
         ds.map_batches(assign, batch_format="pyarrow"),
         ["split", "lang"], [("n_docs", "sum"), ("sum_chars", "sum")],
-        num_shards=8,
     )
 
 
@@ -2535,7 +2519,7 @@ def q_peak_hour(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hour"], [("n", "sum")], num_shards=8,
+        ["event_type", "hour"], [("n", "sum")],
     )
     out = topk_per_group(counts, ["event_type"], "n", 1, tiebreak_col="hour")
     return out.map_batches(
@@ -2592,7 +2576,7 @@ def q_resets(sf_dir: str):
 
     return sharded_grouped_agg(
         lagged.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "user_id"], [("n_resets", "sum")], num_shards=16,
+        ["event_type", "user_id"], [("n_resets", "sum")],
     )
 
 
@@ -2705,7 +2689,7 @@ def q_cluster_sizes(sf_dir: str):
 
     sizes = sharded_grouped_agg(
         cc.map_batches(comp_partial, batch_format="pyarrow"),
-        ["component"], [("size", "sum")], num_shards=16,
+        ["component"], [("size", "sum")],
     )
 
     def size_partial(batch: pa.Table) -> pa.Table:
@@ -2718,7 +2702,7 @@ def q_cluster_sizes(sf_dir: str):
 
     return sharded_grouped_agg(
         sizes.map_batches(size_partial, batch_format="pyarrow"),
-        ["size"], [("n_components", "sum")], num_shards=4,
+        ["size"], [("n_components", "sum")],
     )
 
 
@@ -2806,7 +2790,7 @@ def q_slo_burn(sf_dir: str):
 
     win = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["w"], [("n_err", "sum"), ("n_all", "sum")], num_shards=16,
+        ["w"], [("n_err", "sum"), ("n_all", "sum")],
     )
 
     def day_partial(batch: pa.Table) -> pa.Table:
@@ -2823,7 +2807,7 @@ def q_slo_burn(sf_dir: str):
 
     return sharded_grouped_agg(
         win.map_batches(day_partial, batch_format="pyarrow"),
-        ["day"], [("n_burn", "sum"), ("n_windows", "sum")], num_shards=4,
+        ["day"], [("n_burn", "sum"), ("n_windows", "sum")],
     )
 
 
@@ -2913,7 +2897,6 @@ def q_monthly_rollup(sf_dir: str):
     out = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "month_ms"], [("n", "sum"), ("csum", "sum")],
-        num_shards=8,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -2947,7 +2930,7 @@ def q_k_anonymity(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "source"], [("n_docs", "sum")], num_shards=8,
+        ["lang", "source"], [("n_docs", "sum")],
     )
     # bounded by distinct (lang, source); collected schema-stably because a
     # dense corpus (sf1: 10x docs) has NO under-k combos -> empty result
@@ -3077,7 +3060,6 @@ def q_anomaly_3sigma(sf_dir: str):
     return sharded_grouped_agg(
         flags.map_batches(partial, batch_format="pyarrow"),
         ["event_type"], [("n_anomalies", "sum"), ("n_points", "sum")],
-        num_shards=4,
     )
 
 
@@ -3102,7 +3084,7 @@ def q_skyline(sf_dir: str):
 
     per_user = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum"), ("y", "sum")], num_shards=16,
+        ["user_id"], [("x", "sum"), ("y", "sum")],
     )
     return pareto_skyline(per_user, "x", "y")
 
@@ -3172,7 +3154,7 @@ def q_value_histogram(sf_dir: str):
 
     return sharded_grouped_agg(
         centi.map_batches(bucketize, batch_format="pyarrow"),
-        ["event_type", "bucket"], [("n", "sum")], num_shards=8,
+        ["event_type", "bucket"], [("n", "sum")],
     )
 
 
@@ -3191,8 +3173,7 @@ def q_pmi_pairs(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     combined = cooccurrence_pairs(
-        ds, "user_id", "event_type", out_count="n_keys", num_shards=16,
-        marginals=True, bounded_final=True,
+        ds, "user_id", "event_type", out_count="n_keys", marginals=True, bounded_final=True,
     ).materialize()
 
     per_type: dict[str, int] = {}
@@ -3261,7 +3242,7 @@ def q_quality_deciles(sf_dir: str):
 
     return sharded_grouped_agg(
         narrow.map_batches(bucketize, batch_format="pyarrow"),
-        ["decile"], [("n_docs", "sum"), ("char_mass", "sum")], num_shards=4,
+        ["decile"], [("n_docs", "sum"), ("char_mass", "sum")],
     )
 
 
@@ -3307,7 +3288,7 @@ def q_user_entropy(sf_dir: str):
         })
 
     return shard_apply(ds, ["user_id"], per_shard, prepare=partial,
-                       coalesce=False, num_shards=16)
+                       coalesce=False)
 
 
 def q_term_drift(sf_dir: str):
@@ -3527,7 +3508,7 @@ def q_psi_buckets(sf_dir: str):
 
     counts = sharded_grouped_agg(
         centi.map_batches(bucketize, batch_format="pyarrow"),
-        ["bucket"], [("n_even", "sum"), ("n_odd", "sum")], num_shards=4,
+        ["bucket"], [("n_even", "sum"), ("n_odd", "sum")],
     )
 
     def score(batch: pa.Table) -> pa.Table:
@@ -3585,7 +3566,7 @@ def q_rrf_fusion(sf_dir: str):
     joined = shuffle_join(
         p1.map_batches(r1, batch_format="pyarrow"),
         p2.map_batches(r2, batch_format="pyarrow"),
-        "doc_id", "doc_id", right_cols=["p2"], num_shards=16,
+        "doc_id", "doc_id", right_cols=["p2"],
     )
 
     def fuse(batch: pa.Table) -> pa.Table:
@@ -3788,7 +3769,7 @@ def q_fair_share_sample(sf_dir: str):
     per_source: dict[str, int] = {}
     for part in sharded_grouped_agg(
         ds.map_batches(counts, batch_format="pyarrow"),
-        ["source"], [("n", "sum")], num_shards=4,
+        ["source"], [("n", "sum")],
     ).iter_batches(batch_format="pyarrow"):
         for r in part.to_pylist():
             per_source[r["source"]] = per_source.get(r["source"], 0) + r["n"]
@@ -3880,7 +3861,7 @@ def q_quarantine(sf_dir: str):
 
     return sharded_grouped_agg(
         tagged.map_batches(counts, batch_format="pyarrow"),
-        ["reason"], [("n", "sum")], num_shards=4,
+        ["reason"], [("n", "sum")],
     )
 
 
@@ -3934,7 +3915,6 @@ def q_schema_evolution(sf_dir: str):
         ds.map_batches(counts, batch_format="pyarrow"),
         ["event_type"],
         [("n", "sum"), ("n_value", "sum"), ("n_props", "sum")],
-        num_shards=4,
     )
 
 
@@ -4019,7 +3999,6 @@ def q_tpch_q3(sf_dir: str):
     per_order = sharded_grouped_agg(
         joined.map_batches(partial, batch_format="pyarrow"),
         ["l_orderkey", "o_date_ms", "o_orderpriority"], [("micro", "sum")],
-        num_shards=16,
     )
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -4132,7 +4111,7 @@ def q_tpch_q5(sf_dir: str):
 
     agg = sharded_grouped_agg(
         li2.map_batches(score, batch_format="pyarrow"),
-        ["n_name"], [("micro", "sum")], num_shards=4,
+        ["n_name"], [("micro", "sum")],
     )
 
     def fin(batch: pa.Table) -> pa.Table:
@@ -4179,7 +4158,7 @@ def q_tpch_q18(sf_dir: str):
 
     per_order = sharded_grouped_agg(
         li.map_batches(partial, batch_format="pyarrow"),
-        ["l_orderkey"], [("sum_qty", "sum")], num_shards=16,
+        ["l_orderkey"], [("sum_qty", "sum")],
     )
 
     def having(batch: pa.Table) -> pa.Table:
@@ -4284,7 +4263,7 @@ def q_tpch_q10(sf_dir: str):
 
     per_cust = sharded_grouped_agg(
         joined.map_batches(partial, batch_format="pyarrow"),
-        ["o_custkey"], [("micro", "sum")], num_shards=16,
+        ["o_custkey"], [("micro", "sum")],
     )
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -4427,7 +4406,6 @@ def q_rand_projection(sf_dir: str):
         ds.map_batches(partial, batch_format="pyarrow"),
         ["dim"],
         [("n_pos", "sum"), ("n_neg", "sum"), ("sum_proj", "sum")],
-        num_shards=1,
     )
 
 
@@ -4463,7 +4441,7 @@ def q_benford_digits(sf_dir: str):
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "digit"], [("n", "sum")], num_shards=4,
+        ["event_type", "digit"], [("n", "sum")],
     )
 
 

@@ -235,7 +235,7 @@ def q_gini_concentration(sf_dir: str):
     census = pa.concat_tables(
         sharded_grouped_agg(
             ds.map_batches(partial, batch_format="pyarrow"),
-            ["source", "n_chars"], [("cnt", "sum")], num_shards=8,
+            ["source", "n_chars"], [("cnt", "sum")],
         ).iter_batches(batch_format="pyarrow")
     ).sort_by([("source", "ascending"), ("n_chars", "ascending")])
 
@@ -339,7 +339,6 @@ def q_bloom_lookup(sf_dir: str):
     return sharded_grouped_agg(
         ds.map_batches(exact, batch_format="pyarrow"),
         ["user_id"], [("n_events", "sum"), ("sum_centi", "sum")],
-        num_shards=1,
     )
 
 
@@ -411,7 +410,7 @@ def q_funnel_latency(sf_dir: str):
 
     lat = (
         shard_apply(ds, ["user_id"], per_shard, prepare=full_rows,
-                    coalesce=False, num_shards=16)
+                    coalesce=False)
         .materialize()
     )
     n = lat.count()
@@ -447,7 +446,7 @@ def q_window_share(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("n", "sum")], num_shards=16,
+        ["event_type", "window_start"], [("n", "sum")],
     )
     return ratio_to_total(counts, ["window_start"], "n",
                           carry_cols=["event_type"], out_col="share")
@@ -473,7 +472,7 @@ def q_hourly_growth(sf_dir: str):
 
     hourly = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("n", "sum")], num_shards=16,
+        ["event_type", "window_start"], [("n", "sum")],
     )
     lagged = lag_column(hourly, ["event_type"], ["window_start"], "n")
 
@@ -517,7 +516,7 @@ def q_skew_report(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["col", "val"], [("n", "sum")], num_shards=16,
+        ["col", "val"], [("n", "sum")],
     )
 
     # fold stays distributed: a key column's distinct count can be huge,
@@ -535,7 +534,6 @@ def q_skew_report(sf_dir: str):
         counts.map_batches(fold, batch_format="pyarrow"),
         ["col"],
         [("n_rows", "sum"), ("n_distinct", "sum"), ("max_count", "max")],
-        num_shards=2,
     )
 
     def fin(batch: pa.Table) -> pa.Table:
@@ -644,7 +642,7 @@ def q_lang_top_terms(sf_dir: str):
 
     df_tbl = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "term"], [("df", "sum")], num_shards=16,
+        ["lang", "term"], [("df", "sum")],
     )
     return topk_per_group(df_tbl, ["lang"], "df", 5, tiebreak_col="term",
                           descending=True)
@@ -706,7 +704,7 @@ def q_irate(sf_dir: str):
     top2 = topk_per_group(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["event_type"], "tms", k=2, tiebreak_col="event_id",
-        descending=True, num_shards=8,
+        descending=True,
     ).to_pandas()
 
     rows = {"event_type": [], "last_ts_ms": [], "dt_ms": [], "irate_per_s": []}
@@ -759,7 +757,7 @@ def q_interpolate_5m(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")], num_shards=8,
+        ["event_type", "window_start"], [("cs", "sum")],
     )
 
     def interp(group: pa.Table) -> pa.Table:
@@ -949,7 +947,7 @@ def q_canonical_url(sf_dir: str):
 
     return sharded_grouped_agg(
         ds.map_batches(variants, batch_format="pyarrow"),
-        ["doc_id", "url_canon"], [("n_variants", "sum")], num_shards=8,
+        ["doc_id", "url_canon"], [("n_variants", "sum")],
     )
 
 
@@ -1045,7 +1043,7 @@ def q_lttb_downsample(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")], num_shards=8,
+        ["event_type", "window_start"], [("cs", "sum")],
     )
 
     def downsample(group: pa.Table) -> pa.Table:
@@ -1095,7 +1093,7 @@ def q_locf_5m(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")], num_shards=8,
+        ["event_type", "window_start"], [("cs", "sum")],
     )
 
     def locf(group: pa.Table) -> pa.Table:
@@ -1156,7 +1154,7 @@ def q_label_ops(sf_dir: str):
 
     return sharded_grouped_agg(
         samples.map_batches(relabel_count, batch_format="pyarrow"),
-        ["metric", "shard", "instance"], [("n", "sum")], num_shards=8,
+        ["metric", "shard", "instance"], [("n", "sum")],
     )
 
 def q_holt_winters(sf_dir: str):
@@ -1185,7 +1183,7 @@ def q_holt_winters(sf_dir: str):
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")], num_shards=8,
+        ["event_type", "window_start"], [("cs", "sum")],
     )
 
     def smooth(group: pa.Table) -> pa.Table:
@@ -1239,7 +1237,7 @@ def q_skew_join(sf_dir: str):
 
     dim = sharded_grouped_agg(
         left.map_batches(distinct_partial, batch_format="pyarrow"),
-        ["k"], [("n", "max")], num_shards=8,
+        ["k"], [("n", "max")],
     )
 
     def add_grp(batch: pa.Table) -> pa.Table:
@@ -1251,7 +1249,7 @@ def q_skew_join(sf_dir: str):
 
     dim = dim.map_batches(add_grp, batch_format="pyarrow")
     joined = skew_aware_join(left, dim, "k", "k", right_cols=["grp"],
-                             hot_threshold=1000, num_shards=16)
+                             hot_threshold=1000)
 
     def census(batch: pa.Table) -> pa.Table:
         t = pa.table({
@@ -1355,7 +1353,7 @@ def q_max_xrate_1h(sf_dir: str):
 
     return sharded_grouped_agg(
         r5.map_batches(rekey, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("max_xrate", "max")], num_shards=8,
+        ["event_type", "window_start"], [("max_xrate", "max")],
     )
 
 
@@ -1395,7 +1393,7 @@ def q_changes(sf_dir: str):
 
     return sharded_grouped_agg(
         lagged.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "user_id"], [("n_changes", "sum")], num_shards=16,
+        ["event_type", "user_id"], [("n_changes", "sum")],
     )
 
 
@@ -1469,7 +1467,7 @@ def q_autocorr_lag1(sf_dir: str):
                         ["event_type"], ["tsms", "event_id"], "y")
 
     out = grouped_corr(lagged, ["event_type"], "prev", "y",
-                       out_col="acf1", num_shards=8)
+                       out_col="acf1")
     return _finalize(out, {}, {"acf1": 8})
 
 
@@ -1502,7 +1500,7 @@ def q_stddev_1h(sf_dir: str):
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "window_start"],
-        [("_n", "sum"), ("_s", "sum"), ("_s2", "sum")], num_shards=16,
+        [("_n", "sum"), ("_s", "sum"), ("_s2", "sum")],
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -1564,7 +1562,7 @@ def q_seasonal_residual(sf_dir: str):
 
     census = sharded_grouped_agg(
         prepped.map_batches(census_partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("_n", "sum"), ("_s", "sum")], num_shards=4,
+        ["event_type", "hod"], [("_n", "sum"), ("_s", "sum")],
     ).to_pandas()
     lut = {}  # type -> (n[24], s[24])
     for et, grp in census.groupby("event_type"):
@@ -1594,7 +1592,7 @@ def q_seasonal_residual(sf_dir: str):
 
     top = topk_per_group(
         prepped.map_batches(residual, batch_format="pyarrow"),
-        ["event_type"], "dev", k=3, tiebreak_col="event_id", num_shards=4,
+        ["event_type"], "dev", k=3, tiebreak_col="event_id",
     )
     return _finalize(top, {}, {"dev": 6})
 
@@ -1624,7 +1622,7 @@ def q_weighted_median(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["lang", "n_chars"], [("w", "sum")], num_shards=8,
+        ["lang", "n_chars"], [("w", "sum")],
     )
 
     def per_lang(group: pa.Table) -> pa.Table:
@@ -1649,7 +1647,7 @@ def q_weighted_median(sf_dir: str):
 
     from ..stages.common import shard_apply
 
-    return shard_apply(census, ["lang"], per_lang, coalesce=False, num_shards=8)
+    return shard_apply(census, ["lang"], per_lang, coalesce=False)
 
 
 def q_ks_statistic(sf_dir: str):
@@ -1683,7 +1681,7 @@ def q_ks_statistic(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["cv"], [("c1", "sum"), ("c2", "sum")], num_shards=8,
+        ["cv"], [("c1", "sum"), ("c2", "sum")],
     ).to_pandas().sort_values("cv")
 
     cv = census["cv"].to_numpy()
@@ -1727,7 +1725,7 @@ def q_chi2_independence(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("o", "sum")], num_shards=4,
+        ["event_type", "hod"], [("o", "sum")],
     ).to_pandas()
 
     piv = census.pivot_table(index="event_type", columns="hod", values="o",
@@ -1874,7 +1872,7 @@ def q_isotonic_hourly(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("_n", "sum"), ("_s", "sum")], num_shards=4,
+        ["event_type", "hod"], [("_n", "sum"), ("_s", "sum")],
     ).to_pandas().sort_values(["event_type", "hod"])
 
     out = {"event_type": [], "hod": [], "iso_mean": []}
@@ -1933,7 +1931,7 @@ def q_mannwhitney_u(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["cv"], [("c1", "sum"), ("c2", "sum")], num_shards=8,
+        ["cv"], [("c1", "sum"), ("c2", "sum")],
     ).to_pandas().sort_values("cv")
 
     c1 = census["c1"].to_numpy().astype(np.int64)
@@ -2046,7 +2044,6 @@ def q_debounce_events(sf_dir: str):
         shard_apply(ds, ["user_id", "event_type"], census, prepare=prep,
                     coalesce=False),
         ["event_type"], [("n_total", "sum"), ("n_kept", "sum")],
-        num_shards=4,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -2158,7 +2155,7 @@ def _type_moment_census(sf_dir: str, keys_hod: bool):
     keys = ["event_type", "hod"] if keys_hod else ["event_type"]
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        keys, [("_n", "sum"), ("_s", "sum"), ("_s2", "sum")], num_shards=4,
+        keys, [("_n", "sum"), ("_s", "sum"), ("_s2", "sum")],
     ).to_pandas()
 
 
@@ -2425,7 +2422,7 @@ def q_longest_streak(sf_dir: str):
     return sharded_grouped_agg(
         shard_apply(ds, ["user_id", "event_type"], runs, prepare=prep,
                     coalesce=False),
-        ["event_type"], [("streak", "max")], num_shards=4,
+        ["event_type"], [("streak", "max")],
     )
 
 

@@ -121,7 +121,7 @@ def q_tpch_q4(sf_dir: str):
     pairs = joined.map_batches(late_pairs, batch_format="pyarrow")
     return count_distinct_per_group(
         pairs, ["o_orderpriority"], "l_orderkey",
-        out_col="order_count", num_shards=8,
+        out_col="order_count",
     )
 
 
@@ -191,7 +191,6 @@ def q_tpch_q7(sf_dir: str):
     agg = sharded_grouped_agg(
         j2.map_batches(partial, batch_format="pyarrow"),
         ["supp_nation", "cust_nation", "l_year"], [("micro", "sum")],
-        num_shards=8,
     )
 
     def fin(batch: pa.Table) -> pa.Table:
@@ -274,7 +273,7 @@ def q_tpch_q8(sf_dir: str):
 
     agg = sharded_grouped_agg(
         li3.map_batches(partial, batch_format="pyarrow"),
-        ["o_year"], [("nat_micro", "sum"), ("tot_micro", "sum")], num_shards=2,
+        ["o_year"], [("nat_micro", "sum"), ("tot_micro", "sum")],
     )
 
     def fin(batch: pa.Table) -> pa.Table:
@@ -333,7 +332,7 @@ def q_tpch_q9(sf_dir: str):
 
     agg = sharded_grouped_agg(
         j2.map_batches(partial, batch_format="pyarrow"),
-        ["nation", "o_year"], [("micro", "sum")], num_shards=4,
+        ["nation", "o_year"], [("micro", "sum")],
     )
 
     def fin(batch: pa.Table) -> pa.Table:
@@ -367,7 +366,7 @@ def q_tpch_q11(sf_dir: str):
 
     per_part = sharded_grouped_agg(
         li.map_batches(partial, batch_format="pyarrow"),
-        ["l_partkey"], [("value_c", "sum")], num_shards=16,
+        ["l_partkey"], [("value_c", "sum")],
     )
     tbl = _collect(per_part)  # bounded by the part dim cardinality
     total = int(pc.sum(tbl["value_c"]).as_py() or 0)
@@ -409,7 +408,7 @@ def q_tpch_q15(sf_dir: str):
 
     per_supp = sharded_grouped_agg(
         li.map_batches(partial, batch_format="pyarrow"),
-        ["s"], [("micro", "sum")], num_shards=4,
+        ["s"], [("micro", "sum")],
     )
     tbl = _collect(per_supp)  # bounded by the supplier dim
     micro = tbl["micro"].to_numpy(zero_copy_only=False)
@@ -477,7 +476,7 @@ def q_tpch_q16(sf_dir: str):
     return count_distinct_per_group(
         j.map_batches(drop_bad, batch_format="pyarrow"),
         ["p_brand", "p_type", "p_size"], "l_suppkey",
-        out_col="supplier_cnt", num_shards=8,
+        out_col="supplier_cnt",
     )
 
 
@@ -515,7 +514,7 @@ def q_tpch_q17(sf_dir: str):
     li_b3 = broadcast_join(li, b3, "l_partkey", "p_partkey", how="semi")
     stats = _collect(sharded_grouped_agg(
         li_b3.map_batches(qty_partial, batch_format="pyarrow"),
-        ["l_partkey"], [("sum_q", "sum"), ("cnt", "sum")], num_shards=4,
+        ["l_partkey"], [("sum_q", "sum"), ("cnt", "sum")],
     ))
 
     li2 = broadcast_join(
@@ -612,7 +611,7 @@ def q_tpch_q21(sf_dir: str):
 
     per_pair = sharded_grouped_agg(
         j.map_batches(late_partial, batch_format="pyarrow"),
-        ["l_orderkey", "l_suppkey"], [("late", "max")], num_shards=16,
+        ["l_orderkey", "l_suppkey"], [("late", "max")],
     )
 
     def per_order_partial(batch: pa.Table) -> pa.Table:
@@ -633,7 +632,6 @@ def q_tpch_q21(sf_dir: str):
         per_pair.map_batches(per_order_partial, batch_format="pyarrow"),
         ["l_orderkey"],
         [("n_supp", "sum"), ("n_late", "sum"), ("late_supp", "sum")],
-        num_shards=16,
     )
 
     def winners(batch: pa.Table) -> pa.Table:
@@ -655,7 +653,7 @@ def q_tpch_q21(sf_dir: str):
 
     per_supp = _collect(sharded_grouped_agg(
         per_order.map_batches(winners, batch_format="pyarrow"),
-        ["s"], [("numwait", "sum")], num_shards=2,
+        ["s"], [("numwait", "sum")],
     ))  # bounded by the supplier dim
 
     supp = _dim(sf_dir, "supplier", ["s_suppkey", "s_name"])
@@ -704,7 +702,7 @@ def q_tpch_q22(sf_dir: str):
 
     active = _collect(sharded_grouped_agg(
         orders.map_batches(distinct_part, batch_format="pyarrow"),
-        ["ck"], [("one", "max")], num_shards=8,
+        ["ck"], [("one", "max")],
     ))["ck"].to_numpy(zero_copy_only=False)
 
     ck = _i64(cust["c_custkey"])
@@ -761,7 +759,7 @@ def q_tpch_q2(sf_dir: str):
 
     per_part = _collect(sharded_grouped_agg(
         li_big.map_batches(comp_partial, batch_format="pyarrow"),
-        ["p_partkey"], [("comp", "min")], num_shards=8,
+        ["p_partkey"], [("comp", "min")],
     ))  # bounded by the part dim
     comp = per_part["comp"].to_numpy(zero_copy_only=False)
     sk = comp % _COMP_BASE
@@ -820,7 +818,6 @@ def q_tpch_q20(sf_dir: str):
     per_pair = _collect(sharded_grouped_agg(
         li_w.map_batches(partial, batch_format="pyarrow"),
         ["l_suppkey", "l_partkey"], [("qall", "sum"), ("q96", "sum")],
-        num_shards=8,
     ))  # bounded by supplier x part dims
     qall = per_pair["qall"].to_numpy(zero_copy_only=False)
     q96 = per_pair["q96"].to_numpy(zero_copy_only=False)
@@ -864,7 +861,7 @@ def q_tpch_q13(sf_dir: str):
 
     census = _collect(sharded_grouped_agg(
         orders.map_batches(part, batch_format="pyarrow"),
-        ["ck"], [("n", "sum")], num_shards=8,
+        ["ck"], [("n", "sum")],
     ))
     ck = np.sort(_i64(cust["c_custkey"]))
     counts = np.zeros(len(ck), np.int64)

@@ -65,7 +65,7 @@ def q_spearman_corr(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["hod", "cv"], [("n", "sum")], num_shards=8,
+        ["hod", "cv"], [("n", "sum")],
     ).to_pandas()
 
     # doubled midranks per marginal: r2(v) = 2*(count below) + count(v) + 1
@@ -124,7 +124,7 @@ def q_kendall_tau(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["hod", "vb"], [("n", "sum")], num_shards=4,
+        ["hod", "vb"], [("n", "sum")],
     ).to_pandas()
 
     h = census["hod"].to_numpy()
@@ -175,7 +175,7 @@ def q_theil_sen(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["hod"], [("s", "sum"), ("c", "sum")], num_shards=2,
+        ["hod"], [("s", "sum"), ("c", "sum")],
     ).to_pandas().sort_values("hod")
 
     hod = census["hod"].to_numpy()
@@ -217,7 +217,7 @@ def q_changepoint(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["day_ms"], [("s", "sum"), ("c", "sum")], num_shards=2,
+        ["day_ms"], [("s", "sum"), ("c", "sum")],
     ).to_pandas().sort_values("day_ms")
 
     days = census["day_ms"].to_numpy()
@@ -263,7 +263,7 @@ def q_runs_test(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(vcensus, batch_format="pyarrow"),
-        ["cv"], [("n", "sum")], num_shards=8,
+        ["cv"], [("n", "sum")],
     ).to_pandas().sort_values("cv")
     cum = census["n"].to_numpy().cumsum()
     n_all = int(cum[-1])
@@ -321,7 +321,7 @@ def q_runs_test(sf_dir: str):
 
     parts = (
         shard_apply(ds, ["event_type", "day_ms"], per_day, prepare=prep,
-                    coalesce=False, num_shards=32)
+                    coalesce=False)
         .to_pandas()
         .sort_values(["event_type", "day_ms"])
     )

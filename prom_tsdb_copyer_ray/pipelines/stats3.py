@@ -60,7 +60,7 @@ def dense_hour_counts(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hr"], [("c", "sum")], num_shards=4,
+        ["event_type", "hr"], [("c", "sum")],
     ).to_pandas()
     h_lo = int(census["hr"].min())
     h_hi = int(census["hr"].max())
@@ -109,7 +109,7 @@ def q_diurnal_amplitude(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")], num_shards=2,
+        ["event_type", "d"], [("t", "sum")],
     ).to_pandas()
     out = {"event_type": [], "n": [], "a_cos": [], "b_sin": [],
            "amp_ratio": []}
@@ -379,7 +379,7 @@ def q_hapax_rate(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial_cf, batch_format="pyarrow"),
-        ["lang", "term"], [("n", "sum")], num_shards=16,
+        ["lang", "term"], [("n", "sum")],
     )
 
     def lang_partial(batch: pa.Table) -> pa.Table:
@@ -398,7 +398,6 @@ def q_hapax_rate(sf_dir: str):
     agg = sharded_grouped_agg(
         census.map_batches(lang_partial, batch_format="pyarrow"),
         ["lang"], [("vocab", "sum"), ("hapax", "sum"), ("tokens", "sum")],
-        num_shards=2,
     ).to_pandas().sort_values("lang")
     vocab = agg["vocab"].to_numpy(np.int64)
     hapax = agg["hapax"].to_numpy(np.int64)
@@ -440,7 +439,7 @@ def q_jsd_types(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")], num_shards=2,
+        ["event_type", "d"], [("t", "sum")],
     ).to_pandas()
     prof: dict[str, np.ndarray] = {}
     for et, grp in census.groupby("event_type", sort=True):
@@ -501,7 +500,7 @@ def q_theil_index(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum")], num_shards=8,
+        ["user_id"], [("x", "sum")],
     )
 
     def sn_partial(batch: pa.Table) -> pa.Table:
@@ -633,7 +632,7 @@ def q_odds_ratio(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["purch", "wknd"], [("n", "sum")], num_shards=1,
+        ["purch", "wknd"], [("n", "sum")],
     ).to_pandas()
     cell = {(int(r["purch"]), int(r["wknd"])): int(r["n"])
             for _, r in census.iterrows()}
@@ -688,7 +687,7 @@ def q_bhattacharyya(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     prof = {str(et): dict(zip(grp["cv"].astype(int), grp["n"].astype(int)))
             for et, grp in census.groupby("event_type", sort=True)}
@@ -739,7 +738,7 @@ def q_kendall_w(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")], num_shards=2,
+        ["event_type", "d"], [("t", "sum")],
     ).to_pandas()
     prof: dict[str, np.ndarray] = {}
     for et, grp in census.groupby("event_type", sort=True):
@@ -841,7 +840,7 @@ def q_hill_tail(sf_dir: str):
 
     top = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum")], num_shards=8,
+        ["user_id"], [("x", "sum")],
     ).sort("x", descending=True).limit(51).to_pandas()
     xs = top["x"].to_numpy(np.int64)
     k = len(xs) - 1
@@ -982,7 +981,7 @@ def q_spectral_flatness(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")], num_shards=2,
+        ["event_type", "d"], [("t", "sum")],
     ).to_pandas()
     out = {"event_type": [], "ln_flatness": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -1053,8 +1052,8 @@ def q_dau_jaccard(sf_dir: str):
 
     census = sharded_grouped_agg(
         shard_apply(ds, ["user_id"], per_shard, prepare=partial,
-                    coalesce=False, num_shards=16),
-        ["day"], [("act", "sum"), ("both", "sum")], num_shards=2,
+                    coalesce=False),
+        ["day"], [("act", "sum"), ("both", "sum")],
     ).to_pandas().sort_values("day")
     days = census["day"].to_numpy(np.int64)
     act = census["act"].to_numpy(np.int64)
@@ -1175,7 +1174,7 @@ def q_renyi2_entropy(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     out = {"event_type": [], "n": [], "renyi2": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -1359,7 +1358,7 @@ def q_stochastic_dominance(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     prof = {str(et): dict(zip(grp["cv"].astype(int), grp["n"].astype(int)))
             for et, grp in census.groupby("event_type", sort=True)}
@@ -1420,7 +1419,7 @@ def q_moods_median(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     agg = census.groupby("cv", sort=True)["n"].sum()
     n_tot = int(agg.sum())
@@ -1478,7 +1477,7 @@ def q_kruskal_wallis(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     marg = census.groupby("cv", sort=True)["n"].sum()
     vals = marg.index.to_numpy(np.int64)
@@ -1531,7 +1530,7 @@ def q_brown_forsythe(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     k = 0
     n_tot = 0
@@ -1585,7 +1584,7 @@ def q_grubbs(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     out = {"event_type": [], "outlier_cv": [], "g_stat": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -1649,7 +1648,7 @@ def q_heaps_law(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("min_doc", "min")], num_shards=16,
+        ["term"], [("min_doc", "min")],
     )
 
     # pass A: exact order-statistic cuts — prefix i is the FIRST
@@ -1671,7 +1670,7 @@ def q_heaps_law(sf_dir: str):
     bcen = sharded_grouped_agg(
         _read(sf_dir, "documents", ["doc_id"])
         .map_batches(bucket_partial, batch_format="pyarrow"),
-        ["b"], [("n", "sum")], num_shards=1,
+        ["b"], [("n", "sum")],
     ).to_pandas().sort_values("b")
     n_docs = int(bcen["n"].sum())
     ks = [(n_docs * i) // 5 for i in range(1, 6)]
@@ -1721,7 +1720,7 @@ def q_heaps_law(sf_dir: str):
     tband = sharded_grouped_agg(
         _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(tok_partial, batch_format="pyarrow"),
-        ["i"], [("t", "sum")], num_shards=1,
+        ["i"], [("t", "sum")],
     ).to_pandas().sort_values("i")
 
     # pass C: the prefix vocab counts as a combiner over CENSUS rows
@@ -1735,7 +1734,7 @@ def q_heaps_law(sf_dir: str):
 
     vband = sharded_grouped_agg(
         census.map_batches(vocab_partial, batch_format="pyarrow"),
-        ["i"], [("v", "sum")], num_shards=1,
+        ["i"], [("v", "sum")],
     ).to_pandas().sort_values("i")
     t_of_i = dict(zip(tband["i"].astype(int), tband["t"].astype(int)))
     v_of_i = dict(zip(vband["i"].astype(int), vband["v"].astype(int)))
@@ -1799,7 +1798,6 @@ def q_term_burstiness(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["term"], [("s1", "sum"), ("s2", "sum")],
-        num_shards=16,
     ).to_pandas()
     n_docs = int(_read(sf_dir, "documents", ["doc_id"]).count())
     top = census.sort_values(["s1", "term"],
@@ -1855,7 +1853,6 @@ def q_rfm_segments(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["user_id"], [("day", "max"), ("n", "sum"), ("cents", "sum")],
-        num_shards=8,
     ).to_pandas()
     max_day = int(census["day"].max())
     census["recency"] = max_day - census["day"].astype(np.int64)
@@ -1915,7 +1912,6 @@ def q_mcnemar(sf_dir: str):
     vc = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
         ["cv"], [("n", "sum"), ("dmin", "min"), ("dmax", "max")],
-        num_shards=2,
     ).to_pandas().sort_values("cv")
     n_p = int(vc["n"].sum())
     cum = vc["n"].cumsum().to_numpy()
@@ -1944,7 +1940,7 @@ def q_mcnemar(sf_dir: str):
 
     pairs = sharded_grouped_agg(
         ds.map_batches(pair_partial, batch_format="pyarrow"),
-        ["user_id"], [("early", "max"), ("late", "max")], num_shards=8,
+        ["user_id"], [("early", "max"), ("late", "max")],
     ).to_pandas()
     e = pairs["early"].to_numpy(np.int64)
     l = pairs["late"].to_numpy(np.int64)
@@ -1985,7 +1981,7 @@ def q_cochran_q(sf_dir: str):
 
     vc = sharded_grouped_agg(
         ds.map_batches(vc_partial, batch_format="pyarrow"),
-        ["cv"], [("n", "sum")], num_shards=2,
+        ["cv"], [("n", "sum")],
     ).to_pandas().sort_values("cv")
     n_all = int(vc["n"].sum())
     cum = vc["n"].cumsum().to_numpy()
@@ -2009,7 +2005,7 @@ def q_cochran_q(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id", "event_type"], [("one", "max")], num_shards=8,
+        ["user_id", "event_type"], [("one", "max")],
     ).to_pandas()
     k = int(census["event_type"].nunique())
     col = census.groupby("event_type")["one"].sum()
@@ -2086,7 +2082,7 @@ def q_log_rank(sf_dir: str):
 
     per_user = sharded_grouped_agg(
         ds.map_batches(per_user_partial, batch_format="pyarrow"),
-        ["user_id"], [("mn", "min"), ("mx", "max")], num_shards=8,
+        ["user_id"], [("mn", "min"), ("mx", "max")],
     ).materialize()
     data_max = int(per_user.max("mx"))
 
@@ -2106,7 +2102,7 @@ def q_log_rank(sf_dir: str):
 
     census = sharded_grouped_agg(
         per_user.map_batches(dur_census, batch_format="pyarrow"),
-        ["dur", "cens", "grp"], [("cnt", "sum")], num_shards=4,
+        ["dur", "cens", "grp"], [("cnt", "sum")],
     ).to_pandas()
     n1 = int(census.loc[census["grp"] == 1, "cnt"].sum())
     n0 = int(census.loc[census["grp"] == 0, "cnt"].sum())
@@ -2165,7 +2161,7 @@ def q_cramer_von_mises(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["cv"], [("a", "sum"), ("b", "sum")], num_shards=4,
+        ["cv"], [("a", "sum"), ("b", "sum")],
     ).to_pandas().sort_values("cv")
     a = census["a"].to_numpy(np.int64)
     b = census["b"].to_numpy(np.int64)
@@ -2212,7 +2208,6 @@ def q_partial_corr(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["hod", "dow"], [("n", "sum"), ("sx", "sum"), ("sxx", "sum")],
-        num_shards=2,
     ).to_pandas()
     hod = census["hod"].to_numpy(np.int64)
     dow = census["dow"].to_numpy(np.int64)
@@ -2271,7 +2266,7 @@ def q_kuiper(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["d"], [("a", "sum"), ("b", "sum")], num_shards=1,
+        ["d"], [("a", "sum"), ("b", "sum")],
     ).to_pandas().sort_values("d")
     a = np.zeros(24, np.int64)
     b = np.zeros(24, np.int64)
@@ -2350,7 +2345,6 @@ def q_f_test(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type"], [("n", "sum"), ("s", "sum"), ("q", "sum")],
-        num_shards=1,
     ).to_pandas().sort_values("event_type")
     rowsd = {str(r["event_type"]): (int(r["n"]), int(r["s"]), int(r["q"]))
              for _, r in census.iterrows()}
@@ -2400,7 +2394,7 @@ def q_cliffs_delta(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     prof = {str(et): grp.sort_values("cv")
             for et, grp in census.groupby("event_type", sort=True)}
@@ -2503,7 +2497,7 @@ def q_jonckheere(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["part", "cv"], [("n", "sum")], num_shards=4,
+        ["part", "cv"], [("n", "sum")],
     ).to_pandas()
     parts = {}
     for p, grp in census.groupby("part", sort=True):
@@ -2567,7 +2561,7 @@ def q_mantel_haenszel(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["dow", "p", "ni"], [("n", "sum")], num_shards=1,
+        ["dow", "p", "ni"], [("n", "sum")],
     ).to_pandas()
     num_sum = den_sum = 0
     for dow, grp in census.groupby("dow", sort=True):
@@ -2616,7 +2610,7 @@ def q_ansari_bradley(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["cv"], [("a", "sum"), ("b", "sum")], num_shards=4,
+        ["cv"], [("a", "sum"), ("b", "sum")],
     ).to_pandas().sort_values("cv")
     a = census["a"].to_numpy(np.int64)
     b = census["b"].to_numpy(np.int64)
@@ -2680,7 +2674,7 @@ def q_cohens_h(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["w", "p"], [("n", "sum")], num_shards=1,
+        ["w", "p"], [("n", "sum")],
     ).to_pandas()
     cell = {(int(r["w"]), int(r["p"])): int(r["n"])
             for _, r in census.iterrows()}
@@ -2725,7 +2719,7 @@ def q_ordinal_assoc(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["hod", "vb"], [("n", "sum")], num_shards=2,
+        ["hod", "vb"], [("n", "sum")],
     ).to_pandas()
     hods = np.sort(census["hod"].unique())
     vbs = np.sort(census["vb"].unique())

@@ -67,7 +67,7 @@ def freq_of_freq(sf_dir: str) -> dict[str, int]:
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=16,
+        ["term"], [("n", "sum")],
     )
 
     def ff_partial(batch: pa.Table) -> pa.Table:
@@ -80,7 +80,7 @@ def freq_of_freq(sf_dir: str) -> dict[str, int]:
 
     ff = sharded_grouped_agg(
         census.map_batches(ff_partial, batch_format="pyarrow"),
-        ["m"], [("vm", "sum")], num_shards=1,
+        ["m"], [("vm", "sum")],
     ).to_pandas()
     m = ff["m"].to_numpy(np.int64)
     vm = ff["vm"].to_numpy(np.int64)
@@ -324,7 +324,7 @@ def q_ks_uniform_hod(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("n", "sum")], num_shards=2,
+        ["event_type", "hod"], [("n", "sum")],
     ).to_pandas()
     out = {"event_type": [], "n": [], "ks_d": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -369,7 +369,7 @@ def q_cochran_armitage(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["part"], [("r", "sum"), ("n", "sum")], num_shards=1,
+        ["part"], [("r", "sum"), ("n", "sum")],
     ).to_pandas().sort_values("part")
     parts = census["part"].to_numpy(np.int64)
     r_i = census["r"].to_numpy(np.int64)
@@ -421,7 +421,7 @@ def q_anderson_darling(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["cv"], [("a", "sum"), ("b", "sum")], num_shards=4,
+        ["cv"], [("a", "sum"), ("b", "sum")],
     ).to_pandas().sort_values("cv")
     a = census["a"].to_numpy(np.int64)
     b = census["b"].to_numpy(np.int64)
@@ -472,7 +472,7 @@ def q_hodges_lehmann(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("c", "sum")], num_shards=4,
+        ["event_type", "cv"], [("c", "sum")],
     ).to_pandas()
     prof = {}
     for et, grp in census.groupby("event_type", sort=True):
@@ -542,7 +542,7 @@ def q_jarque_bera(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("c", "sum")], num_shards=4,
+        ["event_type", "cv"], [("c", "sum")],
     ).to_pandas()
     out = {"event_type": [], "n": [], "jb": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -623,7 +623,7 @@ def q_heavy_hitters(sf_dir: str):
 
     merged = sharded_grouped_agg(
         ds.map_batches(mg_partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=8,
+        ["term"], [("n", "sum")],
     ).materialize()
 
     def take_total(batch: pa.Table) -> pa.Table:
@@ -658,7 +658,7 @@ def q_heavy_hitters(sf_dir: str):
 
     exact = sharded_grouped_agg(
         ds.map_batches(recount, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=8,
+        ["term"], [("n", "sum")],
     ).to_pandas()
     keep = exact[exact["n"] * 64 > big_n].sort_values("term")
     return pa.table({
@@ -693,7 +693,7 @@ def q_ccnet_buckets(sf_dir: str):
 
     census = sharded_grouped_agg(
         scored.map_batches(partial, batch_format="pyarrow"),
-        ["b"], [("c", "sum")], num_shards=1,
+        ["b"], [("c", "sum")],
     ).to_pandas().sort_values("b")
     b = census["b"].to_numpy(np.int64)
     c = census["c"].to_numpy(np.int64)
@@ -735,7 +735,6 @@ def q_ge2_index(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type"], [("n", "sum"), ("s1", "sum"), ("s2", "sum")],
-        num_shards=1,
     ).to_pandas()
     out = {"event_type": [], "n": [], "ge2": []}
     for _, r in census.sort_values("event_type").iterrows():
@@ -776,7 +775,7 @@ def q_g_test(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")], num_shards=2,
+        ["event_type", "dow"], [("n", "sum")],
     ).to_pandas()
     r_tot = census.groupby("event_type")["n"].sum().to_dict()
     c_tot = census.groupby("dow")["n"].sum().to_dict()
@@ -813,7 +812,7 @@ def q_pielou_j(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type"], [("n", "sum")], num_shards=1,
+        ["event_type"], [("n", "sum")],
     ).to_pandas()
     counts = [int(x) for x in census["n"]]
     k = len(counts)
@@ -854,7 +853,7 @@ def q_dixon_q(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("c", "sum")], num_shards=4,
+        ["event_type", "cv"], [("c", "sum")],
     ).to_pandas()
     out = {"event_type": [], "q_low": [], "q_high": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -897,7 +896,7 @@ def q_theil_u(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")], num_shards=2,
+        ["event_type", "dow"], [("n", "sum")],
     ).to_pandas()
     r_tot = {k: int(v) for k, v in
              census.groupby("event_type")["n"].sum().items()}
@@ -942,7 +941,7 @@ def q_bowker(sf_dir: str):
 
     b = sharded_grouped_agg(
         ds.map_batches(bounds_partial, batch_format="pyarrow"),
-        ["g"], [("lo", "min"), ("hi", "max")], num_shards=1,
+        ["g"], [("lo", "min"), ("hi", "max")],
     ).to_pandas()
     mid = (int(b["lo"][0]) + int(b["hi"][0]) + 1) // 2
 
@@ -961,7 +960,7 @@ def q_bowker(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id", "half", "event_type"], [("n", "sum")], num_shards=8,
+        ["user_id", "half", "event_type"], [("n", "sum")],
     ).to_pandas()
     # per (user, half) modal type: count desc, type asc
     census = census.sort_values(
@@ -1039,7 +1038,7 @@ def _lang_vocab_census(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "term"], [("one", "max")], num_shards=16,
+        ["lang", "term"], [("one", "max")],
     )
     # fold to per-term lang sets INSIDE a term-sharded task, emit
     # (langset, count) combiner rows
@@ -1063,8 +1062,8 @@ def _lang_vocab_census(sf_dir: str):
         })
 
     venn = sharded_grouped_agg(
-        shard_apply(census, ["term"], fold, num_shards=8),
-        ["langset"], [("nterms", "sum")], num_shards=1,
+        shard_apply(census, ["term"], fold),
+        ["langset"], [("nterms", "sum")],
     ).to_pandas()
     return {str(r["langset"]): int(r["nterms"])
             for _, r in venn.iterrows()}
@@ -1165,7 +1164,7 @@ def q_hill_numbers(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=16,
+        ["term"], [("n", "sum")],
     )
 
     def ent_partial(batch: pa.Table, n=n) -> pa.Table:
@@ -1180,7 +1179,7 @@ def q_hill_numbers(sf_dir: str):
 
     hsum = sharded_grouped_agg(
         census.map_batches(ent_partial, batch_format="pyarrow"),
-        ["g"], [("h", "sum")], num_shards=1,
+        ["g"], [("h", "sum")],
     ).to_pandas()
     h_total = int(hsum["h"].sum())
     h1 = 0.0 if n == 0 else float(h_total) / float(n)  # micro-nats
@@ -1229,7 +1228,7 @@ def q_margalef(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=16,
+        ["term"], [("n", "sum")],
     )
 
     def agg_partial(batch: pa.Table) -> pa.Table:
@@ -1243,7 +1242,7 @@ def q_margalef(sf_dir: str):
 
     a = sharded_grouped_agg(
         census.map_batches(agg_partial, batch_format="pyarrow"),
-        ["g"], [("v", "sum"), ("n", "sum"), ("mx", "max")], num_shards=1,
+        ["g"], [("v", "sum"), ("n", "sum"), ("mx", "max")],
     ).to_pandas()
     v = int(a["v"].sum())
     n = int(a["n"].sum())
@@ -1290,7 +1289,7 @@ def q_ace_richness(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=16,
+        ["term"], [("n", "sum")],
     )
 
     def ff_partial(batch: pa.Table) -> pa.Table:
@@ -1303,7 +1302,7 @@ def q_ace_richness(sf_dir: str):
 
     ff = sharded_grouped_agg(
         census.map_batches(ff_partial, batch_format="pyarrow"),
-        ["m"], [("vm", "sum")], num_shards=1,
+        ["m"], [("vm", "sum")],
     ).to_pandas()
     m = ff["m"].to_numpy(np.int64)
     vm = ff["vm"].to_numpy(np.int64)
@@ -1360,7 +1359,7 @@ def q_lexical_gini(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=16,
+        ["term"], [("n", "sum")],
     )
 
     def ff_partial(batch: pa.Table) -> pa.Table:
@@ -1373,7 +1372,7 @@ def q_lexical_gini(sf_dir: str):
 
     ff = sharded_grouped_agg(
         census.map_batches(ff_partial, batch_format="pyarrow"),
-        ["m"], [("vm", "sum")], num_shards=1,
+        ["m"], [("vm", "sum")],
     ).to_pandas().sort_values("m")
     big_v = f_ff["v"]
     big_n = f_ff["n"]
@@ -1480,7 +1479,7 @@ def q_seasonal_mk(sf_dir: str):
 
     lo_t = sharded_grouped_agg(
         ds.map_batches(lo_partial, batch_format="pyarrow"),
-        ["g"], [("lo", "min")], num_shards=1,
+        ["g"], [("lo", "min")],
     ).to_pandas()
     h_lo = int(lo_t["lo"].min())
     out = {"event_type": [], "s_stat": [], "var_num": [], "z": []}

@@ -115,7 +115,7 @@ def q_hoover_index(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum")], num_shards=8,
+        ["user_id"], [("x", "sum")],
     )
 
     def sn_partial(batch: pa.Table) -> pa.Table:
@@ -315,7 +315,7 @@ def _cent_profiles(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")], num_shards=8,
+        ["event_type", "cv"], [("n", "sum")],
     ).to_pandas()
     prof = {}
     for et, grp in census.groupby("event_type", sort=True):
@@ -550,7 +550,7 @@ def q_gk_lambda(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")], num_shards=4,
+        ["event_type", "dow"], [("n", "sum")],
     ).to_pandas()
     pivot = census.pivot_table(index="event_type", columns="dow",
                                values="n", fill_value=0,
@@ -820,7 +820,7 @@ def _type_dow_pivot(sf_dir: str) -> np.ndarray:
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")], num_shards=4,
+        ["event_type", "dow"], [("n", "sum")],
     ).to_pandas()
     return census.pivot_table(index="event_type", columns="dow",
                               values="n", fill_value=0,
@@ -924,7 +924,7 @@ def q_yule_coefs(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["we", "pu"], [("n", "sum")], num_shards=2,
+        ["we", "pu"], [("n", "sum")],
     ).to_pandas()
     cell = {(int(r["we"]), int(r["pu"])): int(r["n"])
             for _, r in census.iterrows()}
@@ -1437,7 +1437,7 @@ def q_brillouin_index(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")], num_shards=16,
+        ["term"], [("n", "sum")],
     ).to_pandas()
     m_arr = census["n"].to_numpy(np.int64)
     big_n = int(m_arr.sum())
@@ -2161,7 +2161,7 @@ def q_weekly_harmonic(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")], num_shards=2,
+        ["event_type", "d"], [("t", "sum")],
     ).to_pandas()
     out = {"event_type": [], "n": [], "amp_ratio": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -2257,7 +2257,7 @@ def q_word_length_stats(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["l"], [("c", "sum")], num_shards=1,
+        ["l"], [("c", "sum")],
     ).to_pandas()
     ls = census["l"].to_numpy(np.int64)
     cs = census["c"].to_numpy(np.int64)
@@ -2479,7 +2479,7 @@ def q_two_prop_z(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["we", "pu"], [("n", "sum")], num_shards=2,
+        ["we", "pu"], [("n", "sum")],
     ).to_pandas()
     cell = {(int(r["we"]), int(r["pu"])): int(r["n"])
             for _, r in census.iterrows()}
@@ -2577,7 +2577,7 @@ def q_rayleigh_test(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")], num_shards=2,
+        ["event_type", "d"], [("t", "sum")],
     ).to_pandas()
     out = {"event_type": [], "rayleigh_z": [], "circ_var": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -2652,7 +2652,7 @@ def q_user_hhi(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")], num_shards=8,
+        ["user_id"], [("n", "sum")],
     )
 
     def fold(batch: pa.Table) -> pa.Table:
@@ -2694,7 +2694,7 @@ def q_topk_user_share(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")], num_shards=8,
+        ["user_id"], [("n", "sum")],
     )
 
     def shard_top(batch: pa.Table) -> pa.Table:
@@ -2878,7 +2878,7 @@ def q_gap_quantiles(sf_dir: str):
 
     census = sharded_grouped_agg(
         shard_apply(ds, ["user_id"], per_shard, prepare=project, coalesce=False),
-        ["g"], [("c", "sum")], num_shards=4,
+        ["g"], [("c", "sum")],
     ).to_pandas().sort_values("g")
     g = census["g"].to_numpy(np.int64)
     c = census["c"].to_numpy(np.int64)
@@ -2918,7 +2918,6 @@ def q_user_lifetimes(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["user_id"], [("lo", "min"), ("hi", "max"), ("n", "sum")],
-        num_shards=8,
     )
 
     def fold(batch: pa.Table) -> pa.Table:
@@ -2965,7 +2964,7 @@ def q_events_per_user(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")], num_shards=8,
+        ["user_id"], [("n", "sum")],
     )
 
     def fold(batch: pa.Table) -> pa.Table:
@@ -3020,7 +3019,7 @@ def q_doc_tokens_by_lang(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang", "tok"], [("docs", "sum")], num_shards=4,
+        ["lang", "tok"], [("docs", "sum")],
     ).to_pandas()
     out = {"lang": [], "n_docs": [], "mean_tokens": [],
            "med_tokens": [], "p90_tokens": []}
@@ -3062,7 +3061,7 @@ def q_source_concentration(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["source"], [("n", "sum")], num_shards=2,
+        ["source"], [("n", "sum")],
     ).to_pandas().sort_values("source")
     n_arr = census["n"].to_numpy(np.int64)
     n = int(n_arr.sum())
@@ -3095,7 +3094,7 @@ def q_lang_entropy(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["lang"], [("n", "sum")], num_shards=2,
+        ["lang"], [("n", "sum")],
     ).to_pandas()
     c = census["n"].to_numpy(np.int64)
     n = int(c.sum())
@@ -3165,7 +3164,7 @@ def q_peak_hour_share(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("n", "sum")], num_shards=2,
+        ["event_type", "d"], [("n", "sum")],
     ).to_pandas()
     out = {"event_type": [], "peak_hod": [], "peak_share": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -3213,7 +3212,7 @@ def q_weekend_lift(sf_dir: str):
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type", "we"],
-        [("n", "sum"), ("hlo", "min"), ("hhi", "max")], num_shards=2,
+        [("n", "sum"), ("hlo", "min"), ("hhi", "max")],
     ).to_pandas()
     h_lo = int(census["hlo"].min())
     h_hi = int(census["hhi"].max())
@@ -3405,7 +3404,7 @@ def q_kl_vs_pooled(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("n", "sum")], num_shards=2,
+        ["event_type", "d"], [("n", "sum")],
     ).to_pandas()
     pooled = census.groupby("d")["n"].sum().to_dict()
     big_m = int(sum(pooled.values()))
@@ -3614,7 +3613,7 @@ def q_dow_uniformity(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")], num_shards=2,
+        ["event_type", "dow"], [("n", "sum")],
     ).to_pandas()
     out = {"event_type": [], "chi2_uniform": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -3784,7 +3783,7 @@ def q_user_gini(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")], num_shards=8,
+        ["user_id"], [("n", "sum")],
     )
 
     def ff(batch: pa.Table) -> pa.Table:
@@ -3795,7 +3794,7 @@ def q_user_gini(sf_dir: str):
 
     cc = sharded_grouped_agg(
         census.map_batches(ff, batch_format="pyarrow"),
-        ["c"], [("u", "sum")], num_shards=1,
+        ["c"], [("u", "sum")],
     ).to_pandas().sort_values("c")
     c = cc["c"].to_numpy(np.int64)
     u = cc["u"].to_numpy(np.int64)
@@ -3848,7 +3847,7 @@ def q_value_trend(sf_dir: str):
         ds.map_batches(partial, batch_format="pyarrow"),
         ["event_type"],
         [("n", "sum"), ("sd", "sum"), ("sv", "sum"), ("sdd", "sum"),
-         ("svv", "sum"), ("sdv", "sum")], num_shards=2,
+         ("svv", "sum"), ("sdv", "sum")],
     ).to_pandas()
     out = {"event_type": [], "slope_cents_day": [], "r2": []}
     for _, r in census.sort_values("event_type").iterrows():
@@ -3892,7 +3891,7 @@ def q_returning_share(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id", "day"], [("n", "sum")], num_shards=8,
+        ["user_id", "day"], [("n", "sum")],
     )
 
     # Re-key by USER so each user's (day, n) rows are co-located —
@@ -3911,8 +3910,7 @@ def q_returning_share(sf_dir: str):
             "first": pa.array([int(n[starts].sum())], pa.int64()),
         })
 
-    f = shard_apply(census, ["user_id"], fold, coalesce=False,
-                    num_shards=32).to_pandas()
+    f = shard_apply(census, ["user_id"], fold, coalesce=False).to_pandas()
     total, first = int(f["total"].sum()), int(f["first"].sum())
     share = (0.0 if total == 0
              else float(total - first) / float(total))
@@ -3947,7 +3945,7 @@ def q_stickiness(sf_dir: str):
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id", "day", "wk"], [("n", "sum")], num_shards=8,
+        ["user_id", "day", "wk"], [("n", "sum")],
     )
 
     # Fold the distinct counts per USER-keyed shard (users are disjoint
@@ -3981,8 +3979,7 @@ def q_stickiness(sf_dir: str):
         return pa.table({"kind": pa.array(kinds, pa.string()),
                          "v": pa.array(vals, pa.int64())})
 
-    f = shard_apply(census, ["user_id"], fold, coalesce=False,
-                    num_shards=32).to_pandas()
+    f = shard_apply(census, ["user_id"], fold, coalesce=False).to_pandas()
     s_dau = int(f.loc[f["kind"] == "ud", "v"].sum())
     s_wau = int(f.loc[f["kind"] == "uw", "v"].sum())
     n_days = int(f.loc[f["kind"] == "day", "v"].nunique())

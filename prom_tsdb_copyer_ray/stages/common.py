@@ -15,6 +15,9 @@ from ..functions.hashing import poly_hash_column
 
 # inputs below this row count run as one task (see shard_apply)
 SMALL_ROWS = 50_000
+# hash shards of every exchange's key (see shard_apply); read on the driver
+# when a plan is built, never inside a task
+NUM_SHARDS = 64
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
@@ -41,9 +44,9 @@ def fmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def shard_of_ints(x: np.ndarray, num_shards: int) -> np.ndarray:
-    """Deterministic hash shard of an int array (int64 out)."""
-    return (mix64(x) % np.uint64(num_shards)).astype(np.int64)
+def shard_of_ints(x: np.ndarray, n: int) -> np.ndarray:
+    """Deterministic hash shard in ``[0, n)`` of an int array (int64 out)."""
+    return (mix64(x) % np.uint64(n)).astype(np.int64)
 
 
 def key_hash64(table: pa.Table, key_cols: list[str]) -> np.ndarray:
@@ -165,31 +168,39 @@ def size_input(ds, rows: int | None = None):
 
 
 def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
-                num_shards=64, rows=None):
+                rows=None):
     """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
 
     Shape: per batch, the optional ``prepare`` (projection, cast, combiner,
     extra group column) runs, then ``_shard = key_hash64(keys) %
-    num_shards`` is appended; with ``coalesce`` the stream is first
+    NUM_SHARDS`` is appended; with ``coalesce`` the stream is first
     repartitioned to :func:`fanin` blocks; then one sort-based
     ``groupby([*by, "_shard"]).map_groups`` hands each group — the helper
-    columns dropped — to ``kernel(table) -> table``.
+    columns dropped — to ``kernel(table) -> table``.  :data:`NUM_SHARDS`
+    is read here, on the driver, and rides into the batch closure.
 
     Partitioning / skew design: the group key is a hash shard of the key,
     never the raw key, so one vectorized kernel call covers thousands of
     keys (segment boundaries after one in-task sort) and the group count
-    stays ``O(num_shards x distinct by)`` at any key cardinality; a raw-key
+    stays ``O(NUM_SHARDS x distinct by)`` at any key cardinality; a raw-key
     ``map_groups`` pays one ~5 ms task per key.  Hash sharding spreads keys
     evenly whatever their order or domain; a single hot key is still one
     group, so operators document their bound ("one key's history fits in a
     task").  ``by`` adds a coarse, ordered group column (the rollup's time
     window ``_gw``) that bounds a group to one slice of time and keeps
-    output blocks time-clustered; ``num_shards`` x distinct ``by`` is the
-    shuffle parallelism — size it to >= 2-4 tasks per core at cluster
-    scale.  ``coalesce`` pays one repartition so the sort exchange is
-    (fanin x fanin) tasks instead of (input blocks)^2 — worth it when the
-    input arrives in many small blocks, a pure barrier when it is already
-    O(fanin) blocks of collapsed rows.
+    output blocks time-clustered.
+
+    Parallelism is the sort's block count, not the shard count.  Ray's
+    ``map_groups`` sorts into as many blocks as its input has, then runs
+    one ``map_batches(batch_size=None)`` task per sorted block, and that
+    task calls ``kernel`` once per group in its block.  So the kernel stage
+    runs :func:`fanin` tasks when the exchange coalesces and the input's
+    block count when it does not; ``NUM_SHARDS`` x distinct ``by`` only
+    sets how many non-empty key ranges those tasks get and how many kernel
+    calls (of how many rows) each makes.  ``coalesce`` pays one repartition
+    so the sort exchange is (fanin x fanin) tasks instead of (input
+    blocks)^2 — worth it when the input arrives in many small blocks, a
+    pure barrier when it is already O(fanin) blocks of collapsed rows.
 
     Size rule: an input known to hold fewer than :data:`SMALL_ROWS` rows
     skips the hash, the coalesce and the sort.  ``rows`` is that knowledge:
@@ -200,7 +211,7 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     exchange would run twice).  A small input runs as ``map_batches(one_task,
     batch_size=SMALL_ROWS)``: ``prepare`` on the whole input, a split on
     ``by`` in ascending order and one ``kernel`` call per ``by`` value —
-    exactly the ``num_shards=1`` semantics, since each key still reaches
+    exactly the ``NUM_SHARDS = 1`` semantics, since each key still reaches
     one call.  Bundling contract: Ray Data bundles a map's input blocks
     until they hold ``batch_size`` rows or the input ends, so an input of
     fewer rows reaches ONE task as ONE batch, however many blocks it
@@ -238,11 +249,12 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
 
         return ds.map_batches(one_task, batch_size=SMALL_ROWS, batch_format="pyarrow")
     helpers = [*by, "_shard"]
+    n_shards = np.uint64(NUM_SHARDS)
 
     def add_shard(batch: pa.Table) -> pa.Table:
         if prepare is not None:
             batch = prepare(batch)
-        shard = key_hash64(batch, keys) % np.uint64(num_shards)
+        shard = key_hash64(batch, keys) % n_shards
         return batch.append_column("_shard", pa.array(shard.astype(np.int64)))
 
     def per_group(group: pa.Table) -> pa.Table:

@@ -410,7 +410,7 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
 
 
 def duplicate_gram_stats(ds, id_col: str = "doc_id", text_col: str = "text",
-                         n: int = 3, num_shards: int = 64):
+                         n: int = 3):
     """Per-doc duplicate n-gram statistics (RefinedWeb-style dup analysis).
 
     For every document: ``n_grams`` = its DISTINCT token ``n``-grams, and
@@ -470,8 +470,7 @@ def duplicate_gram_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             "n_dup_grams": agg["n_dup_grams_sum"],
         })
 
-    sharded = shard_apply(ds, ["g"], per_shard, prepare=pairs,
-                          num_shards=num_shards)
+    sharded = shard_apply(ds, ["g"], per_shard, prepare=pairs)
     return sharded_grouped_agg(
         sharded, [id_col], [("n_grams", "sum"), ("n_dup_grams", "sum")]
     )
@@ -613,7 +612,7 @@ def quantile_threshold_filter(ds, key_col: str, id_col: str = "doc_id",
     return final.map_batches(finish, batch_format="pyarrow")
 
 
-def profile_columns(ds, cols: list[str], num_shards: int = 64):
+def profile_columns(ds, cols: list[str]):
     """Data-quality profile: per column, non-null / null counts and the
     EXACT distinct cardinality, in one battery (the assertion pass a
     pipeline runs before training on a new corpus drop).
@@ -654,7 +653,7 @@ def profile_columns(ds, cols: list[str], num_shards: int = 64):
 
     cnt_rows = ds.map_batches(counts, batch_format="pyarrow").take_all()
     nd_rows = shard_apply(ds, ["column", "val"], shard_count,
-                          prepare=distinct_pairs, num_shards=num_shards).take_all()
+                          prepare=distinct_pairs).take_all()
     nn = {c: 0 for c in cols}
     nu = {c: 0 for c in cols}
     for r in cnt_rows:
@@ -674,8 +673,7 @@ def profile_columns(ds, cols: list[str], num_shards: int = 64):
 
 
 def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
-                   window: int = 40, stride: int = 8,
-                   num_shards: int = 64):
+                   window: int = 40, stride: int = 8):
     """Exact substring-duplication signal (the fixed-window form of
     Lee et al. 2022's exact substring dedup): every ``window``-char
     slice at ``stride`` offsets is a span key; a span occurring in >= 2
@@ -749,11 +747,9 @@ def dup_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
                 np.add.reduceat(dup_s.astype(np.int64), dstarts)),
         })
 
-    partials = shard_apply(ds, ["win"], per_shard, prepare=spans,
-                           num_shards=num_shards)
+    partials = shard_apply(ds, ["win"], per_shard, prepare=spans)
     return sharded_grouped_agg(
         partials, [id_col], [("n_windows", "sum"), ("n_dup", "sum")],
-        num_shards=16,
     )
 
 

@@ -38,7 +38,8 @@ from ..functions.hashing import (
     popcount64,
     simhash64,
 )
-from .common import fanin, shard_apply
+from . import common
+from .common import fanin, shard_apply, shard_of_ints
 from .common import mix64 as _mix64
 
 
@@ -60,7 +61,7 @@ def add_content_hash(batch: pa.Table, text_col: str = "text", out_col: str = "co
 
 
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
-                num_shards: int = 64, precomputed: bool = False):
+                precomputed: bool = False):
     """Keep exactly one row (min id) per distinct text.
 
     ``precomputed=True`` means the input already carries ``content_hash`` /
@@ -97,12 +98,10 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
         hashed = batch if precomputed else add_content_hash(batch, text_col)
         return min_per_hash(hashed.select(["content_hash", "n_bytes", id_col]))
 
-    return shard_apply(ds, ["content_hash"], min_per_hash, prepare=partial,
-                       num_shards=num_shards)
+    return shard_apply(ds, ["content_hash"], min_per_hash, prepare=partial)
 
 
-def exact_dedup_rows(ds, id_col: str = "doc_id", text_col: str = "text",
-                     num_shards: int = 64):
+def exact_dedup_rows(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Full deduplicated rows (not just winner ids): keep the min-id row per
     distinct text.
 
@@ -113,9 +112,10 @@ def exact_dedup_rows(ds, id_col: str = "doc_id", text_col: str = "text",
     keeps rows whose id is marked.  Full rows cross the wire once.
     """
     winners = exact_dedup(ds, id_col=id_col, text_col=text_col)
+    n_shards = common.NUM_SHARDS
 
     def shard_of(ids: np.ndarray) -> pa.Array:
-        return pa.array((_mix64(ids.astype(np.uint64)) % np.uint64(num_shards)).astype(np.int64))
+        return pa.array(shard_of_ints(ids, n_shards))
 
     schema = ds.schema()
     data_cols = list(schema.names)
@@ -213,7 +213,7 @@ class MinHashSignatures:
 
 
 
-def dedup_pairs_sharded(pairs, num_shards: int = 64, value_col: str | None = None,
+def dedup_pairs_sharded(pairs, value_col: str | None = None,
                         reduce: str = "max"):
     """Distinct (a, b) pairs — hash-shard then ONE vectorized lexsort/unique
     per shard, optionally keeping the max/min ``value_col`` per pair.
@@ -244,7 +244,7 @@ def dedup_pairs_sharded(pairs, num_shards: int = 64, value_col: str | None = Non
             )
         return pa.table(cols)
 
-    return shard_apply(pairs, ["a", "b"], uniq, num_shards=num_shards)
+    return shard_apply(pairs, ["a", "b"], uniq)
 
 
 
@@ -296,8 +296,7 @@ def _segment_pairs(sort_keys: tuple[np.ndarray, ...], ids: np.ndarray,
 
 def minhash_lsh_pairs(ds, num_perm: int = 128, num_bands: int = 32, ngram: int = 5,
                       id_col: str = "doc_id", text_col: str = "text",
-                      concurrency=(1, 8), num_shards: int = 64,
-                      size_ratio: float | None = None):
+                      concurrency=(1, 8), size_ratio: float | None = None):
     """Candidate near-dup pairs via MinHash+LSH; distinct (a<b) pairs.
 
     The bucket stage groups by a HASH SHARD of (band, band_hash) — not the
@@ -341,10 +340,9 @@ def minhash_lsh_pairs(ds, num_perm: int = 128, num_bands: int = 32, ngram: int =
             a, b = a[keep], b[keep]
         return pa.table({"a": pa.array(a), "b": pa.array(b)})
 
-    pairs = shard_apply(band_rows, ["band", "band_hash"], shard_pairs,
-                        num_shards=num_shards)
+    pairs = shard_apply(band_rows, ["band", "band_hash"], shard_pairs)
     # distinct pairs (a pair can surface in several bands)
-    return dedup_pairs_sharded(pairs, num_shards)
+    return dedup_pairs_sharded(pairs)
 
 
 _EMPTY_PAIRS = {
@@ -459,7 +457,6 @@ def _bloom_bits_for(n_cand: int | None) -> int:
 
 def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
                           id_col: str, text_col: str,
-                          num_shards: int, route_shards: int = 64,
                           n_cand: int | None = None):
     """Escalated shingle routing for :func:`ngram_jaccard_pairs`: the
     (doc -> pair-shard) map never touches the driver.  Route rows
@@ -480,6 +477,7 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
     words = build_bloom(cand, "a", num_bits=bits) \
         | build_bloom(cand, "b", num_bits=bits)
     words_ref = ray.put(words)
+    route_shards = common.NUM_SHARDS
 
     def route_partial(batch: pa.Table) -> pa.Table:
         a_np = batch["a"].to_numpy().astype(np.int64, copy=False)
@@ -498,9 +496,7 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
             "payload": pa.nulls(len(key), pa.large_binary()),
             "_side": pa.array(np.zeros(len(key), np.int64)),
         })
-        rsh = (_mix64(key.astype(np.uint64))
-               % np.uint64(route_shards)).astype(np.int64)
-        return t.append_column("_rshard", pa.array(rsh))
+        return t.append_column("_rshard", pa.array(shard_of_ints(key, route_shards)))
 
     def doc_partial(batch: pa.Table) -> pa.Table:
         w = ray.get(words_ref)
@@ -520,9 +516,7 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
             "payload": payloads,
             "_side": pa.array(np.ones(len(sid), np.int64)),
         })
-        rsh = (_mix64(sid.astype(np.uint64))
-               % np.uint64(route_shards)).astype(np.int64)
-        return t.append_column("_rshard", pa.array(rsh))
+        return t.append_column("_rshard", pa.array(shard_of_ints(sid, route_shards)))
 
     def expand(group: pa.Table) -> pa.Table:
         t = group.drop_columns("_rshard")
@@ -570,7 +564,6 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
 
 def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
                         id_col: str = "doc_id", text_col: str = "text",
-                        num_shards: int = 64,
                         max_driver_pairs: int | None = None, **lsh_kw):
     """Near-dup pairs with exact n-gram Jaccard >= threshold, in two
     bounded stages (no shingle amplification through the LSH shuffle):
@@ -610,8 +603,8 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
     # Routing map: each pair lives in ONE shard; a doc's shingle payload
     # must reach exactly the shards holding its pairs.  Shard assignment
     # is a 2D BLOCK partition — shard(a,b) = (h(a) % NA) * G + h(b) % G —
-    # so a doc's pairs land in at most NA + G ≈ 2*sqrt(num_shards) shards
-    # no matter how many pairs it has (vs min(num_shards, n_pairs) under
+    # so a doc's pairs land in at most NA + G ≈ 2*sqrt(NUM_SHARDS) shards
+    # no matter how many pairs it has (vs min(NUM_SHARDS, n_pairs) under
     # flat mix(a,b) hashing: at sf1 every doc shipped its ~8 KB payload
     # to all 64 shards, a 4x-avoidable shuffle), while a hub doc's pairs
     # still spread over G shards for skew.  Below the cap: CSR routing
@@ -619,8 +612,8 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
     # broadcast once via ray.put — ints only.  Above the cap: the same
     # map as a Dataset tag-union (_shingle_rows_sharded), nothing
     # driver-side.
-    G = max(1, int(np.sqrt(num_shards)))
-    NA = max(1, num_shards // G)
+    G = max(1, int(np.sqrt(common.NUM_SHARDS)))
+    NA = max(1, common.NUM_SHARDS // G)
 
     def pair_shards(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ha = _mix64(a.astype(np.uint64)) % np.uint64(NA)
@@ -629,8 +622,7 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
 
     if n_cand > cap:
         sh_rows = _shingle_rows_sharded(
-            ds, cand, pair_shards, ngram, id_col, text_col, num_shards,
-            n_cand=n_cand)
+            ds, cand, pair_shards, ngram, id_col, text_col, n_cand=n_cand)
     else:
         sh_rows = _shingle_rows_driver_csr(
             ds, cand, pair_shards, ngram, id_col, text_col)
@@ -771,8 +763,7 @@ def _simhash_block_spans(num_blocks: int) -> list[tuple[int, int]]:
 
 def simhash_pairs_from_hashes(hashed, max_hamming: int = 3,
                               num_blocks: int | None = None,
-                              id_col: str = "doc_id",
-                              num_shards: int = 64):
+                              id_col: str = "doc_id"):
     """GUARANTEED-RECALL near-dup pairs over a (id, ``simhash``) dataset.
 
     Pigeonhole blocking (the 4-block permuted-prefix index): the 64 bits
@@ -838,17 +829,15 @@ def simhash_pairs_from_hashes(hashed, max_hamming: int = 3,
         return pa.table({"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64()),
                          "hamming": pa.array(d_out, pa.int64())})
 
-    pairs = shard_apply(hashed, ["bucket"], shard_pairs, prepare=explode_blocks,
-                        num_shards=num_shards)
+    pairs = shard_apply(hashed, ["bucket"], shard_pairs, prepare=explode_blocks)
     # collapse multi-block duplicate discoveries (hamming is identical
     # for a given pair, so min is just dedup)
-    return sharded_grouped_agg(pairs, ["a", "b"], [("hamming", "min")],
-                               num_shards=num_shards)
+    return sharded_grouped_agg(pairs, ["a", "b"], [("hamming", "min")])
 
 
 def simhash_dedup(ds, max_hamming: int = 3, num_blocks: int | None = None,
                   id_col: str = "doc_id", text_col: str = "text",
-                  concurrency=(1, 8), num_shards: int = 64):
+                  concurrency=(1, 8)):
     """Near-dup pairs by SimHash with EXACT recall at ``max_hamming``:
     hash with the :class:`SimHashStage` actor pool, then the pigeonhole
     multi-block index of :func:`simhash_pairs_from_hashes` (which see
@@ -859,7 +848,7 @@ def simhash_dedup(ds, max_hamming: int = 3, num_blocks: int | None = None,
     )
     return simhash_pairs_from_hashes(
         hashed, max_hamming=max_hamming, num_blocks=num_blocks,
-        id_col=id_col, num_shards=num_shards)
+        id_col=id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,8 +1072,7 @@ def _lev_batch(a_list: list[bytes], b_list: list[bytes],
 
 
 def edit_distance_pairs(ds, max_dist: int = 2, key_len: int = 32,
-                        id_col: str = "doc_id", text_col: str = "text",
-                        num_shards: int = 64):
+                        id_col: str = "doc_id", text_col: str = "text"):
     """Near-dup pairs by Levenshtein distance <= ``max_dist`` over the
     ``key_len``-char text prefix — the title/short-string fuzzy join.
 
@@ -1188,8 +1176,7 @@ def edit_distance_pairs(ds, max_dist: int = 2, key_len: int = 32,
             "dist": pa.array(dist[keep], pa.int64()),
         })
 
-    pairs = shard_apply(ds, ["_bucket"], verify, prepare=emit,
-                        num_shards=num_shards)
+    pairs = shard_apply(ds, ["_bucket"], verify, prepare=emit)
     deduped = dedup_pairs_sharded(pairs, value_col="dist", reduce="min")
 
     def int_dist(batch: pa.Table) -> pa.Table:

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 
 # The CC loop runs TWO sorts per iteration; uncoalesced 128-block unions
 # cost 16k exchange tasks per sort (~1000 s over a 10-round loop at sf0.1).
+from . import common
 from .common import fanin, shard_apply
 from .common import shard_of_ints as _mix_shard
 
@@ -78,8 +79,7 @@ def _solve_cc_in_task(batch: pa.Table, node_col: str) -> pa.Table:
 
 def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                          a_col: str = "a", b_col: str = "b",
-                         max_iters: int = 50, num_shards: int = 64,
-                         small_graph_rows: int = 4_000_000):
+                         max_iters: int = 50, small_graph_rows: int = 4_000_000):
     """(node, component) for every node, component = min reachable node id.
 
     ``edges_ds`` holds undirected int64 edges (``a_col``, ``b_col``);
@@ -96,6 +96,8 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
     """
     import ray
 
+    n_shards = common.NUM_SHARDS
+
     def to_directed(batch: pa.Table) -> pa.Table:
         a = pc.cast(batch[a_col], pa.int64()).to_numpy(zero_copy_only=False)
         b = pc.cast(batch[b_col], pa.int64()).to_numpy(zero_copy_only=False)
@@ -106,7 +108,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "src": pa.array(src),
                 "dst": pa.array(dst),
                 "label": pa.nulls(len(src), pa.int64()),
-                "_s": pa.array(_mix_shard(src, num_shards)),
+                "_s": pa.array(_mix_shard(src, n_shards)),
             }
         )
 
@@ -160,7 +162,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "src": batch["node"],
                 "dst": pa.nulls(batch.num_rows, pa.int64()),
                 "label": batch["label"],
-                "_s": pa.array(_mix_shard(src, num_shards)),
+                "_s": pa.array(_mix_shard(src, n_shards)),
             }
         )
 
@@ -198,7 +200,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "node": pa.array(node),
                 "cand": pa.array(cand),
                 "own": pa.array(own),
-                "_m": pa.array(_mix_shard(node, num_shards)),
+                "_m": pa.array(_mix_shard(node, n_shards)),
             }
         )
 
@@ -245,7 +247,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "is_auth": pa.array(
                     np.concatenate([np.ones(n, np.int8), np.zeros(n, np.int8)])
                 ),
-                "_j": pa.array(_mix_shard(key, num_shards)),
+                "_j": pa.array(_mix_shard(key, n_shards)),
             }
         )
 
@@ -307,7 +309,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
 
 
 def group_star_edges(ds, key_cols: list[str], id_col: str = "doc_id",
-                     num_shards: int = 64, broadcast_keys: int = 4_000_000):
+                     broadcast_keys: int = 4_000_000):
     """Star edges (min_id, other_id) per group of equal ``key_cols`` — the
     standard way a same-key dup relation becomes a graph without emitting
     the quadratic all-pairs.  Emits nothing for singleton groups.
@@ -316,15 +318,14 @@ def group_star_edges(ds, key_cols: list[str], id_col: str = "doc_id",
     (one combiner exchange, broadcast key->min emit, co-partition
     fallback — see there for the shuffle shape)."""
     return group_star_edges_multi(
-        ds, [list(key_cols)], id_col=id_col, num_shards=num_shards,
-        broadcast_keys=broadcast_keys,
+        ds, [list(key_cols)], id_col=id_col, broadcast_keys=broadcast_keys,
     )
 
 
 def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
                  a_col: str = "a", b_col: str = "b",
                  iters: int = 5, scale: int = 10**9,
-                 num_shards: int = 64, small_graph_rows: int = 4_000_000):
+                 small_graph_rows: int = 4_000_000):
     """Deterministic integer PageRank over an undirected edge set.
 
     Float PageRank re-associates mass sums under Ray's nondeterministic
@@ -371,7 +372,7 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
     # co-sharded join, same shape, noted here)
     deg_parts = sharded_grouped_agg(
         edges.map_batches(deg_partial, batch_format="pyarrow"),
-        ["node"], [("deg", "sum")], num_shards,
+        ["node"], [("deg", "sum")],
     ).to_pandas()
     node_parts = nodes_ds.map_batches(
         lambda b: pa.table({"node": pc.unique(pc.cast(b[node_col], pa.int64()))}),
@@ -438,7 +439,7 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
 
         recv = sharded_grouped_agg(
             edges.map_batches(send, batch_format="pyarrow"),
-            ["node"], [("recv", "sum")], num_shards,
+            ["node"], [("recv", "sum")],
         ).to_pandas()
         new_mass = np.full(len(all_nodes), teleport, dtype=np.int64)
         pos = np.searchsorted(all_nodes, recv["node"].to_numpy())
@@ -451,8 +452,7 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
     }))
 
 
-def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
-                   num_shards: int = 64) -> int:
+def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
     """EXACT global triangle count of an undirected simple graph.
 
     DEGREE-ORDERED orientation: after canonical dedup, each edge points
@@ -479,6 +479,8 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
 
     from .keyed import sharded_grouped_agg
 
+    n_shards = common.NUM_SHARDS
+
     def canon(batch: pa.Table) -> pa.Table:
         a = _pc.cast(batch[a_col], pa.int64()).to_numpy(zero_copy_only=False)
         b = _pc.cast(batch[b_col], pa.int64()).to_numpy(zero_copy_only=False)
@@ -495,8 +497,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
         keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
         return pa.table({"u": pa.array(u[keep]), "v": pa.array(v[keep])})
 
-    edges = shard_apply(edges_ds, ["u"], dedup_shard, prepare=canon,
-                        num_shards=num_shards).materialize()
+    edges = shard_apply(edges_ds, ["u"], dedup_shard, prepare=canon).materialize()
 
     def deg_partial(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False)
@@ -507,7 +508,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
 
     deg_df = sharded_grouped_agg(
         edges.map_batches(deg_partial, batch_format="pyarrow"),
-        ["node"], [("deg", "sum")], num_shards,
+        ["node"], [("deg", "sum")],
     ).to_pandas()
     nodes_s = np.sort(deg_df["node"].to_numpy(np.int64))
     deg_s = deg_df.set_index("node")["deg"].loc[nodes_s].to_numpy(np.int64)
@@ -519,7 +520,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
         with np.errstate(over="ignore"):
             h = mix64(u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
                       ^ mix64(v))
-        return (h % np.uint64(num_shards)).astype(np.int64)
+        return (h % np.uint64(n_shards)).astype(np.int64)
 
     def orient(batch: pa.Table, _d=deg_ref) -> pa.Table:
         ns, ds_ = ray.get(_d)
@@ -533,7 +534,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
         nb = np.where(u_is_apex, v, u)
         return pa.table({
             "apex": pa.array(apex), "nb": pa.array(nb),
-            "_a": pa.array(_mix_shard(apex, num_shards)),
+            "_a": pa.array(_mix_shard(apex, n_shards)),
         })
 
     def wedges(group: pa.Table) -> pa.Table:
@@ -619,8 +620,7 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b",
 
 
 def group_star_edges_multi(ds, key_sets: list[list[str]],
-                           id_col: str = "doc_id", num_shards: int = 64,
-                           broadcast_keys: int = 4_000_000):
+                           id_col: str = "doc_id", broadcast_keys: int = 4_000_000):
     """Star edges for SEVERAL group relations in ONE pass — the dup
     graphs here union 2+ relations (e.g. (lang, bucket) and (source,
     bucket)), and building them separately pays the combiner exchange,
@@ -665,7 +665,7 @@ def group_star_edges_multi(ds, key_sets: list[list[str]],
 
     mins = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        ["rel", "k"], [("_gmin", "min"), ("_gn", "sum")], num_shards,
+        ["rel", "k"], [("_gmin", "min"), ("_gn", "sum")],
     ).map_batches(keep_multi, batch_format="pyarrow").materialize()
     n_keys = mins.count()
 
@@ -724,4 +724,4 @@ def group_star_edges_multi(ds, key_sets: list[list[str]],
         return pa.table({"a": pa.array(mins_arr[m]), "b": pa.array(ids[m])})
 
     return shard_apply(ds, ["rel", "k"], per_shard, prepare=explode,
-                       coalesce=False, num_shards=num_shards)
+                       coalesce=False)

@@ -89,13 +89,13 @@ def broadcast_join(ds, right_table: pa.Table, left_key: str, right_key: str,
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
+from . import common
 from .common import fanin
 from .common import shard_of_ints as _shard_of_ints
 
 
 def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
-                 right_cols: list[str] | None = None, num_shards: int = 64,
-                 how: str = "inner"):
+                 right_cols: list[str] | None = None, how: str = "inner"):
     """Equi-join of two Datasets: ONE co-partitioning shuffle (tag-union by
     hash shard of the key), then a vectorized sorted-merge probe per shard.
     ``how="inner"`` outputs left columns + ``right_cols``; ``"left"`` also
@@ -112,9 +112,10 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
         raise ValueError(f"unknown how: {how}")
     if how in ("semi", "anti"):
         right_cols = []
+    n_shards = common.NUM_SHARDS
 
     def _shard(x: np.ndarray) -> np.ndarray:
-        return _shard_of_ints(x, num_shards)
+        return _shard_of_ints(x, n_shards)
 
     left_cols = list(left_ds.schema().names)
     lschema = left_ds.schema()
@@ -320,7 +321,7 @@ def bloom_semi_join(fact_ds, dim_ds, fact_key: str, dim_key: str,
     return broadcast_join(survivors, dim_table, fact_key, dim_key, how="semi")
 
 
-def set_op(left_ds, right_ds, cols: list[str], op: str, num_shards: int = 64):
+def set_op(left_ds, right_ds, cols: list[str], op: str):
     """SQL set operations with DISTINCT semantics: ``EXCEPT`` (distinct
     left rows absent from right) and ``INTERSECT`` (distinct rows present
     on both sides), over the given column tuple.
@@ -357,7 +358,7 @@ def set_op(left_ds, right_ds, cols: list[str], op: str, num_shards: int = 64):
     both = left_ds.map_batches(tag(0), batch_format="pyarrow").union(
         right_ds.map_batches(tag(1), batch_format="pyarrow")
     )
-    return shard_apply(both, cols, per_shard, num_shards=num_shards)
+    return shard_apply(both, cols, per_shard)
 
 
 def _probe_sorted_right(lk: np.ndarray, keys_s: np.ndarray):
@@ -376,7 +377,7 @@ def _probe_sorted_right(lk: np.ndarray, keys_s: np.ndarray):
 
 def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
                     right_cols: list[str] | None = None,
-                    hot_threshold: int = 100_000, num_shards: int = 64):
+                    hot_threshold: int = 100_000):
     """Inner equi-join that survives pathological key skew: HOT keys (an
     exact census says >= ``hot_threshold`` left rows) are joined by
     broadcasting their right rows and probing inline — those rows ride the
@@ -407,7 +408,7 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
     counts = sharded_grouped_agg(
         left_ds.select_columns([left_key]).map_batches(
             count_partial, batch_format="pyarrow"),
-        ["_k"], [("_n", "sum")], num_shards=num_shards,
+        ["_k"], [("_n", "sum")],
     )
 
     def only_hot(batch: pa.Table) -> pa.Table:
@@ -421,11 +422,12 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
     ]
     if not hot_parts:
         return shuffle_join(left_ds, right_ds, left_key, right_key,
-                            right_cols=right_cols, num_shards=num_shards)
+                            right_cols=right_cols)
     hot_keys = np.sort(
         pa.concat_tables(hot_parts)["_k"].to_numpy(zero_copy_only=False)
     )
     hot_ref = ray.put(hot_keys)
+    n_shards = common.NUM_SHARDS
 
     def _hot_mask(k: np.ndarray, hk: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(hk, k)
@@ -458,7 +460,7 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
         cold_t = batch.filter(pa.array(~hot))
         cold = cold_t.append_column("_jk", pa.array(k[~hot]))
         cold = cold.append_column(
-            "_jshard", pa.array(_shard_of_ints(k[~hot], num_shards)))
+            "_jshard", pa.array(_shard_of_ints(k[~hot], n_shards)))
         for c, t in zip(right_cols, rt_types):
             cold = cold.append_column(c, pa.nulls(cold.num_rows, t))
         cold = cold.append_column(
@@ -471,7 +473,7 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
         done = done.append_column("_jk", pa.array(k[hot][rows]))
         done = done.append_column(
             "_jshard",
-            pa.array((np.arange(len(rows)) % num_shards).astype(np.int64)))
+            pa.array((np.arange(len(rows)) % n_shards).astype(np.int64)))
         for c in right_cols:
             done = done.append_column(c, rdata[c].take(pa.array(ridx)))
         done = done.append_column(
@@ -485,7 +487,7 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
         cols = {c: pa.nulls(cold.num_rows, t)
                 for c, t in zip(lschema.names, lschema.types)}
         cols["_jk"] = pa.array(ck)
-        cols["_jshard"] = pa.array(_shard_of_ints(ck, num_shards))
+        cols["_jshard"] = pa.array(_shard_of_ints(ck, n_shards))
         for c in right_cols:
             cols[c] = cold[c]
         t = pa.table(cols)

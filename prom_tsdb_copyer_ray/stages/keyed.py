@@ -68,8 +68,7 @@ def _topk_kernel(table: pa.Table, key_cols: list[str], value_col: str, k: int,
 
 
 def topk_per_group(ds, key_cols: list[str], value_col: str, k: int,
-                   tiebreak_col: str | None = None, descending: bool = True,
-                   num_shards: int = 64):
+                   tiebreak_col: str | None = None, descending: bool = True):
     """Top-k rows per key: per-batch combiner, then one shard groupby.
 
     Ties are broken by ``tiebreak_col`` ascending (pass the row's unique id
@@ -80,12 +79,11 @@ def topk_per_group(ds, key_cols: list[str], value_col: str, k: int,
     def topk(t: pa.Table) -> pa.Table:
         return _topk_kernel(t, key_cols, value_col, k, tiebreak_col, descending)
 
-    return shard_apply(ds, key_cols, topk, prepare=topk, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, topk, prepare=topk, coalesce=False)
 
 
 def sessionize(ds, key_col: str, ts_col: str, gap_ms: int,
-               value_col: str | None = None, num_shards: int = 64):
+               value_col: str | None = None):
     """Gap-based sessions per key -> one aggregate row per session.
 
     A new session starts when the gap since the key's previous event
@@ -124,12 +122,11 @@ def sessionize(ds, key_col: str, ts_col: str, gap_ms: int,
             out["sum_value"] = pa.array(np.add.reduceat(v, starts), pa.float64())
         return pa.table(out)
 
-    return shard_apply(ds, [key_col], per_shard, prepare=project, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, [key_col], per_shard, prepare=project, coalesce=False)
 
 
 def count_distinct_per_group(ds, key_cols: list[str], value_col: str,
-                             out_col: str = "n_distinct", num_shards: int = 64):
+                             out_col: str = "n_distinct"):
     """Exact COUNT(DISTINCT value) per key.
 
     Scale shape: per-batch Arrow ``group_by`` collapses to distinct
@@ -169,17 +166,14 @@ def count_distinct_per_group(ds, key_cols: list[str], value_col: str,
 
     # the final sum is sharded by KEY (segment sum), not a Ray per-key
     # aggregate — key cardinality can be millions
-    partials = shard_apply(ds, cols, per_shard, prepare=partial, coalesce=False,
-                           num_shards=num_shards)
-    return shard_apply(partials, key_cols, final_sum, coalesce=False,
-                       num_shards=num_shards)
+    partials = shard_apply(ds, cols, per_shard, prepare=partial, coalesce=False)
+    return shard_apply(partials, key_cols, final_sum, coalesce=False)
 
 
 _REDUCERS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
-def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]],
-                        num_shards: int = 64):
+def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]]):
     """Final-stage aggregation over MANY keys: one hash-shard groupby with a
     lexsort + ``reduceat`` per agg column, replacing Ray's per-key hash
     aggregate (Python-level per-key cost — unusable at 1e5+ keys).
@@ -201,11 +195,11 @@ def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]
             )
         return out
 
-    return shard_apply(ds, key_cols, per_shard, num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard)
 
 
 def mode_per_group(ds, key_cols: list[str], value_col: str,
-                   count_col: str = "n", num_shards: int = 64):
+                   count_col: str = "n"):
     """Most frequent value per key (deterministic: ties break to the
     smallest value).  Composition: per-batch Arrow ``group_by`` count
     (combiner), hash-shard segment-sum over (key, value), then the
@@ -227,15 +221,13 @@ def mode_per_group(ds, key_cols: list[str], value_col: str,
         out = t.select(cols).take(pa.array(starts))
         return out.append_column(count_col, pa.array(sums, pa.int64()))
 
-    counts = shard_apply(ds, cols, shard_sum, prepare=partial, coalesce=False,
-                         num_shards=num_shards)
+    counts = shard_apply(ds, cols, shard_sum, prepare=partial, coalesce=False)
     return topk_per_group(counts, list(key_cols), count_col, 1,
-                          tiebreak_col=value_col, num_shards=num_shards)
+                          tiebreak_col=value_col)
 
 
 def group_quantiles(ds, key_cols: list[str], value_col: str,
-                    qs: tuple[float, ...] = (0.5, 0.9, 0.99),
-                    num_shards: int = 64):
+                    qs: tuple[float, ...] = (0.5, 0.9, 0.99)):
     """Exact per-key quantiles, DuckDB ``quantile_disc`` semantics.
 
     For each key and each q, returns ``sorted_values[ceil(q*n) - 1]``.
@@ -262,12 +254,11 @@ def group_quantiles(ds, key_cols: list[str], value_col: str,
             out[name] = pa.array(v[np.maximum(idx, starts)], pa.float64())
         return pa.table(out)
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project, coalesce=False)
 
 
 def window_rank(ds, key_cols: list[str], order_cols: list[str],
-                num_shards: int = 64, out_col: str = "rn"):
+                out_col: str = "rn"):
     """Per-row rank within key groups — SQL ``row_number() OVER (PARTITION
     BY keys ORDER BY order_cols)`` (make the last order col a unique id for
     full determinism).
@@ -289,13 +280,11 @@ def window_rank(ds, key_cols: list[str], order_cols: list[str],
         rn = np.arange(t.num_rows, dtype=np.int64) - np.repeat(starts, sizes) + 1
         return t.append_column(out_col, pa.array(rn, pa.int64()))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def running_sum(ds, key_cols: list[str], order_cols: list[str],
-                value_col: str, num_shards: int = 64,
-                out_col: str = "running"):
+                value_col: str, out_col: str = "running"):
     """Per-row running total within key groups — SQL ``sum(value) OVER
     (PARTITION BY keys ORDER BY order_cols ROWS UNBOUNDED PRECEDING)``.
 
@@ -325,12 +314,11 @@ def running_sum(ds, key_cols: list[str], order_cols: list[str],
         offs = np.repeat(seg_base, np.diff(np.r_[starts, t.num_rows]))
         return t.append_column(out_col, pa.array(cs - offs, out_type))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def pivot_counts(ds, key_cols: list[str], cat_col: str, categories: list[str],
-                 value_col: str | None = None, num_shards: int = 64):
+                 value_col: str | None = None):
     """Pivot a BOUNDED categorical column into wide per-category aggregate
     columns, one output row per key (long -> wide reshape).
 
@@ -386,12 +374,11 @@ def pivot_counts(ds, key_cols: list[str], cat_col: str, categories: list[str],
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     specs = [(c, "sum") for c in n_names + v_names]
-    return sharded_grouped_agg(partials, list(key_cols), specs, num_shards)
+    return sharded_grouped_agg(partials, list(key_cols), specs)
 
 
 def group_linear_trend(ds, key_cols: list[str], x_col: str, y_col: str,
-                       out_col: str = "slope", num_shards: int = 64,
-                       predict_at: int | None = None):
+                       out_col: str = "slope", predict_at: int | None = None):
     """Least-squares slope of y over x per key (the PromQL ``deriv()``
     trend analog, reference sample semantics copyer.go:108-127 applied as
     an aggregate): ``slope = (n*Sxy - Sx*Sy) / (n*Sxx - Sx*Sx)``.
@@ -437,7 +424,6 @@ def group_linear_trend(ds, key_cols: list[str], x_col: str, y_col: str,
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
         [(c, "sum") for c in ("_n", "_sx", "_sy", "_sxy", "_sxx")],
-        num_shards,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -461,7 +447,7 @@ def group_linear_trend(ds, key_cols: list[str], x_col: str, y_col: str,
 
 
 def grouped_corr(ds, key_cols: list[str], x_col: str, y_col: str,
-                 out_col: str = "corr", num_shards: int = 64):
+                 out_col: str = "corr"):
     """Pearson correlation of y vs x per key, exact sufficient statistics.
 
     ``corr = (n*Sxy - Sx*Sy) / (sqrt(n*Sxx - Sx^2) * sqrt(n*Syy - Sy^2))``
@@ -498,7 +484,7 @@ def grouped_corr(ds, key_cols: list[str], x_col: str, y_col: str,
 
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
-        [(c, "sum") for c in stats], num_shards,
+        [(c, "sum") for c in stats],
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -522,7 +508,7 @@ def grouped_corr(ds, key_cols: list[str], x_col: str, y_col: str,
 
 def group_concat(ds, key_cols: list[str], value_col: str,
                  order_cols: list[str], sep: str = ",",
-                 out_col: str = "agg", num_shards: int = 64):
+                 out_col: str = "agg"):
     """SQL ``string_agg(value, sep ORDER BY order_cols)`` per key.
 
     Order MUST be total for determinism — pass tiebreak columns (e.g.
@@ -554,13 +540,11 @@ def group_concat(ds, key_cols: list[str], value_col: str,
         out = t.select(keys).take(pa.array(starts))
         return out.append_column(out_col, joined)
 
-    return shard_apply(ds, keys, per_shard, prepare=project, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=project, coalesce=False)
 
 
 def transition_counts(ds, key_col: str, order_cols: list[str],
-                      state_col: str, out_count: str = "n",
-                      num_shards: int = 64):
+                      state_col: str, out_count: str = "n"):
     """First-order Markov transition counts: for each (from_state,
     to_state), how many consecutive event pairs within a key's totally
     ordered timeline make that transition — SQL ``lead() OVER (PARTITION
@@ -598,15 +582,13 @@ def transition_counts(ds, key_col: str, order_cols: list[str],
             out_count: pa.array(cnt.astype(np.int64), pa.int64()),
         })
 
-    shard_counts = shard_apply(ds, [key_col], per_shard, prepare=project,
-                               num_shards=num_shards)
+    shard_counts = shard_apply(ds, [key_col], per_shard, prepare=project)
     return sharded_grouped_agg(shard_counts, ["from_state", "to_state"],
-                               [(out_count, "sum")], num_shards=4)
+                               [(out_count, "sum")])
 
 
 def robust_stats(ds, key_cols: list[str], value_col: str,
-                 med_col: str = "med", mad_col: str = "mad",
-                 num_shards: int = 64):
+                 med_col: str = "med", mad_col: str = "mad"):
     """Per-key robust location/scale: median and MAD
     (``median(|x - median(x)|)``), SQL ``median()`` / ``mad()`` semantics
     (quantile_cont 0.5: mean of the two middle order statistics).
@@ -646,12 +628,11 @@ def robust_stats(ds, key_cols: list[str], value_col: str,
         return out.append_column(med_col, pa.array(med, pa.float64())) \
                   .append_column(mad_col, pa.array(mad, pa.float64()))
 
-    return shard_apply(ds, keys, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=project)
 
 
 def impute_median(ds, key_cols: list[str], value_col: str,
-                  out_col: str = "imputed", num_shards: int = 64):
+                  out_col: str = "imputed"):
     """Data-cleaning imputation: null values filled with their key group's
     median of the non-null values — SQL ``COALESCE(v, quantile_cont(v, 0.5)
     OVER (PARTITION BY key))``.  All-null groups stay null.
@@ -684,13 +665,12 @@ def impute_median(ds, key_cols: list[str], value_col: str,
         filled = np.where(np.isnan(v), np.repeat(med, sizes), v)
         return t.append_column(out_col, pa.array(filled, pa.float64()))
 
-    return shard_apply(ds, keys, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=project)
 
 
 def cooccurrence_pairs(ds, key_col: str, item_col: str,
-                       out_count: str = "n_keys", num_shards: int = 64,
-                       marginals: bool = False, bounded_final: bool = False):
+                       out_count: str = "n_keys", marginals: bool = False,
+                       bounded_final: bool = False):
     """Market-basket co-occurrence: for every unordered item pair, the
     number of keys (users/baskets/docs) where BOTH items occur —
     ``SELECT a.item, b.item, count(*) FROM distinct(key,item) a JOIN b
@@ -779,8 +759,7 @@ def cooccurrence_pairs(ds, key_col: str, item_col: str,
             ))
         return pa.concat_tables(parts) if parts else empty()
 
-    shard_counts = shard_apply(ds, [key_col], per_shard, prepare=partial,
-                               num_shards=num_shards)
+    shard_counts = shard_apply(ds, [key_col], per_shard, prepare=partial)
     keys = (["tag"] if marginals else []) + ["ta", "tb"]
     if bounded_final:
         import ray.data
@@ -796,12 +775,12 @@ def cooccurrence_pairs(ds, key_col: str, item_col: str,
                  .rename_columns(keys + [out_count]))
         return ray.data.from_arrow(final)
     return sharded_grouped_agg(shard_counts, keys,
-                               [(out_count, "sum")], num_shards=4)
+                               [(out_count, "sum")])
 
 
 def grouping_sets_agg(ds, dim_cols: list[str], sets: list[list[str]],
                       agg_specs: list[tuple[str, str, str]],
-                      fill: str = "(all)", num_shards: int = 64):
+                      fill: str = "(all)"):
     """Multi-level aggregate in ONE pass over the data (SQL GROUPING SETS /
     CUBE / ROLLUP): every grouping set's totals computed together, absent
     dimensions filled with the ``fill`` sentinel (callers pick a value that
@@ -850,23 +829,22 @@ def grouping_sets_agg(ds, dim_cols: list[str], sets: list[list[str]],
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), dims,
-        [(out, merge_fn[fn]) for (_, fn, out) in agg_specs], num_shards,
+        [(out, merge_fn[fn]) for (_, fn, out) in agg_specs],
     )
 
 
 def cube_agg(ds, dim_cols: list[str], agg_specs: list[tuple[str, str, str]],
-             fill: str = "(all)", num_shards: int = 64):
+             fill: str = "(all)"):
     """SQL CUBE: :func:`grouping_sets_agg` over every subset of dims."""
     from itertools import combinations
 
     sets = [list(c) for r in range(len(dim_cols), -1, -1)
             for c in combinations(dim_cols, r)]
-    return grouping_sets_agg(ds, dim_cols, sets, agg_specs, fill, num_shards)
+    return grouping_sets_agg(ds, dim_cols, sets, agg_specs, fill)
 
 
 def percent_rank(ds, key_cols: list[str], order_cols: list[str],
-                 carry_cols: list[str] | None = None, num_shards: int = 64,
-                 out_col: str = "pr"):
+                 carry_cols: list[str] | None = None, out_col: str = "pr"):
     """SQL ``percent_rank() OVER (PARTITION BY keys ORDER BY order_cols)``:
     ``(rank - 1) / (n - 1)`` where tied order values SHARE a rank and a
     single-row partition gets 0.0.
@@ -900,13 +878,12 @@ def percent_rank(ds, key_cols: list[str], order_cols: list[str],
             pr = np.where(size > 1, rank / (size - 1), 0.0)
         return t.append_column(out_col, pa.array(pr, pa.float64()))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def ratio_to_total(ds, key_cols: list[str], value_col: str,
                    carry_cols: list[str] | None = None,
-                   out_col: str = "share", num_shards: int = 64):
+                   out_col: str = "share"):
     """Ratio-to-report: ``v / sum(v) OVER (PARTITION BY key)`` — each row's
     share of its group total.  Two passes like
     :func:`standardize_per_group`: exact int64 group sums (per-batch
@@ -927,7 +904,7 @@ def ratio_to_total(ds, key_cols: list[str], value_col: str,
 
     stats = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
-        [("_sy", "sum")], num_shards,
+        [("_sy", "sum")],
     ).to_pandas()
     kh = key_hash64(pa.Table.from_pandas(stats[keys]), keys)
     if len(np.unique(kh)) != len(kh):  # same guard as standardize_per_group
@@ -955,7 +932,7 @@ def ratio_to_total(ds, key_cols: list[str], value_col: str,
 
 def standardize_per_group(ds, key_cols: list[str], value_col: str,
                           carry_cols: list[str] | None = None,
-                          out_col: str = "z", num_shards: int = 64):
+                          out_col: str = "z"):
     """Per-group z-score standardization (feature normalization):
     ``z = (v - mean) / stddev_pop`` per key, computed in TWO passes —
     pass 1 reduces each key to exact int64 sufficient statistics (n, Sy,
@@ -986,7 +963,7 @@ def standardize_per_group(ds, key_cols: list[str], value_col: str,
 
     stats = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
-        [(c, "sum") for c in ("_n", "_sy", "_syy")], num_shards,
+        [(c, "sum") for c in ("_n", "_sy", "_syy")],
     )
     st = pa.Table.from_pylist(stats.take_all())
     n = st["_n"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1028,8 +1005,7 @@ def standardize_per_group(ds, key_cols: list[str], value_col: str,
 
 
 def ntile(ds, key_cols: list[str], order_cols: list[str], n: int,
-          carry_cols: list[str] | None = None, num_shards: int = 64,
-          out_col: str = "tile"):
+          carry_cols: list[str] | None = None, out_col: str = "tile"):
     """SQL ``ntile(n) OVER (PARTITION BY keys ORDER BY order_cols)``:
     rows of each partition split into ``n`` buckets, the first
     ``count % n`` buckets one row larger (standard SQL fill order).
@@ -1062,13 +1038,12 @@ def ntile(ds, key_cols: list[str], order_cols: list[str], n: int,
             ) + 1
         return t.append_column(out_col, pa.array(tile.astype(np.int64)))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def lag_column(ds, key_cols: list[str], order_cols: list[str],
                value_col: str, carry_cols: list[str] | None = None,
-               num_shards: int = 64, out_col: str = "prev"):
+               out_col: str = "prev"):
     """SQL ``lag(value) OVER (PARTITION BY keys ORDER BY order_cols)``,
     keeping only rows that HAVE a predecessor (lag-is-null rows dropped,
     like :func:`counter_increase`'s first-sample rule — null-free output).
@@ -1091,12 +1066,11 @@ def lag_column(ds, key_cols: list[str], order_cols: list[str],
         t = t.filter(pa.array(~first))
         return t.append_column(out_col, prev.filter(pa.array(~first[1:])))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def cohort_retention(ds, user_col: str, ts_col: str,
-                     day_ms: int = 86_400_000, num_shards: int = 64):
+                     day_ms: int = 86_400_000):
     """Cohort retention matrix: users bucketed by the aligned day of their
     FIRST activity (the cohort), counted once per (cohort, day-offset)
     they were active — the classic product-analytics rollup.
@@ -1140,11 +1114,9 @@ def cohort_retention(ds, user_col: str, ts_col: str,
             "n_users": pa.array(counts.astype(np.int64), pa.int64()),
         })
 
-    partials = shard_apply(ds, [user_col], per_shard, prepare=partial,
-                           num_shards=num_shards)
+    partials = shard_apply(ds, [user_col], per_shard, prepare=partial)
     return sharded_grouped_agg(
         partials, ["cohort_start", "offset_days"], [("n_users", "sum")],
-        num_shards=8,
     )
 
 
@@ -1180,7 +1152,7 @@ def unpivot(ds, id_cols: list[str], value_cols: list[str],
 
 
 def funnel_counts(ds, user_col: str, type_col: str, ts_col: str,
-                  steps: list[str], num_shards: int = 64):
+                  steps: list[str]):
     """Ordered conversion funnel: how many users completed step 1, then
     step 2 STRICTLY after their first step-1 event, then step 3 strictly
     after that, ... (classic product-analytics funnel; each step's
@@ -1233,10 +1205,8 @@ def funnel_counts(ds, user_col: str, type_col: str, ts_col: str,
             "n_users": pa.array(counts, pa.int64()),
         })
 
-    partials = shard_apply(ds, [user_col], per_shard, prepare=partial,
-                           num_shards=num_shards)
-    final = sharded_grouped_agg(partials, ["step"], [("n_users", "sum")],
-                                num_shards=4)
+    partials = shard_apply(ds, [user_col], per_shard, prepare=partial)
+    final = sharded_grouped_agg(partials, ["step"], [("n_users", "sum")])
 
     def add_name(batch: pa.Table) -> pa.Table:
         idx = pc.subtract(pc.cast(batch["step"], pa.int64()), 1)
@@ -1249,8 +1219,7 @@ def funnel_counts(ds, user_col: str, type_col: str, ts_col: str,
     return final.map_batches(add_name, batch_format="pyarrow")
 
 
-def mad_outliers(ds, key_cols: list[str], value_col: str, k: int = 3,
-                 num_shards: int = 64):
+def mad_outliers(ds, key_cols: list[str], value_col: str, k: int = 3):
     """Per-key robust outlier counts: rows with ``|v - median| > k * MAD``
     (the classic robust z-score rule; the reference's per-series semantics
     of "inspect each series independently", copyer.go:92-156, as a quality
@@ -1289,13 +1258,11 @@ def mad_outliers(ds, key_cols: list[str], value_col: str, k: int = 3,
         return out.append_column("n_outliers", pa.array(n_out, pa.int64())) \
                   .append_column("n_total", pa.array(sizes, pa.int64()))
 
-    return shard_apply(ds, keys, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=project)
 
 
 def group_first_last(ds, key_cols: list[str], order_cols: list[str],
-                     value_col: str, num_shards: int = 64,
-                     first_col: str = "first_v", last_col: str = "last_v"):
+                     value_col: str, first_col: str = "first_v", last_col: str = "last_v"):
     """SQL ``first_value`` / ``last_value`` per key over a TOTAL order
     (make the last order col a unique id) — the windowed analogue of the
     rollup tiers' first/last-by-ts aggregate (SURVEY.md §2 O14).
@@ -1327,13 +1294,11 @@ def group_first_last(ds, key_cols: list[str], order_cols: list[str],
                   .append_column(last_col,
                                  vcol.take(pa.array(starts + sizes - 1)))
 
-    return shard_apply(ds, keys, per_shard, prepare=partial,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=partial)
 
 
 def dense_rank(ds, key_cols: list[str], order_cols: list[str],
-               carry_cols: list[str] | None = None, num_shards: int = 64,
-               out_col: str = "dr"):
+               carry_cols: list[str] | None = None, out_col: str = "dr"):
     """SQL ``dense_rank() OVER (PARTITION BY keys ORDER BY order_cols)``:
     tied order tuples share a rank and ranks have no gaps.
 
@@ -1359,13 +1324,12 @@ def dense_rank(ds, key_cols: list[str], order_cols: list[str],
         dr = cum - np.repeat(cum[kstarts], ksizes) + 1
         return t.append_column(out_col, pa.array(dr, pa.int64()))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def winsorized_mean(ds, key_cols: list[str], value_col: str,
                     q_lo: float = 0.1, q_hi: float = 0.9,
-                    num_shards: int = 64, out_col: str = "w_mean",
+                    out_col: str = "w_mean",
                     scale: float = 100.0):
     """Per-key winsorized mean: values clamped to the key's
     [quantile_disc(q_lo), quantile_disc(q_hi)] before averaging — the
@@ -1400,13 +1364,11 @@ def winsorized_mean(ds, key_cols: list[str], value_col: str,
         return out.append_column("n", pa.array(sizes, pa.int64())) \
                   .append_column(out_col, pa.array(mean, pa.float64()))
 
-    return shard_apply(ds, keys, per_shard, prepare=project, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=project, coalesce=False)
 
 
 def lead_intervals(ds, key_cols: list[str], order_col: str, id_col: str,
-                   value_col: str, num_shards: int = 64,
-                   from_col: str = "valid_from", to_col: str = "valid_to"):
+                   value_col: str, from_col: str = "valid_from", to_col: str = "valid_to"):
     """SCD type-2 validity intervals from a changelog: each change row
     becomes (key, value, valid_from = its order value, valid_to = the NEXT
     change's order value, NULL for the current row) — SQL ``lead(order)
@@ -1441,12 +1403,11 @@ def lead_intervals(ds, key_cols: list[str], order_col: str, id_col: str,
             to_col: nxt,
         })
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def ohlc_agg(ds, key_cols: list[str], order_cols: list[str],
-             value_col: str, num_shards: int = 64):
+             value_col: str):
     """Open/high/low/close per key over a TOTAL order (make the last order
     col unique) — the classic candlestick / M4-style bucket downsample;
     open/close are the rollup tiers' first/last-by-ts semantics
@@ -1503,13 +1464,11 @@ def ohlc_agg(ds, key_cols: list[str], order_cols: list[str],
             "low": pa.array(low), "close": closes,
         })
 
-    return shard_apply(ds, keys, per_shard, prepare=partial,
-                       num_shards=num_shards)
+    return shard_apply(ds, keys, per_shard, prepare=partial)
 
 
 def max_drawdown(ds, key_cols: list[str], order_cols: list[str],
-                 value_col: str, num_shards: int = 64,
-                 out_col: str = "max_dd"):
+                 value_col: str, out_col: str = "max_dd"):
     """Largest peak-to-trough drop of each key's value series over its
     total order — the monitoring/finance drawdown stat
     (``max_i (max_{j<=i} v_j - v_i)``, 0 for monotone series).
@@ -1551,13 +1510,11 @@ def max_drawdown(ds, key_cols: list[str], order_cols: list[str],
         return out.append_column(out_col, pa.array(mdd, pa.int64())) \
                   .append_column("n", pa.array(sizes, pa.int64()))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def cume_dist(ds, key_cols: list[str], order_cols: list[str],
-              carry_cols: list[str] | None = None, num_shards: int = 64,
-              out_col: str = "cd"):
+              carry_cols: list[str] | None = None, out_col: str = "cd"):
     """SQL ``cume_dist() OVER (PARTITION BY keys ORDER BY order_cols)``:
     (# rows with order <= current) / n, tied order tuples share the
     value.  percent_rank's exchange shape; the quotient of two small
@@ -1584,8 +1541,7 @@ def cume_dist(ds, key_cols: list[str], order_cols: list[str],
             ksizes, ksizes).astype(np.float64)
         return t.append_column(out_col, pa.array(cd, pa.float64()))
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def skyline_table(t: pa.Table, x_col: str, y_col: str) -> pa.Table:
@@ -1642,7 +1598,7 @@ def pareto_skyline(ds, x_col: str, y_col: str):
 
 
 def cusum_extrema(ds, key_cols: list[str], order_cols: list[str],
-                  value_col: str, num_shards: int = 64):
+                  value_col: str):
     """CUSUM change-point statistic per key: over the key's totally ordered
     int64 values, the maximum absolute centered cumulative deviation
 
@@ -1683,4 +1639,4 @@ def cusum_extrema(ds, key_cols: list[str], order_cols: list[str],
             "n_points", pa.array(sizes.astype(np.int64), pa.int64())
         )
 
-    return shard_apply(ds, key_cols, per_shard, num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard)

@@ -33,11 +33,16 @@ exchange, :func:`stages.common.shard_apply` (its docstring holds the design),
 keyed by ``series_key`` with ``by=("_gw",)`` — a coarse *group* window
 (default 1 day for the raw tier) — so the shuffle key is ``(_gw, _shard)``
 (time-major, so output blocks are time-clustered for the day-partitioned
-write).  One ``map_groups`` call covers MANY (series, tier-window) cells and
-processes them fully vectorized (lexsort + ``np.*.reduceat``); within a shard
-a hot series is bounded by the group window (the memory-bounding role the
-reference's ``-S`` slice duration plays, ``main.go:121``), and the cascade's
-coarser tiers add at most a fraction of the group's 5m rows to that bound.
+write), with ``_shard`` one of ``common.NUM_SHARDS`` (64) hash shards of the
+series, the one shard count every exchange uses.  The shard count is not
+the stage's parallelism: the sort's block count is (``fanin()`` for the raw
+exchange, the input's blocks for ``rollup_up``); the shards only split each
+task's rows into kernel calls.  One ``map_groups`` call covers MANY
+(series, tier-window) cells and processes them fully vectorized (lexsort +
+``np.*.reduceat``); within a shard a hot series is bounded by the group
+window (the memory-bounding role the reference's ``-S`` slice duration
+plays, ``main.go:121``), and the cascade's coarser tiers add at most a
+fraction of the group's 5m rows to that bound.
 Every rollup sizes its input with ``size_input`` first, never by a probe:
 an upper bound on its rows is known before it executes (a caller's bound,
 a materialized count or Parquet footer row counts), and only an input of
@@ -59,7 +64,6 @@ from ..windows import MS_1D, TIER_PARENT, TIERS, window_start_np
 from .common import shard_apply, size_input
 
 LABEL_COLS = ("__name__", "domain", "lang")
-DEFAULT_NUM_SHARDS = 64
 MERGE_GROUP_FACTOR = 16  # coarser windows per rollup_up group window
 
 CHUNK_FIELDS = [
@@ -316,7 +320,7 @@ def cascade_kernel(first, merge, tiers, metrics_sink=None, first_step: str = "ro
 
 
 def rollup_samples(samples_ds, kernel, group_window_ms: int,
-                   num_shards: int = DEFAULT_NUM_SHARDS, rows: int | None = None):
+                   rows: int | None = None):
     """Samples Dataset -> ``kernel`` applied per (group window, series shard):
     the one wide exchange over raw samples (or one task under
     ``SMALL_ROWS``).  ``rows``: an upper bound on the samples, if known."""
@@ -324,7 +328,7 @@ def rollup_samples(samples_ds, kernel, group_window_ms: int,
     return shard_apply(
         samples_ds, ["series_key"], kernel,
         prepare=with_group_window("ts", group_window_ms), by=("_gw",),
-        num_shards=num_shards, rows=rows,
+        rows=rows,
     )
 
 
@@ -335,7 +339,6 @@ def _merge_finer(finer: pa.Table, tier: str) -> pa.Table:
 def rollup_raw(
     samples_ds,
     tier: str = "5m",
-    num_shards: int = DEFAULT_NUM_SHARDS,
     group_window_ms: int = MS_1D,
     metrics_sink=None,
 ):
@@ -344,7 +347,7 @@ def rollup_raw(
         raise ValueError(f"group window {group_window_ms} not a multiple of tier {tier}")
     return rollup_samples(
         samples_ds, cascade_kernel(_rollup_raw_group, None, (tier,), metrics_sink),
-        group_window_ms, num_shards)
+        group_window_ms)
 
 
 def rollup_cascade(samples_ds, group_window_ms: int = MS_1D, metrics_sink=None,
@@ -375,7 +378,7 @@ def rollup_up(finer_ds, tier: str, metrics_sink=None):
     return shard_apply(
         finer_ds, ["series_key"], kernel,
         prepare=with_group_window("window_start", TIERS[tier] * MERGE_GROUP_FACTOR),
-        by=("_gw",), coalesce=False, num_shards=DEFAULT_NUM_SHARDS, rows=rows,
+        by=("_gw",), coalesce=False, rows=rows,
     )
 
 

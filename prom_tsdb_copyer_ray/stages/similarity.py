@@ -711,5 +711,5 @@ def pq_code_counts(ds, n_sub: int = 4, k: int = 8,
 
     return sharded_grouped_agg(
         ds.map_batches(encode, batch_format="pyarrow"),
-        ["subspace", "code"], [("n_vecs", "sum")], num_shards=4,
+        ["subspace", "code"], [("n_vecs", "sum")],
     )

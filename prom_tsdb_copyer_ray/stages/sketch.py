@@ -98,7 +98,7 @@ def quantiles_from_sample(values: np.ndarray, qs: tuple[float, ...]) -> list[flo
 
 def approx_quantiles_per_group(ds, key_cols: list[str], value_col: str,
                                id_col: str, qs: tuple[float, ...] = (0.5, 0.9, 0.99),
-                               k: int = 1024, num_shards: int = 64):
+                               k: int = 1024):
     """Approximate per-key quantiles via a mergeable bottom-k row sample.
 
     The scale path for :func:`..keyed.group_quantiles` (which must shuffle
@@ -157,13 +157,11 @@ def approx_quantiles_per_group(ds, key_cols: list[str], value_col: str,
             keys_t = keys_t.append_column(name, pa.array(rows[name], pa.float64()))
         return keys_t
 
-    return shard_apply(ds, key_cols, merge, prepare=partial, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, merge, prepare=partial, coalesce=False)
 
 
 def approx_distinct_per_group(ds, key_cols: list[str], value_col: str,
-                              p: int = 12, out_col: str = "approx_distinct",
-                              num_shards: int = 64):
+                              p: int = 12, out_col: str = "approx_distinct"):
     """Approximate COUNT(DISTINCT value) per key via HyperLogLog."""
     m = 1 << p
 
@@ -197,8 +195,7 @@ def approx_distinct_per_group(ds, key_cols: list[str], value_col: str,
         keys_t = t.select(list(key_cols)).take(pa.array(starts))
         return keys_t.append_column(out_col, pa.array(ests, pa.float64()))
 
-    return shard_apply(ds, key_cols, merge, prepare=partial, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, merge, prepare=partial, coalesce=False)
 
 
 def _mg_compact(items: np.ndarray, counts: np.ndarray, capacity: int):
@@ -216,8 +213,7 @@ def _mg_compact(items: np.ndarray, counts: np.ndarray, capacity: int):
     return items[keep], counts[keep] - thresh, int(thresh)
 
 
-def heavy_hitters_topk(ds, item_col: str, k: int, capacity: int = 256,
-                       num_shards: int = 64):
+def heavy_hitters_topk(ds, item_col: str, k: int, capacity: int = 256):
     """EXACT global top-k most frequent items at bounded state, via a
     Misra-Gries sketch + verify pass (the heavy-hitters analogue of the
     Bloom semi-join: the sketch bounds what moves, a second exact pass
@@ -255,7 +251,7 @@ def heavy_hitters_topk(ds, item_col: str, k: int, capacity: int = 256,
 
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
-        [item_col], [("n", "sum")], num_shards,
+        [item_col], [("n", "sum")],
     )
     st = pa.Table.from_pylist(merged.take_all())
     items = st[item_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -408,8 +404,7 @@ def exact_global_quantiles(ds, value_col: str, qs: tuple[float, ...],
     return {q: answers[i] for i, q in enumerate(qs)}
 
 
-def theta_sketch_per_key(ds, key_col: str, value_col: str, k: int = 256,
-                         num_shards: int = 8):
+def theta_sketch_per_key(ds, key_col: str, value_col: str, k: int = 256):
     """KMV/theta distinct-value sketch per key: the k smallest DISTINCT
     ``fmix64(value)`` hashes (a deterministic uniform sample of the key's
     value set).  Mergeable: bottom-k of a union == bottom-k of merged
@@ -453,8 +448,7 @@ def theta_sketch_per_key(ds, key_col: str, value_col: str, k: int = 256,
                                pa.list_(pa.int64())),
         })
 
-    return shard_apply(ds, [key_col], merge, prepare=partial, coalesce=False,
-                       num_shards=num_shards)
+    return shard_apply(ds, [key_col], merge, prepare=partial, coalesce=False)
 
 
 def theta_intersection_estimate(hashes_a: np.ndarray, hashes_b: np.ndarray,

@@ -29,7 +29,7 @@ MAX_BROADCAST_TERMS = 2_000_000
 
 
 def _co_lookup(rows_ds, lookup_ds, payload_fields, value_fields,
-               post=None, num_shards: int = 64):
+               post=None):
     """Co-partitioned lookup join keyed on a ``_jk`` string column.
 
     ``rows_ds``: Dataset with columns ``_jk`` + payload_fields;
@@ -88,7 +88,7 @@ def _co_lookup(rows_ds, lookup_ds, payload_fields, value_fields,
 
     both = (rows_ds.map_batches(pad(1), batch_format="pyarrow")
             .union(lookup_ds.map_batches(pad(0), batch_format="pyarrow")))
-    return shard_apply(both, ["_jk"], per_shard, num_shards=num_shards)
+    return shard_apply(both, ["_jk"], per_shard)
 
 
 def add_quality_counts(ds, text_col: str = "text"):
@@ -137,8 +137,7 @@ def add_lang_id(ds, text_col: str = "text", concurrency=(1, 8),
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def term_document_frequency(ds, text_col: str = "text", top_n: int = 100,
-                            num_shards: int = 64):
+def term_document_frequency(ds, text_col: str = "text", top_n: int = 100):
     """Top-N vocabulary terms by document frequency (df).
 
     Terms are ASCII ``[A-Za-z]+`` runs, lowercased; df counts each doc once
@@ -168,7 +167,7 @@ def term_document_frequency(ds, text_col: str = "text", top_n: int = 100,
         )
 
     vocab = shard_apply(ds, ["term"], _shard_term_sum, prepare=partial_df,
-                        coalesce=False, num_shards=num_shards)
+                        coalesce=False)
     if top_n is None:  # full collapsed vocabulary (for idf consumers)
         return vocab
     return vocab.sort(["df", "term"], descending=[True, False]).limit(top_n)
@@ -1031,7 +1030,7 @@ def bpe_train(ds, text_col: str = "text", k: int = 8,
 
     vocab = sharded_grouped_agg(
         ds.map_batches(wc_partial, batch_format="pyarrow"),
-        ["w"], [("n", "sum")], num_shards=16,
+        ["w"], [("n", "sum")],
     ).materialize()
 
     def apply_merges(symbols: tuple, merges: list) -> tuple:
@@ -1098,7 +1097,7 @@ def bpe_train(ds, text_col: str = "text", k: int = 8,
 
         pairs = sharded_grouped_agg(
             vocab.map_batches(pair_partial, batch_format="pyarrow"),
-            ["l", "r"], [("n", "sum")], num_shards=16,
+            ["l", "r"], [("n", "sum")],
         ).to_pandas()
         if pairs.empty:
             break
@@ -1112,7 +1111,7 @@ def bpe_train(ds, text_col: str = "text", k: int = 8,
 
 
 def term_parity_drift(ds, text_col: str = "text", id_col: str = "doc_id",
-                      min_df: int = 20, num_shards: int = 64):
+                      min_df: int = 20):
     """Vocabulary drift between two corpus halves (docs with even vs odd
     ``id_col``): per term, the distinct-doc frequency in each half and the
     smoothed log-odds drift
@@ -1194,7 +1193,7 @@ def term_parity_drift(ds, text_col: str = "text", id_col: str = "doc_id",
         })
 
     return shard_apply(ds, ["term"], per_shard, prepare=partial_df,
-                       coalesce=False, num_shards=num_shards)
+                       coalesce=False)
 
 
 TEXT_INDEX_BUCKETS = 64
@@ -1307,7 +1306,7 @@ def text_index_search(index_dir: str, terms: list[str]):
         match, batch_format="pyarrow"
     )
     return count_distinct_per_group(hits, ["doc_id"], "term",
-                                    out_col="n_matched", num_shards=16)
+                                    out_col="n_matched")
 
 
 class BPEEncoder:
@@ -1483,10 +1482,9 @@ def phrase_search(index_dir: str, phrase: list[str]):
 
     hits = shard_apply(
         ray.data.read_parquet(files, columns=["term", "doc_id", "pos"]),
-        ["doc_id"], per_shard, prepare=shift, coalesce=False, num_shards=16,
+        ["doc_id"], per_shard, prepare=shift, coalesce=False,
     )
     # shards are doc-disjoint (the shard is a pure function of doc_id), so
     # per-shard counts are final; still run a bounded sum to survive any
     # future re-sharding
-    return sharded_grouped_agg(hits, ["doc_id"], [("n_matches", "sum")],
-                               num_shards=8)
+    return sharded_grouped_agg(hits, ["doc_id"], [("n_matches", "sum")])

@@ -118,7 +118,6 @@ def range_join(
     right_end: str = "end",
     right_id_col: str = "interval_id",
     bucket_ms: int = 3_600_000,
-    num_shards: int = 64,
 ):
     """Interval (range) join: every left row paired with every right interval
     ``[start, end]`` (ms, inclusive) of the same key that contains its
@@ -208,7 +207,7 @@ def range_join(
     lefts = left_ds.map_batches(norm_left, batch_format="pyarrow")
     rights = right_ds.map_batches(explode_right, batch_format="pyarrow")
     return shard_apply(lefts.union(rights), [key_col], per_group, by=("_bucket",),
-                       coalesce=False, num_shards=num_shards)
+                       coalesce=False)
 
 
 def asof_join(
@@ -322,7 +321,6 @@ def counter_increase(
     order_cols: list[str],
     value_col: str,
     window_ms: int,
-    num_shards: int = 64,
 ):
     """PromQL-style ``increase()``: adjacent-sample counter deltas with
     reset handling, summed per aligned window.
@@ -374,8 +372,7 @@ def counter_increase(
         out["increase"] = pa.array(np.add.reduceat(adj_k, starts), pa.float64())
         return pa.table(out)
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def time_weighted_avg(
@@ -385,7 +382,6 @@ def time_weighted_avg(
     order_cols: list[str],
     value_col: str,
     window_ms: int,
-    num_shards: int = 64,
 ):
     """Time-weighted average per aligned window (the TimescaleDB
     ``time_weight('locf')`` shape): each sample's value is held until the
@@ -440,8 +436,7 @@ def time_weighted_avg(
                               pa.float64())
         return pa.table(out)
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def watermark_window_counts(ds, id_col: str, ts_col: str, key_cols: list[str],
@@ -523,7 +518,7 @@ def watermark_window_counts(ds, id_col: str, ts_col: str, key_cols: list[str],
 
     parts = pairs.map_batches(count_kept, batch_size=None, batch_format="pyarrow")
     return sharded_grouped_agg(parts, keys + ["window_start"],
-                               [(out_count, "sum")], num_shards=16)
+                               [(out_count, "sum")])
 
 
 def sliding_distinct(ds, key_col: str, day_col: str, window: int,
@@ -581,7 +576,7 @@ def sliding_distinct(ds, key_col: str, day_col: str, window: int,
 
     deltas = sharded_grouped_agg(
         shard_apply(ds, [key_col], per_shard, prepare=partial, coalesce=False),
-        ["b"], [("delta", "sum")], num_shards=4,
+        ["b"], [("delta", "sum")],
     )
 
     # driver-side: O(distinct days) boundary rows + the distinct day set
@@ -607,8 +602,7 @@ def sliding_distinct(ds, key_col: str, day_col: str, window: int,
     })
 
 
-def merge_intervals(ds, key_cols: list[str], start_col: str, end_col: str,
-                    num_shards: int = 64):
+def merge_intervals(ds, key_cols: list[str], start_col: str, end_col: str):
     """Coalesce transitively-overlapping (or touching) intervals per key
     into covering spans: the classic gaps-and-islands merge.  A new span
     starts where an interval's start exceeds the running max end of the
@@ -654,8 +648,7 @@ def merge_intervals(ds, key_cols: list[str], start_col: str, end_col: str,
         )
         return pa.table(out)
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)
 
 
 def rolling_sigma_outliers(
@@ -666,7 +659,6 @@ def rolling_sigma_outliers(
     window: int = 16,
     k: int = 3,
     out_col: str = "is_anomaly",
-    num_shards: int = 64,
 ):
     """Rolling k-sigma anomaly flags per key over a trailing ``window``-ROWS
     frame — the streaming outlier detector (SQL ``ROWS BETWEEN window-1
@@ -716,7 +708,7 @@ def rolling_sigma_outliers(
         flag = dev * dev > (k * k) * (m * q - s * s)
         return t.append_column(out_col, pa.array(flag, pa.bool_()))
 
-    return shard_apply(ds, key_cols, per_shard, num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard)
 
 
 def lttb_indices(x: np.ndarray, y: np.ndarray, n_out: int) -> np.ndarray:
@@ -800,7 +792,6 @@ def extrapolated_rate(
     order_cols: list[str],
     cents_col: str,
     window_ms: int,
-    num_shards: int = 64,
 ):
     """Prometheus ``rate()`` with its FULL extrapolation semantics
     (promql extrapolatedRate), per aligned window: within-window
@@ -871,5 +862,4 @@ def extrapolated_rate(
         out["xrate_per_s"] = pa.array(np.round(rate, 6), pa.float64())
         return pa.table(out)
 
-    return shard_apply(ds, key_cols, per_shard, prepare=project,
-                       num_shards=num_shards)
+    return shard_apply(ds, key_cols, per_shard, prepare=project)

@@ -269,11 +269,10 @@ class TestSkewAwareJoin:
 
         left, right = self._sides(ray_session)
         want = self._sorted_df(
-            shuffle_join(left, right, "k", "k", right_cols=["grp"],
-                         num_shards=16))
+            shuffle_join(left, right, "k", "k", right_cols=["grp"]))
         got = self._sorted_df(
             skew_aware_join(left, right, "k", "k", right_cols=["grp"],
-                            hot_threshold=1_000, num_shards=16))
+                            hot_threshold=1_000))
         pd.testing.assert_frame_equal(got[sorted(got.columns)],
                                       want[sorted(want.columns)])
 
@@ -282,11 +281,10 @@ class TestSkewAwareJoin:
 
         left, right = self._sides(ray_session)
         want = self._sorted_df(
-            shuffle_join(left, right, "k", "k", right_cols=["grp"],
-                         num_shards=16))
+            shuffle_join(left, right, "k", "k", right_cols=["grp"]))
         got = self._sorted_df(
             skew_aware_join(left, right, "k", "k", right_cols=["grp"],
-                            hot_threshold=10**9, num_shards=16))
+                            hot_threshold=10**9))
         pd.testing.assert_frame_equal(got[sorted(got.columns)],
                                       want[sorted(want.columns)])
 

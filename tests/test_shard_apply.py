@@ -22,12 +22,15 @@ def _events(n: int = 3000, n_keys: int = 97, seed: int = 3) -> pa.Table:
     })
 
 
-@pytest.mark.parametrize("num_shards", [1, 7, 64])
+@pytest.mark.parametrize("n_shards", [1, 7, 64])
 @pytest.mark.parametrize("coalesce", [True, False])
 @pytest.mark.parametrize("by", [(), ("_b",)])
-def test_matches_pandas_oracle(ray_session, num_shards, coalesce, by):
+def test_matches_pandas_oracle(ray_session, monkeypatch, n_shards, coalesce, by):
     import ray.data
 
+    from prom_tsdb_copyer_ray.stages import common
+
+    monkeypatch.setattr(common, "NUM_SHARDS", n_shards)
     t = _events()
 
     # nested: Ray pickles module-level test functions by reference, and
@@ -46,7 +49,6 @@ def test_matches_pandas_oracle(ray_session, num_shards, coalesce, by):
     out = shard_apply(
         ray.data.from_arrow(t).repartition(9), ["k", "s"], sum_kernel,
         prepare=with_bucket if by else None, by=by, coalesce=coalesce,
-        num_shards=num_shards,
     ).to_pandas()
     want = (t.to_pandas().groupby(["k", "s"], as_index=False)["v"]
             .agg(v_sum="sum", v_count="count"))
@@ -70,8 +72,9 @@ def test_rollup_raw_independent_of_num_shards(ray_session, monkeypatch):
 
     samples = pages_to_samples(ray.data.from_arrow(generate_pages(600, seed=9))).materialize()
 
-    def rows(num_shards):
-        df = rollup_raw(samples, "5m", num_shards=num_shards).to_pandas()
+    def rows(n_shards):
+        monkeypatch.setattr(common, "NUM_SHARDS", n_shards)
+        df = rollup_raw(samples, "5m").to_pandas()
         return df.sort_values(["series_key", "window_start"]).reset_index(drop=True)
 
     one, many = rows(1), rows(64)
@@ -79,10 +82,56 @@ def test_rollup_raw_independent_of_num_shards(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(one, many)
 
 
+def test_shard_count_reaches_the_workers(ray_session, monkeypatch):
+    """``NUM_SHARDS`` is read on the driver and rides into the tasks: with
+    one shard, an exchange over a 9-block input with no ``by`` makes exactly
+    one kernel call.  A count read from the module inside a worker would
+    still be 64 there (a worker never sees the driver's monkeypatch) and
+    make many calls."""
+    import ray.data
+
+    from prom_tsdb_copyer_ray.stages import common
+
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
+    monkeypatch.setattr(common, "NUM_SHARDS", 1)
+    t = _events()
+
+    def one_row_per_call(g: pa.Table) -> pa.Table:
+        return pa.table({"rows": pa.array([g.num_rows], pa.int64())})
+
+    for coalesce in (True, False):
+        out = shard_apply(ray.data.from_arrow(t).repartition(9), ["k", "s"],
+                          one_row_per_call, coalesce=coalesce).to_pandas()
+        assert out["rows"].tolist() == [t.num_rows]
+
+
+def test_no_operator_takes_a_shard_count():
+    """Every hash exchange uses ``common.NUM_SHARDS``: no function under the
+    package takes a ``num_shards`` parameter.  Curate's shard count is its
+    on-disk output partitioning, stored in its manifest, not an exchange."""
+    import ast
+    import pathlib
+
+    import prom_tsdb_copyer_ray
+
+    root = pathlib.Path(prom_tsdb_copyer_ray.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "pipelines" / "curate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "num_shards" for p in params):
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert not found, found
+
+
 @pytest.mark.parametrize("by", [(), ("_b",)])
 def test_small_materialized_input_runs_one_task(ray_session, by):
     """A materialized input under ``SMALL_ROWS`` skips the exchange: one
-    kernel call per ``by`` value (the ``num_shards=1`` semantics), the same
+    kernel call per ``by`` value (the ``NUM_SHARDS = 1`` semantics), the same
     rows as the pandas oracle and as the exchange a lazy input takes."""
     import ray.data
 
