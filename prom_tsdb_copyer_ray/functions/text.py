@@ -18,6 +18,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# The battery's word tokenizer: ASCII letter runs (callers lower-case).
+WORD_RE = re.compile(r"[A-Za-z]+")
+
 # ---------------------------------------------------------------------------
 # Canonical page template (synthetic pages generator <-> extractor inverse)
 # ---------------------------------------------------------------------------

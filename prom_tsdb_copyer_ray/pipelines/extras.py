@@ -13,12 +13,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.keyed import count_distinct_per_group, sharded_grouped_agg
-
-
-def _read(sf_dir: str, name: str, columns=None):
-    import ray.data
-
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+from .qsubstrate import (
+    _doc_size_buckets,
+    _read,
+    cent_census,
+    hod_census,
+    hour_census,
+    user_ts_spans,
+)
 
 
 def q_video_pure_frames(sf_dir: str):
@@ -138,16 +140,7 @@ def q_khop_reach(sf_dir: str, max_driver_nodes: int | None = None):
         else max_driver_nodes
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        nb = pc.cast(batch["n_chars"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({
-            "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-            "lang": batch["lang"],
-            "source": batch["source"],
-            "cb": pa.array(nb // 100, pa.int64()),
-        })
-
-    d = docs.map_batches(bucket, batch_format="pyarrow")
+    d = docs.map_batches(_doc_size_buckets, batch_format="pyarrow")
     seed = int(d.min("doc_id"))
     edges = group_star_edges_multi(
         d, [["lang", "cb"], ["source", "cb"]]
@@ -307,31 +300,6 @@ def q_mode_value(sf_dir: str):
 # --- second extras wave: moment-census statistics + lagged correlation ------
 
 
-def _type_value_census(sf_dir: str):
-    """Exact (event_type, cent-value) census — the value-domain x type
-    grid (bounded: distinct cents x 5 types), the shared substrate for
-    higher-moment statistics.  One combiner pass + one sharded exchange
-    of census rows only; driver-final like every census statistic."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def census(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    return sharded_grouped_agg(
-        ds.map_batches(census, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas().sort_values(["event_type", "cv"])
-
-
 def q_welch_t(sf_dir: str):
     """Welch's unequal-variance t-test for every event-type pair, plus
     the Welch-Satterthwaite degrees of freedom — from the same exact
@@ -381,7 +349,7 @@ def q_skew_kurtosis(sf_dir: str):
     final g1/g2 combination is one mirrored float expression."""
     import math
 
-    census = _type_value_census(sf_dir)
+    census = cent_census(sf_dir).sort_values(["event_type", "cv"])
     out = {"event_type": [], "n": [], "skewness": [], "ex_kurtosis": []}
     for et, grp in census.groupby("event_type", sort=True):
         cv = grp["cv"].to_numpy().astype(np.int64)
@@ -426,7 +394,7 @@ def q_mean_family(sf_dir: str):
     domain (log_gmean_cents) to avoid a final exp() libm call."""
     import math
 
-    census = _type_value_census(sf_dir)
+    census = cent_census(sf_dir).sort_values(["event_type", "cv"])
     out = {"event_type": [], "n_pos": [], "arith_mean": [],
            "harmonic_mean": [], "log_gmean_cents": []}
     for et, grp in census.groupby("event_type", sort=True):
@@ -518,31 +486,6 @@ def q_cross_corr(sf_dir: str):
     })
 
 
-def _contingency_census(sf_dir: str):
-    """(event_type, hour-of-day) contingency census — shared by the
-    chi2-family statistics here (same combiner shape as
-    queries.q_chi2_independence): per-batch group count + one sharded
-    exchange of census rows, bounded by types x 24."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "hod": pa.array((tms // 3600000) % 24, pa.int64()),
-            "o": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["event_type", "hod"]).aggregate([("o", "sum")])
-        return g.rename_columns(["event_type", "hod", "o"])
-
-    return sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("o", "sum")],
-    ).to_pandas()
-
-
 def q_cramers_v(sf_dir: str):
     """Cramér's V effect size of the event_type x hour-of-day
     association: the chi2_independence cell protocol (exact-int
@@ -550,7 +493,7 @@ def q_cramers_v(sf_dir: str):
     sum) followed by one mirrored sqrt(chi2 / (n * min(r-1, c-1)))."""
     import math
 
-    census = _contingency_census(sf_dir)
+    census = hod_census(sf_dir)
     piv = census.pivot_table(index="event_type", columns="hod", values="o",
                              fill_value=0, aggfunc="sum")
     o = piv.to_numpy().astype(np.int64)
@@ -577,7 +520,7 @@ def q_mutual_information(sf_dir: str):
     micro-floored (bm25 libm protocol) and weighted by the exact count,
     so the cross-cell sum is an associative integer sum; one final
     division by 1e6*n."""
-    census = _contingency_census(sf_dir)
+    census = hod_census(sf_dir)
     piv = census.pivot_table(index="event_type", columns="hod", values="o",
                              fill_value=0, aggfunc="sum")
     o = piv.to_numpy().astype(np.int64)
@@ -665,24 +608,7 @@ def q_kaplan_meier(sf_dir: str):
     deaths == at_risk (log S = -inf) are excluded on both engines."""
     import math
 
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def per_user_partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "mn": pa.array(tms, pa.int64()),
-            "mx": pa.array(tms, pa.int64()),
-        })
-        g = t.group_by(["user_id"]).aggregate([("mn", "min"), ("mx", "max")])
-        return g.rename_columns(["user_id", "mn", "mx"])
-
-    per_user = sharded_grouped_agg(
-        ds.map_batches(per_user_partial, batch_format="pyarrow"),
-        ["user_id"], [("mn", "min"), ("mx", "max")],
-    ).materialize()
+    per_user = user_ts_spans(sf_dir)
     data_max = int(per_user.max("mx"))
 
     def dur_census(batch: pa.Table) -> pa.Table:
@@ -864,17 +790,7 @@ def q_adamic_adar(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        nb = pc.cast(batch["n_chars"], pa.int64()).to_numpy(
-            zero_copy_only=False)
-        return pa.table({
-            "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-            "lang": batch["lang"],
-            "source": batch["source"],
-            "cb": pa.array(nb // 100, pa.int64()),
-        })
-
-    d = docs.map_batches(bucket, batch_format="pyarrow")
+    d = docs.map_batches(_doc_size_buckets, batch_format="pyarrow")
     edges = group_star_edges_multi(d, [["lang", "cb"], ["source", "cb"]])
 
     # distributed shape: dedup (a, b) exchange -> mirror to both
@@ -1227,24 +1143,7 @@ def q_fano_factor(sf_dir: str):
     never materialized).  With H hours, S1 = sum of counts and S2 = sum
     of squared counts, F = (H*S2 - S1^2) / (H*S1) — exact integers to
     ONE mirrored division.  One (type, hour) census exchange."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "hr": pa.array(tms // 3600000, pa.int64()),
-            "c": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "hr"]).aggregate([("c", "sum")])
-        return g.rename_columns(["event_type", "hr", "c"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hr"], [("c", "sum")],
-    ).to_pandas()
+    census = hour_census(sf_dir)
     h_lo = int(census["hr"].min())
     h_hi = int(census["hr"].max())
     hours = h_hi - h_lo + 1

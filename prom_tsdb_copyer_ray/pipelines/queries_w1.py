@@ -6,12 +6,23 @@ from .qsubstrate import (  # noqa: F401
     MS_1H,
     MS_5M,
     Matcher,
+    WORD_RE,
     _COMP,
+    _canon_pairs,
     _collect_stable,
+    _doc_size_buckets,
     _finalize,
     _read,
     _rollup_events,
     _round_sum,
+    _trend_xy,
+    _type_cval,
+    _type_tms_value,
+    _type_user_tsms,
+    _type_vfloor,
+    _user_tms_type_id,
+    _user_type,
+    _user_type_tms,
     aligned_windows,
     make_filter_fn,
     make_relabel_fn,
@@ -1364,16 +1375,8 @@ def q_increase_5m(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "tms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "value": pc.cast(batch["value"], pa.float64()),
-        })
-
     out = counter_increase(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_type_tms_value, batch_format="pyarrow"),
         ["event_type"], "tms", ["event_id"], "value", MS_5M,
     )
     return _finalize(out, {}, {"increase": 4})
@@ -1467,21 +1470,8 @@ def q_trend_slope(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        vm = np.rint(np.round(v, 4) * 10000).astype(np.int64)
-        x = pc.subtract(
-            pc.divide(ts_to_ms(batch["ts"]), 3600000), 473000
-        )
-        return pa.table({
-            "event_type": batch["event_type"],
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "x": x,
-            "y": pa.array(vm, pa.int64()),
-        })
-
     out = group_linear_trend(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_trend_xy, batch_format="pyarrow"),
         ["event_type", "user_id"], "x", "y", out_col="slope_m",
     )
     return _finalize(out, {}, {"slope_m": 8})
@@ -1724,15 +1714,8 @@ def q_funnel(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "event_type": batch["event_type"],
-            "tms": ts_to_ms(batch["ts"]),
-        })
-
     return funnel_counts(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_user_type_tms, batch_format="pyarrow"),
         "user_id", "event_type", "tms", ["signup", "click", "purchase"],
     )
 
@@ -1775,15 +1758,8 @@ def q_string_agg(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "event_type": batch["event_type"],
-            "tms": ts_to_ms(batch["ts"]),
-        })
-
     return group_concat(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_user_type_tms, batch_format="pyarrow"),
         ["user_id"], "event_type", ["tms"], sep=",", out_col="type_seq",
     )
 
@@ -1867,14 +1843,8 @@ def q_cooccurrence(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "event_type": batch["event_type"],
-        })
-
     return cooccurrence_pairs(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_user_type, batch_format="pyarrow"),
         "user_id", "event_type", out_count="n_users", bounded_final=True,
     )
 
@@ -1919,15 +1889,8 @@ def q_robust_stats(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "cval": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-
     out = robust_stats(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_type_cval, batch_format="pyarrow"),
         ["event_type"], "cval", med_col="med_v", mad_col="mad_v",
     )
 
@@ -1960,16 +1923,8 @@ def q_transitions(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "tms": ts_to_ms(batch["ts"]),
-            "event_type": batch["event_type"],
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-        })
-
     return transition_counts(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_user_tms_type_id, batch_format="pyarrow"),
         "user_id", ["tms", "event_type", "event_id"], "event_type",
         out_count="n_pairs",
     )
@@ -2270,13 +2225,7 @@ def q_audience_overlap(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "event_type": batch["event_type"],
-        })
-
-    nds = ds.map_batches(norm, batch_format="pyarrow")
+    nds = ds.map_batches(_user_type, batch_format="pyarrow")
     combined = cooccurrence_pairs(nds, "user_id", "event_type",
                                   out_count="inter", marginals=True,
                                   bounded_final=True).materialize()
@@ -2344,14 +2293,7 @@ def q_mad_outliers(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "cval": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-
-    return mad_outliers(ds.map_batches(norm, batch_format="pyarrow"),
+    return mad_outliers(ds.map_batches(_type_cval, batch_format="pyarrow"),
                         ["event_type"], "cval", k=3)
 
 
@@ -2388,15 +2330,7 @@ def q_dense_rank(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "event_id", "value"])
 
-    def prep(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "vfloor": pa.array(np.floor(v).astype(np.int64), pa.int64()),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-        })
-
-    out = dense_rank(ds.map_batches(prep, batch_format="pyarrow"),
+    out = dense_rank(ds.map_batches(_type_vfloor, batch_format="pyarrow"),
                      ["event_type"], ["vfloor"], carry_cols=["event_id"])
     return out.map_batches(
         lambda b: b.select(["event_type", "event_id", "dr"]),
@@ -2412,14 +2346,7 @@ def q_winsorized(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "cval": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-
-    return winsorized_mean(ds.map_batches(norm, batch_format="pyarrow"),
+    return winsorized_mean(ds.map_batches(_type_cval, batch_format="pyarrow"),
                            ["event_type"], "cval", q_lo=0.1, q_hi=0.9)
 
 
@@ -2550,16 +2477,7 @@ def q_resets(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts", "event_id", "value"])
 
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "tsms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "value": batch["value"],
-        })
-
-    lagged = lag_column(ds.map_batches(prep, batch_format="pyarrow"),
+    lagged = lag_column(ds.map_batches(_type_user_tsms, batch_format="pyarrow"),
                         ["event_type", "user_id"], ["tsms", "event_id"],
                         "value")
 
@@ -2592,16 +2510,7 @@ def q_triangles(sf_dir: str):
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        nb = pc.cast(batch["n_chars"], pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table({
-            "doc_id": pc.cast(batch["doc_id"], pa.int64()),
-            "lang": batch["lang"],
-            "source": batch["source"],
-            "cb": pa.array(nb // 100, pa.int64()),
-        })
-
-    d = docs.map_batches(bucket, batch_format="pyarrow")
+    d = docs.map_batches(_doc_size_buckets, batch_format="pyarrow")
     edges = group_star_edges_multi(d, [["lang", "cb"], ["source", "cb"]])
     n = triangle_count(edges)
     return pd.DataFrame({"n_triangles": [n]})
@@ -2647,15 +2556,12 @@ def q_oov_rate(sf_dir: str):
     vocab_ref = _ray.put(frozenset(vocab))
 
     def score(batch: pa.Table, _v=vocab_ref) -> pa.Table:
-        import re
-
         vset = _ray.get(_v)
-        word_re = re.compile(r"[A-Za-z]+")
         ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         n_tok = np.zeros(len(ids), np.int64)
         n_oov = np.zeros(len(ids), np.int64)
         for i, txt in enumerate(batch["text"].to_pylist()):
-            toks = word_re.findall(txt or "")
+            toks = WORD_RE.findall(txt or "")
             n_tok[i] = len(toks)
             n_oov[i] = sum(1 for t in toks if t.lower() not in vset)
         return pa.table({
@@ -2851,15 +2757,7 @@ def q_cume_dist(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "event_id", "value"])
 
-    def prep(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "vfloor": pa.array(np.floor(v).astype(np.int64), pa.int64()),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-        })
-
-    out = cume_dist(ds.map_batches(prep, batch_format="pyarrow"),
+    out = cume_dist(ds.map_batches(_type_vfloor, batch_format="pyarrow"),
                     ["event_type"], ["vfloor"], carry_cols=["event_id"])
     return out.map_batches(
         lambda b: b.select(["event_type", "event_id", "cd"]),
@@ -2978,15 +2876,7 @@ def q_minhash_index_pairs(sf_dir: str):
         build_minhash_index(half(0), index_dir)
     pairs = minhash_index_query(index_dir, half(1))
 
-    def canon(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "a": pa.array(np.minimum(a, b)),
-            "b": pa.array(np.maximum(a, b)),
-        })
-
-    return pairs.map_batches(canon, batch_format="pyarrow")
+    return pairs.map_batches(_canon_pairs, batch_format="pyarrow")
 
 
 def q_zorder_sample(sf_dir: str):
@@ -3360,16 +3250,8 @@ def q_rate_5m(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "tms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "value": pc.cast(batch["value"], pa.float64()),
-        })
-
     out = counter_increase(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_type_tms_value, batch_format="pyarrow"),
         ["event_type"], "tms", ["event_id"], "value", MS_5M,
     )
 
@@ -3702,15 +3584,7 @@ def q_fuzzy_decontaminate(sf_dir: str):
         build_minhash_index(side(True), index_dir)
     pairs = minhash_index_query(index_dir, side(False))
 
-    def canon(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False)
-        b = batch["b"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "a": pa.array(np.minimum(a, b)),
-            "b": pa.array(np.maximum(a, b)),
-        })
-
-    return pairs.map_batches(canon, batch_format="pyarrow")
+    return pairs.map_batches(_canon_pairs, batch_format="pyarrow")
 
 
 def q_audio_loudness(sf_dir: str):

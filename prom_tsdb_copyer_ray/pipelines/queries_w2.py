@@ -7,16 +7,26 @@ from .qsubstrate import (  # noqa: F401
     MS_5M,
     ORACLE_SQL,
     QUERIES,
+    WORD_RE,
     _COMP,
     _ROLLUP_SQL,
     _collect_stable,
     _finalize,
     _read,
     _rollup_events,
+    _trend_xy,
+    _type_tms_cv,
+    _type_user_tsms,
+    _user_tms_type_id,
+    _user_ts_ms,
+    hod_census,
     np,
     pa,
     pc,
+    purchase_view_cents,
     ts_to_ms,
+    type_cents_5m,
+    type_hourly_counts,
     window_start,
 )
 from .queries_w1 import (  # noqa: F401
@@ -431,23 +441,9 @@ def q_window_share(sf_dir: str):
     volume — ratio-to-report with the WINDOW as the partition key
     (stages/keyed.ratio_to_total; exact int window sums broadcast once,
     shuffle-free divide)."""
-    from ..stages.keyed import ratio_to_total, sharded_grouped_agg
+    from ..stages.keyed import ratio_to_total
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "window_start": window_start(ts_to_ms(batch["ts"]), MS_1H),
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "window_start", "n"])
-
-    counts = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("n", "sum")],
-    )
+    counts = type_hourly_counts(sf_dir)
     return ratio_to_total(counts, ["window_start"], "n",
                           carry_cols=["event_type"], out_col="share")
 
@@ -457,23 +453,9 @@ def q_hourly_growth(sf_dir: str):
     stream (counts combiner -> sharded final -> lag_column's narrow
     exchange), pct change on present hours, first hour dropped like SQL
     lag() IS NULL."""
-    from ..stages.keyed import lag_column, sharded_grouped_agg
+    from ..stages.keyed import lag_column
 
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "window_start": window_start(ts_to_ms(batch["ts"]), MS_1H),
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "window_start", "n"])
-
-    hourly = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("n", "sum")],
-    )
+    hourly = type_hourly_counts(sf_dir)
     lagged = lag_column(hourly, ["event_type"], ["window_start"], "n")
 
     def pct(batch: pa.Table) -> pa.Table:
@@ -618,20 +600,18 @@ def q_lang_top_terms(sf_dir: str):
     (ties to the lexicographically smallest term) — per-batch distinct-
     per-doc Counter combiner keyed by (lang, term), term-hash sharded
     segment sum, then the combiner-bounded top-k kernel per lang."""
-    import re
     from collections import Counter
 
     from ..stages.keyed import sharded_grouped_agg, topk_per_group
 
     ds = _read(sf_dir, "documents", ["lang", "text"])
-    word_re = re.compile(r"[A-Za-z]+")
 
     def partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         langs = batch["lang"].to_pylist()
         for lang, t in zip(langs, batch["text"].to_pylist()):
             counts.update(
-                (lang, w) for w in {m.lower() for m in word_re.findall(t or "")}
+                (lang, w) for w in {m.lower() for m in WORD_RE.findall(t or "")}
             )
         keys = list(counts.keys())
         return pa.table({
@@ -660,14 +640,8 @@ def q_session_quantiles(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def prep(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "ts_ms": ts_to_ms(b["ts"]),
-        })
-
     sess = sessionize(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        ds.map_batches(_user_ts_ms, batch_format="pyarrow"),
         "user_id", "ts_ms", SESSION_GAP_MS,
     ).materialize()
     n = sess.count()
@@ -740,25 +714,7 @@ def q_interpolate_5m(sf_dir: str):
     exchange FIRST; the per-type ``map_groups`` then walks only the
     collapsed window series (O(windows) rows per group, never raw
     events)."""
-    from ..stages.keyed import sharded_grouped_agg
-
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "window_start": pa.array((tms // MS_5M) * MS_5M, pa.int64()),
-            "cs": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("cs", "sum")])
-        return g.rename_columns(["event_type", "window_start", "cs"])
-
-    counts = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")],
-    )
+    counts = type_cents_5m(sf_dir)
 
     def interp(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -1025,26 +981,9 @@ def q_lttb_downsample(sf_dir: str):
     collapsed rows in the documented integer-boundary float64 spec
     (stages/windowed.lttb_indices) that the fixture oracle mirrors
     bit-for-bit."""
-    from ..stages.keyed import sharded_grouped_agg
     from ..stages.windowed import lttb_indices
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "window_start": pa.array((tms // MS_5M) * MS_5M, pa.int64()),
-            "cs": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("cs", "sum")])
-        return g.rename_columns(["event_type", "window_start", "cs"])
-
-    counts = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")],
-    )
+    counts = type_cents_5m(sf_dir)
 
     def downsample(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -1076,25 +1015,7 @@ def q_locf_5m(sf_dir: str):
     scale shape as interpolate_5m (partial agg + one sharded exchange; the
     per-type fill walks O(windows) collapsed rows with one searchsorted —
     exact, no float recursion)."""
-    from ..stages.keyed import sharded_grouped_agg
-
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "window_start": pa.array((tms // MS_5M) * MS_5M, pa.int64()),
-            "cs": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("cs", "sum")])
-        return g.rename_columns(["event_type", "window_start", "cs"])
-
-    counts = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")],
-    )
+    counts = type_cents_5m(sf_dir)
 
     def locf(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -1165,26 +1086,9 @@ def q_holt_winters(sf_dir: str):
     the per-type kernel (stages/windowed.holt_linear) then walks O(windows)
     collapsed points in a documented float op order the fixture oracle
     mirrors bit-for-bit."""
-    from ..stages.keyed import sharded_grouped_agg
     from ..stages.windowed import holt_linear
 
-    ds = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "window_start": pa.array((tms // MS_5M) * MS_5M, pa.int64()),
-            "cs": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("cs", "sum")])
-        return g.rename_columns(["event_type", "window_start", "cs"])
-
-    counts = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "window_start"], [("cs", "sum")],
-    )
+    counts = type_cents_5m(sf_dir)
 
     def smooth(group: pa.Table) -> pa.Table:
         if group.num_rows < 2:
@@ -1304,17 +1208,8 @@ def q_xrate_5m(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "tms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "cv": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-
     return extrapolated_rate(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_type_tms_cv, batch_format="pyarrow"),
         ["event_type"], "tms", ["event_id"], "cv", MS_5M,
     )
 
@@ -1329,17 +1224,8 @@ def q_max_xrate_1h(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "event_type": batch["event_type"],
-            "tms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "cv": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
-        })
-
     r5 = extrapolated_rate(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_type_tms_cv, batch_format="pyarrow"),
         ["event_type"], "tms", ["event_id"], "cv", MS_5M,
     )
 
@@ -1367,16 +1253,7 @@ def q_changes(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts", "event_id", "value"])
 
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": batch["event_type"],
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "tsms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-            "value": batch["value"],
-        })
-
-    lagged = lag_column(ds.map_batches(prep, batch_format="pyarrow"),
+    lagged = lag_column(ds.map_batches(_type_user_tsms, batch_format="pyarrow"),
                         ["event_type", "user_id"], ["tsms", "event_id"],
                         "value")
 
@@ -1415,21 +1292,8 @@ def q_predict_linear(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_type", "user_id", "ts", "value"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        v = batch["value"].to_numpy(zero_copy_only=False)
-        vm = np.rint(np.round(v, 4) * 10000).astype(np.int64)
-        x = pc.subtract(
-            pc.divide(ts_to_ms(batch["ts"]), 3600000), 473000
-        )
-        return pa.table({
-            "event_type": batch["event_type"],
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "x": x,
-            "y": pa.array(vm, pa.int64()),
-        })
-
     out = group_linear_trend(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_trend_xy, batch_format="pyarrow"),
         ["event_type", "user_id"], "x", "y", out_col="pred_10k",
         predict_at=_PREDICT_AT_X,
     )
@@ -1661,32 +1525,11 @@ def q_ks_statistic(sf_dir: str):
     at larger corpora switch the scan to float128/int128, documented not
     checked).  at_cv reports the smallest cent value attaining the max
     (deterministic tie-break)."""
-    from ..stages.keyed import sharded_grouped_agg
-
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def census_partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        keep = (et == "purchase") | (et == "view")
-        v = batch["value"].to_numpy(zero_copy_only=False)[keep]
-        cv = np.rint(v * 100).astype(np.int64)
-        is1 = (et[keep] == "purchase").astype(np.int64)
-        t = pa.table({
-            "cv": pa.array(cv),
-            "c1": pa.array(is1),
-            "c2": pa.array(1 - is1),
-        })
-        g = t.group_by(["cv"]).aggregate([("c1", "sum"), ("c2", "sum")])
-        return g.rename_columns(["cv", "c1", "c2"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["cv"], [("c1", "sum"), ("c2", "sum")],
-    ).to_pandas().sort_values("cv")
+    census = purchase_view_cents(sf_dir)
 
     cv = census["cv"].to_numpy()
-    a1 = np.cumsum(census["c1"].to_numpy())
-    a2 = np.cumsum(census["c2"].to_numpy())
+    a1 = np.cumsum(census["a"].to_numpy())
+    a2 = np.cumsum(census["b"].to_numpy())
     n1, n2 = int(a1[-1]), int(a2[-1])
     dn = np.abs(a1 * n2 - a2 * n1)
     mx = int(dn.max())
@@ -1709,24 +1552,7 @@ def q_chi2_independence(sf_dir: str):
     and micro-floored before the sum (the bm25 libm protocol) so the
     120-term float sum is an associative integer sum — bit-identical
     across engines and block layouts."""
-    from ..stages.keyed import sharded_grouped_agg
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def census_partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "hod": pa.array((tms // 3600000) % 24, pa.int64()),
-            "o": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["event_type", "hod"]).aggregate([("o", "sum")])
-        return g.rename_columns(["event_type", "hod", "o"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("o", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
 
     piv = census.pivot_table(index="event_type", columns="hod", values="o",
                              fill_value=0, aggfunc="sum")
@@ -1911,31 +1737,10 @@ def q_mannwhitney_u(sf_dir: str):
     half-integers, so everything is kept in doubled units (exact int64)
     until the final two float ops: ``u = U1_2x / 2`` and the common-
     language effect size ``cles = U1_2x / (2*n1*n2)``."""
-    from ..stages.keyed import sharded_grouped_agg
+    census = purchase_view_cents(sf_dir)
 
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def census_partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        keep = (et == "purchase") | (et == "view")
-        v = batch["value"].to_numpy(zero_copy_only=False)[keep]
-        cv = np.rint(v * 100).astype(np.int64)
-        is1 = (et[keep] == "purchase").astype(np.int64)
-        t = pa.table({
-            "cv": pa.array(cv),
-            "c1": pa.array(is1),
-            "c2": pa.array(1 - is1),
-        })
-        g = t.group_by(["cv"]).aggregate([("c1", "sum"), ("c2", "sum")])
-        return g.rename_columns(["cv", "c1", "c2"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(census_partial, batch_format="pyarrow"),
-        ["cv"], [("c1", "sum"), ("c2", "sum")],
-    ).to_pandas().sort_values("cv")
-
-    c1 = census["c1"].to_numpy().astype(np.int64)
-    c2 = census["c2"].to_numpy().astype(np.int64)
+    c1 = census["a"].to_numpy().astype(np.int64)
+    c2 = census["b"].to_numpy().astype(np.int64)
     cnt = c1 + c2
     n1, n2 = int(c1.sum()), int(c2.sum())
     before = np.cumsum(cnt) - cnt
@@ -2070,14 +1875,8 @@ def q_max_concurrency(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
-    def prep(b: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": b["user_id"],
-            "ts_ms": ts_to_ms(b["ts"]),
-        })
-
     sess = sessionize(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        ds.map_batches(_user_ts_ms, batch_format="pyarrow"),
         "user_id", "ts_ms", SESSION_GAP_MS,
     )
 
@@ -2345,16 +2144,8 @@ def q_entropy_rate(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "tms": ts_to_ms(batch["ts"]),
-            "event_type": batch["event_type"],
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-        })
-
     census = transition_counts(
-        ds.map_batches(norm, batch_format="pyarrow"),
+        ds.map_batches(_user_tms_type_id, batch_format="pyarrow"),
         "user_id", ["tms", "event_type", "event_id"], "event_type",
         out_count="n_pairs",
     ).to_pandas()

@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 from ..stages.joins import broadcast_join
 from ..stages.keyed import count_distinct_per_group, sharded_grouped_agg
 from ..windows import ts_to_ms
+from .qsubstrate import _cents, _read
 
 _MS_1996_01 = 820_454_400_000
 _MS_1996_04 = 828_316_800_000
@@ -42,22 +43,10 @@ _BAL_OFF = 10_000_000
 _COMP_BASE = 1 << 20
 
 
-def _read(sf_dir: str, name: str, columns=None):
-    import ray.data
-
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
-
-
 def _dim(sf_dir: str, name: str, columns=None) -> pa.Table:
     import pyarrow.parquet as pq_mod
 
     return pq_mod.read_table(f"{sf_dir}/{name}.parquet", columns=columns)
-
-
-def _cents(col) -> np.ndarray:
-    return np.rint(
-        col.to_numpy(zero_copy_only=False).astype(np.float64) * 100.0
-    ).astype(np.int64)
 
 
 def _disc1_cents(col) -> np.ndarray:

@@ -25,21 +25,10 @@ import pyarrow.compute as pc
 from ..stages.common import shard_apply
 from ..stages.keyed import sharded_grouped_agg
 from ..windows import ts_to_ms
-
-
-def _read(sf_dir: str, name: str, columns=None):
-    import ray.data
-
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+from .qsubstrate import _cents, _read
 
 
 _MS_1D = 86_400_000
-
-
-def _value_cents(batch: pa.Table, col: str = "value") -> np.ndarray:
-    return np.rint(
-        batch[col].to_numpy(zero_copy_only=False) * 100.0
-    ).astype(np.int64)
 
 
 def q_spearman_corr(sf_dir: str):
@@ -57,7 +46,7 @@ def q_spearman_corr(sf_dir: str):
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         t = pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "cv": pa.array(_value_cents(batch)),
+            "cv": pa.array(_cents(batch["value"])),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
         g = t.group_by(["hod", "cv"]).aggregate([("n", "sum")])
@@ -116,7 +105,7 @@ def q_kendall_tau(sf_dir: str):
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         t = pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "vb": pa.array(_value_cents(batch) // 5000, pa.int64()),
+            "vb": pa.array(_cents(batch["value"]) // 5000, pa.int64()),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
         g = t.group_by(["hod", "vb"]).aggregate([("n", "sum")])
@@ -167,7 +156,7 @@ def q_theil_sen(sf_dir: str):
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         t = pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "s": pa.array(_value_cents(batch)),
+            "s": pa.array(_cents(batch["value"])),
             "c": pa.array(np.ones(batch.num_rows, np.int64)),
         })
         g = t.group_by(["hod"]).aggregate([("s", "sum"), ("c", "sum")])
@@ -209,7 +198,7 @@ def q_changepoint(sf_dir: str):
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         t = pa.table({
             "day_ms": pa.array((tms // _MS_1D) * _MS_1D, pa.int64()),
-            "s": pa.array(_value_cents(batch)),
+            "s": pa.array(_cents(batch["value"])),
             "c": pa.array(np.ones(batch.num_rows, np.int64)),
         })
         g = t.group_by(["day_ms"]).aggregate([("s", "sum"), ("c", "sum")])
@@ -255,7 +244,7 @@ def q_runs_test(sf_dir: str):
 
     def vcensus(batch: pa.Table) -> pa.Table:
         t = pa.table({
-            "cv": pa.array(_value_cents(batch)),
+            "cv": pa.array(_cents(batch["value"])),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
         g = t.group_by(["cv"]).aggregate([("n", "sum")])
@@ -272,7 +261,7 @@ def q_runs_test(sf_dir: str):
     ])
 
     def prep(batch: pa.Table) -> pa.Table:
-        cv = _value_cents(batch)
+        cv = _cents(batch["value"])
         keep = cv != med
         t = batch.filter(pa.array(keep))
         tus = pc.cast(t["ts"], pa.int64())  # microsecond order = SQL ORDER BY ts

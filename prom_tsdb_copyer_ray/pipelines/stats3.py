@@ -1,15 +1,18 @@
 """Session-12 statistics wave: trend / randomness / stability tests over
 the per-type hourly event-count series.
 
-All operators here share ONE substrate: the (event_type, hr) count
-census — a per-batch Arrow ``group_by`` combiner collapses the events
-stream to at most types x hours rows, one sharded exchange moves only
-census rows (the fano_factor shape, pipelines/extras.py), and the
-driver-final scan densifies each type's series over the corpus hour
-grid [min hr, max hr] (absent hours are true zeros) and runs exact
-integer math.  The grid length H is bounded by the TIME RANGE, never by
-corpus size — at 100 TB a 10-year corpus is ~88k hours of driver-side
-metadata per type, and the O(H^2) pairwise scan in mann_kendall has the
+Every operator here reads one of the shared censuses of
+pipelines/qsubstrate.py — a per-batch Arrow ``group_by`` combiner, one
+sharded exchange of census rows, a driver-final scan.  The main one is
+``dense_hour_counts``: the (event_type, hr) ``hour_census`` (at most
+types x hours rows, the fano_factor shape) densified over the corpus
+hour grid [min hr, max hr] (absent hours are true zeros), followed by
+exact integer math.  The others are ``hod_census`` (type x hour of
+day), ``cent_census`` (type x cent value), ``purchase_view_cents`` (the
+two-sample cent census), ``user_cent_sums`` and ``user_ts_spans``.
+The hour grid length H is bounded by the TIME RANGE, never by corpus
+size — at 100 TB a 10-year corpus is ~88k hours of driver-side metadata
+per type, and the O(H^2) pairwise scan in mann_kendall has the
 documented O(H log H) merge-inversion escalation.
 
 Float protocol as everywhere (pipelines/stats2.py): statistics stay
@@ -30,47 +33,16 @@ import pyarrow as pa
 from ..stages.common import shard_apply
 from ..stages.keyed import sharded_grouped_agg
 from ..windows import ts_to_ms
-
-
-def _read(sf_dir: str, name: str, columns=None):
-    import ray.data
-
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
-
-
-def dense_hour_counts(sf_dir: str):
-    """The shared substrate: per-type DENSE hourly count series.
-
-    Returns ``(series, H)`` where ``series`` is an ordered
-    ``{event_type: np.int64[H]}`` over the corpus-global hour grid
-    (zeros for absent hours).  One (event_type, hr) census exchange;
-    the dense arrays are driver-side metadata bounded by the time range.
-    """
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "hr": pa.array(tms // 3_600_000, pa.int64()),
-            "c": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "hr"]).aggregate([("c", "sum")])
-        return g.rename_columns(["event_type", "hr", "c"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hr"], [("c", "sum")],
-    ).to_pandas()
-    h_lo = int(census["hr"].min())
-    h_hi = int(census["hr"].max())
-    big_h = h_hi - h_lo + 1
-    series: dict[str, np.ndarray] = {}
-    for et, grp in census.groupby("event_type", sort=True):
-        c = np.zeros(big_h, np.int64)
-        c[grp["hr"].to_numpy() - h_lo] = grp["c"].to_numpy()
-        series[str(et)] = c
-    return series, big_h
+from .qsubstrate import (
+    WORD_RE,
+    _read,
+    cent_census,
+    dense_hour_counts,
+    hod_census,
+    purchase_view_cents,
+    user_cent_sums,
+    user_ts_spans,
+)
 
 
 # Micro-floored trig constants floor(cos|sin(2*pi*d/24) * 1e6) for
@@ -95,27 +67,12 @@ def q_diurnal_amplitude(sf_dir: str):
     amplitude ratio = sqrt(A^2+B^2)/(1e6*N) as ONE mirrored float
     expression.  A flat profile scores ~0, a pure 24 h sinusoid ~0.5.
     One (type, hod) census exchange — 24 x types rows."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "d": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "t": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "d"]).aggregate([("t", "sum")])
-        return g.rename_columns(["event_type", "d", "t"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
     out = {"event_type": [], "n": [], "a_cos": [], "b_sin": [],
            "amp_ratio": []}
     for et, grp in census.groupby("event_type", sort=True):
-        d = grp["d"].to_numpy()
-        t = grp["t"].to_numpy()
+        d = grp["hod"].to_numpy()
+        t = grp["o"].to_numpy()
         a = sum(int(tt) * _FC24[int(dd)] for dd, tt in zip(d, t))
         b = sum(int(tt) * _FS24[int(dd)] for dd, tt in zip(d, t))
         s1 = int(t.sum())
@@ -310,18 +267,16 @@ def q_zipf_slope(sf_dir: str):
     exchange shape (stages/textstats.py:70 — per-batch vocab combiner,
     term-hash shard, collapsed vocab only); the 100-row regression is
     exact-integer (Python bignums) to ONE mirrored division."""
-    import re
     from collections import Counter
 
     from ..stages.textstats import _shard_term_sum
 
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial_cf(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
+            counts.update(m.lower() for m in WORD_RE.findall(t or ""))
         terms = list(counts.keys())
         return pa.table({
             "term": pa.array(terms, pa.string()),
@@ -358,17 +313,15 @@ def q_hapax_rate(sf_dir: str):
     as a second per-batch combiner over census rows (vocab never
     reaches the driver), and the two rates are mirrored divisions of
     exact ints."""
-    import re
     from collections import Counter
 
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def partial_cf(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
         for lang, t in zip(batch["lang"].to_pylist(),
                            batch["text"].to_pylist()):
-            for m in word_re.findall(t or ""):
+            for m in WORD_RE.findall(t or ""):
                 counts[(lang or "", m.lower())] += 1
         keys = list(counts.keys())
         return pa.table({
@@ -425,26 +378,11 @@ def q_jsd_types(sf_dir: str):
     final expression is two mirrored divisions and one add.  One
     (type, hod) census exchange; pair expansion is over the type
     alphabet (C(T,2) driver-side rows)."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "d": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "t": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "d"]).aggregate([("t", "sum")])
-        return g.rename_columns(["event_type", "d", "t"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
     prof: dict[str, np.ndarray] = {}
     for et, grp in census.groupby("event_type", sort=True):
         v = np.zeros(24, np.int64)
-        v[grp["d"].to_numpy()] = grp["t"].to_numpy()
+        v[grp["hod"].to_numpy()] = grp["o"].to_numpy()
         prof[str(et)] = v
     types = sorted(prof)
     out = {"type_a": [], "type_b": [], "n_a": [], "n_b": [], "jsd_nats": []}
@@ -487,21 +425,7 @@ def q_theil_index(sf_dir: str):
     the micro-floored per-user terms as per-batch integer partials —
     the user census never reaches the driver.  Final value is one
     mirrored division chain."""
-    ds = _read(sf_dir, "events", ["user_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({"user_id": batch["user_id"],
-                      "x": pa.array(cv)})
-        g = t.group_by(["user_id"]).aggregate([("x", "sum")])
-        return g.rename_columns(["user_id", "x"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum")],
-    )
+    census = user_cent_sums(sf_dir)
 
     def sn_partial(batch: pa.Table) -> pa.Table:
         x = batch["x"].to_numpy(zero_copy_only=False)
@@ -671,24 +595,7 @@ def q_bhattacharyya(sf_dir: str):
     (a_v*b_v)/(A*B) and is PICO-floored (1e12 — the harmonic-mean
     protocol: many terms far below 1), so BC is an associative integer
     sum; hellinger = sqrt(1 - BC) is the one extra mirrored op."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     prof = {str(et): dict(zip(grp["cv"].astype(int), grp["n"].astype(int)))
             for et, grp in census.groupby("event_type", sort=True)}
     types = sorted(prof)
@@ -724,26 +631,11 @@ def q_kendall_w(sf_dir: str):
     W = 3*(n*sum(R2^2) - (sum R2)^2) / (n*(k^2*(n^3-n) - k*sum T_t))
     is exact integers to ONE mirrored division.  One (type, hod)
     census exchange; everything after is over a k x 24 grid."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "d": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "t": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "d"]).aggregate([("t", "sum")])
-        return g.rename_columns(["event_type", "d", "t"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
     prof: dict[str, np.ndarray] = {}
     for et, grp in census.groupby("event_type", sort=True):
         v = np.zeros(24, np.int64)
-        v[grp["d"].to_numpy()] = grp["t"].to_numpy()
+        v[grp["hod"].to_numpy()] = grp["o"].to_numpy()
         prof[str(et)] = v
     k = len(prof)
     n = 24
@@ -828,20 +720,7 @@ def q_hill_tail(sf_dir: str):
     theil_index); tie sets at the cut contribute identical ln ratios,
     so boundary tie resolution cannot change the multiset.  Each ln is
     micro-floored over an exact-int ratio; alpha is one division."""
-    ds = _read(sf_dir, "events", ["user_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({"user_id": batch["user_id"], "x": pa.array(cv)})
-        g = t.group_by(["user_id"]).aggregate([("x", "sum")])
-        return g.rename_columns(["user_id", "x"])
-
-    top = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum")],
-    ).sort("x", descending=True).limit(51).to_pandas()
+    top = user_cent_sums(sf_dir).sort("x", descending=True).limit(51).to_pandas()
     xs = top["x"].to_numpy(np.int64)
     k = len(xs) - 1
     xmin = int(xs.min())
@@ -967,26 +846,11 @@ def q_spectral_flatness(sf_dir: str):
     an associative integer sum, and ln(arith mean) is one more
     micro-floored libm call.  ln_flatness <= 0; 0 = white across
     harmonics, strongly negative = energy concentrated in few cycles."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "d": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "t": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "d"]).aggregate([("t", "sum")])
-        return g.rename_columns(["event_type", "d", "t"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("t", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
     out = {"event_type": [], "ln_flatness": []}
     for et, grp in census.groupby("event_type", sort=True):
-        dd = grp["d"].to_numpy()
-        tt = grp["t"].to_numpy()
+        dd = grp["hod"].to_numpy()
+        tt = grp["o"].to_numpy()
         slnp = 0
         sump = 0
         for k in range(1, 12):
@@ -1158,24 +1022,7 @@ def q_renyi2_entropy(sf_dir: str):
     bhattacharyya census): the collision probability is the exact-int
     ratio sum(a_v^2)/A^2, its single ln is micro-floored — effective
     support size exp(H2) is the headline diversity number."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     out = {"event_type": [], "n": [], "renyi2": []}
     for et, grp in census.groupby("event_type", sort=True):
         a = grp["n"].to_numpy(np.int64)
@@ -1224,6 +1071,17 @@ def q_seasonal_strength(sf_dir: str):
     })
 
 
+def _cov_num(c: np.ndarray, s1: int, big_h: int, k: int) -> int:
+    """Lag-k autocovariance numerator of the hourly series ``c`` scaled by
+    H^2 (exact ints; ``s1 = c.sum()``, ``big_h = H``): every lag shares
+    one denominator, so ratios of lags compare exact integers."""
+    pk = int(np.dot(c[:-k], c[k:]))
+    ak = int(c[:-k].sum())
+    bk = int(c[k:].sum())
+    return (big_h * big_h * pk - big_h * s1 * (ak + bk)
+            + (big_h - k) * s1 * s1)
+
+
 def q_acf_halflife(sf_dir: str):
     """Autocorrelation half-life per type: the smallest lag k <= 48
     with r_k < r_1 / 2.  Because every r_k shares the same denominator,
@@ -1238,18 +1096,11 @@ def q_acf_halflife(sf_dir: str):
         p0 = int(np.dot(c, c))
         den = big_h * (big_h * p0 - s1 * s1)
 
-        def cov_num(k, c=c, s1=s1):
-            pk = int(np.dot(c[:-k], c[k:]))
-            ak = int(c[:-k].sum())
-            bk = int(c[k:].sum())
-            return (big_h * big_h * pk - big_h * s1 * (ak + bk)
-                    + (big_h - k) * s1 * s1)
-
-        cov1 = cov_num(1)
+        cov1 = _cov_num(c, s1, big_h, 1)
         hl = -1
         covh = None
         for k in range(2, 49):
-            ck = cov_num(k)
+            ck = _cov_num(c, s1, big_h, k)
             if 2 * ck < cov1:
                 hl = k
                 covh = ck
@@ -1313,15 +1164,8 @@ def q_pacf2(sf_dir: str):
         p0 = int(np.dot(c, c))
         c0 = big_h * (big_h * p0 - s1 * s1)
 
-        def cov_num(k, c=c, s1=s1):
-            pk = int(np.dot(c[:-k], c[k:]))
-            ak = int(c[:-k].sum())
-            bk = int(c[k:].sum())
-            return (big_h * big_h * pk - big_h * s1 * (ak + bk)
-                    + (big_h - k) * s1 * s1)
-
-        c1 = cov_num(1)
-        c2 = cov_num(2)
+        c1 = _cov_num(c, s1, big_h, 1)
+        c2 = _cov_num(c, s1, big_h, 2)
         phi11 = float(c1) / float(c0)
         phi22 = float(c2 * c0 - c1 * c1) / float(c0 * c0 - c1 * c1)
         out["event_type"].append(et)
@@ -1342,24 +1186,7 @@ def q_stochastic_dominance(sf_dir: str):
     (1 = A FSD-dominates, -1 = B dominates, 0 = crossing) and the
     fraction of support where A's CDF sits at-or-below B's are exact;
     only the final fraction is a mirrored division."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     prof = {str(et): dict(zip(grp["cv"].astype(int), grp["n"].astype(int)))
             for et, grp in census.groupby("event_type", sort=True)}
     types = sorted(prof)
@@ -1403,24 +1230,7 @@ def q_moods_median(sf_dir: str):
     integers, and each chi2 cell (o*N - r*c)^2 / (N*r*c) is an exact
     ratio micro-floored before the cross-cell sum (the
     chi2_independence protocol)."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     agg = census.groupby("cv", sort=True)["n"].sum()
     n_tot = int(agg.sum())
     cum = agg.cumsum()
@@ -1461,24 +1271,7 @@ def q_kruskal_wallis(sf_dir: str):
     even past 2^53 — the graded-floor rule) so the group sum is an
     associative integer; the tie correction multiplies by the exact
     integer ratio (N^3-N)/((N^3-N) - sum(t^3-t))."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     marg = census.groupby("cv", sort=True)["n"].sum()
     vals = marg.index.to_numpy(np.int64)
     cnts = marg.to_numpy(np.int64)
@@ -1514,24 +1307,7 @@ def q_brown_forsythe(sf_dir: str):
     W = ((N-k)/(k-1)) * (N * sum_j Sz_j^2/n_j - Sz^2) / (N * (Szz -
     sum_j Sz_j^2/n_j)) where the only non-integer pieces Sz_j^2/n_j
     are micro-floored identically on both engines."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     k = 0
     n_tot = 0
     sz = 0
@@ -1568,24 +1344,7 @@ def q_grubbs(sf_dir: str):
     (N*x - S)^2 over the value census (no float enters the selection),
     then one mirrored chain G = |N*x* - S| / sqrt(N*(N*Sxx - S^2)
     / (N-1)).  Outputs the offending cent value too."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     out = {"event_type": [], "outlier_cv": [], "g_stat": []}
     for et, grp in census.groupby("event_type", sort=True):
         cvv = grp["cv"].to_numpy(np.int64)
@@ -1619,10 +1378,8 @@ def q_heaps_law(sf_dir: str):
     micro-floored, and beta is the exact-int OLS division (the
     zipf_slope shape).  Prefix order is doc_id — deterministic, not
     block order."""
-    import re
     from collections import Counter
 
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1634,7 +1391,7 @@ def q_heaps_law(sf_dir: str):
                           batch["text"].to_pylist()):
             n_docs += 1
             max_doc = max(max_doc, int(did))
-            ws = [m.lower() for m in word_re.findall(t or "")]
+            ws = [m.lower() for m in WORD_RE.findall(t or "")]
             tokens[int(did)] = len(ws)
             for w in ws:
                 if w not in first or first[w] > int(did):
@@ -1706,10 +1463,8 @@ def q_heaps_law(sf_dir: str):
     # prefix i is "docs with doc_id <= cut_i" (no per-doc rows ever
     # reach the driver)
     def tok_partial(batch: pa.Table, valid=tuple(valid)) -> pa.Table:
-        import re as _re
-        wre = _re.compile(r"[A-Za-z]+")
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        toks = np.asarray([len(wre.findall(t or ""))
+        toks = np.asarray([len(WORD_RE.findall(t or ""))
                            for t in batch["text"].to_pylist()], np.int64)
         return pa.table({
             "i": pa.array([i for i, _ in valid], pa.int64()),
@@ -1774,17 +1529,15 @@ def q_term_burstiness(sf_dir: str):
     The doc count D comes from its own metadata-only count() (never
     piggybacked on term rows, so batches whose documents contain zero
     [A-Za-z] tokens still contribute to D)."""
-    import re
     from collections import Counter
 
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         s1: Counter = Counter()
         s2: Counter = Counter()
         for t in batch["text"].to_pylist():
-            c = Counter(m.lower() for m in word_re.findall(t or ""))
+            c = Counter(m.lower() for m in WORD_RE.findall(t or ""))
             for w, f in c.items():
                 s1[w] += f
                 s2[w] += f * f
@@ -2065,25 +1818,7 @@ def q_log_rank(sf_dir: str):
     terms d*n1/n and d*n1*n0*(n-d)/(n^2*(n-1)) are exact-int ratios
     micro-floored before summing, and z = (O1 - E1)/sqrt(V) is the one
     mirrored chain."""
-    import pyarrow.compute as pc
-
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def per_user_partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "mn": pa.array(tms, pa.int64()),
-            "mx": pa.array(tms, pa.int64()),
-        })
-        g = t.group_by(["user_id"]).aggregate(
-            [("mn", "min"), ("mx", "max")])
-        return g.rename_columns(["user_id", "mn", "mx"])
-
-    per_user = sharded_grouped_agg(
-        ds.map_batches(per_user_partial, batch_format="pyarrow"),
-        ["user_id"], [("mn", "min"), ("mx", "max")],
-    ).materialize()
+    per_user = user_ts_spans(sf_dir)
     data_max = int(per_user.max("mx"))
 
     def dur_census(batch: pa.Table) -> pa.Table:
@@ -2143,26 +1878,7 @@ def q_cramer_von_mises(sf_dir: str):
     / (n*m*(n+m)^2) has an exact bignum/HUGEINT numerator and ONE
     mirrored division.  The quadratic (whole-CDF) complement of KS's
     supremum."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        mask = (et == "purchase") | (et == "view")
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False)[mask] * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "cv": pa.array(cv),
-            "a": pa.array((et[mask] == "purchase").astype(np.int64)),
-            "b": pa.array((et[mask] == "view").astype(np.int64)),
-        })
-        g = t.group_by(["cv"]).aggregate([("a", "sum"), ("b", "sum")])
-        return g.rename_columns(["cv", "a", "b"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["cv"], [("a", "sum"), ("b", "sum")],
-    ).to_pandas().sort_values("cv")
+    census = purchase_view_cents(sf_dir)
     a = census["a"].to_numpy(np.int64)
     b = census["b"].to_numpy(np.int64)
     n = int(a.sum())
@@ -2378,24 +2094,7 @@ def q_cliffs_delta(sf_dir: str):
     delta = (gt - lt)/(n*m) and A = (gt + ties/2)/(n*m) (kept in
     DOUBLED units: A = (2*gt + ties)/(2*n*m)) are single mirrored
     divisions."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     prof = {str(et): grp.sort_values("cv")
             for et, grp in census.groupby("event_type", sort=True)}
     types = sorted(prof)
@@ -2592,26 +2291,7 @@ def q_ansari_bradley(sf_dir: str):
     argument), so AB = sum a_v * avg_score_v is an associative integer
     sum; z uses the classical parity-split moments in one mirrored
     chain."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        mask = (et == "purchase") | (et == "view")
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False)[mask] * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "cv": pa.array(cv),
-            "a": pa.array((et[mask] == "purchase").astype(np.int64)),
-            "b": pa.array((et[mask] == "view").astype(np.int64)),
-        })
-        g = t.group_by(["cv"]).aggregate([("a", "sum"), ("b", "sum")])
-        return g.rename_columns(["cv", "a", "b"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["cv"], [("a", "sum"), ("b", "sum")],
-    ).to_pandas().sort_values("cv")
+    census = purchase_view_cents(sf_dir)
     a = census["a"].to_numpy(np.int64)
     b = census["b"].to_numpy(np.int64)
     w = a + b

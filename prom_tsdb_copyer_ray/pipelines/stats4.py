@@ -35,7 +35,17 @@ import pyarrow.compute as pc
 from ..functions.pairstats import concordance_s
 from ..stages.keyed import sharded_grouped_agg
 from ..windows import ts_to_ms
-from .stats3 import _read, dense_hour_counts
+from .qsubstrate import (
+    WORD_RE,
+    _read,
+    cent_census,
+    dense_hour_counts,
+    dow_census,
+    freq_of_freq_census,
+    hod_census,
+    purchase_view_cents,
+    term_census,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,43 +55,12 @@ from .stats3 import _read, dense_hour_counts
 def freq_of_freq(sf_dir: str) -> dict[str, int]:
     """Exact (N, V, V1, V2, S2) from the corpus term distribution.
 
-    Pass 1: per-batch Counter combiner -> (term, n) vocab census (one
-    sharded exchange, vocab-bounded).  Pass 2: a combiner over CENSUS
-    rows collapses to (m, V_m) — the freq-of-freq table, O(distinct
-    counts) ~ O(sqrt N) rows.  Driver math is exact Python ints."""
-    import re
-    from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
-        terms = list(counts.keys())
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "n": pa.array([counts[t] for t in terms], pa.int64()),
-        })
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")],
-    )
-
-    def ff_partial(batch: pa.Table) -> pa.Table:
-        m = batch["n"].to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(m, return_counts=True)
-        return pa.table({
-            "m": pa.array(vals.astype(np.int64)),
-            "vm": pa.array(cnts.astype(np.int64)),
-        })
-
-    ff = sharded_grouped_agg(
-        census.map_batches(ff_partial, batch_format="pyarrow"),
-        ["m"], [("vm", "sum")],
-    ).to_pandas()
+    ``qsubstrate.freq_of_freq_census``: pass 1 is the (term, n) vocab
+    census (one sharded exchange, vocab-bounded); pass 2, a combiner over
+    CENSUS rows, collapses it to (m, V_m) — the freq-of-freq table,
+    O(distinct counts) ~ O(sqrt N) rows.  Driver math is exact Python
+    ints."""
+    ff = freq_of_freq_census(sf_dir)
     m = ff["m"].to_numpy(np.int64)
     vm = ff["vm"].to_numpy(np.int64)
     return {
@@ -310,26 +289,11 @@ def q_ks_uniform_hod(sf_dir: str):
     hour-of-day distribution from uniform(24): D = max_t |ECDF(t) -
     (t+1)/24| = max_t |24*K_t - N*(t+1)| / (24*N) — the max runs over
     exact integers, one mirrored division at the end."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
-            "n": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "hod"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "hod", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hod"], [("n", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
     out = {"event_type": [], "n": [], "ks_d": []}
     for et, grp in census.groupby("event_type", sort=True):
         counts = np.zeros(24, np.int64)
-        counts[grp["hod"].to_numpy(np.int64)] = grp["n"].to_numpy(np.int64)
+        counts[grp["hod"].to_numpy(np.int64)] = grp["o"].to_numpy(np.int64)
         n = int(counts.sum())
         cum = np.cumsum(counts)
         dmax = max(abs(24 * int(k) - n * (t + 1))
@@ -403,26 +367,7 @@ def q_anderson_darling(sf_dir: str):
     Python bignum (HUGEINT SQL-side), and A^2 = sum / (n*m*1e6) is one
     mirrored division.  The last support point (B = N) drops on both
     engines."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        mask = (et == "purchase") | (et == "view")
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False)[mask] * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "cv": pa.array(cv),
-            "a": pa.array((et[mask] == "purchase").astype(np.int64)),
-            "b": pa.array((et[mask] == "view").astype(np.int64)),
-        })
-        g = t.group_by(["cv"]).aggregate([("a", "sum"), ("b", "sum")])
-        return g.rename_columns(["cv", "a", "b"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["cv"], [("a", "sum"), ("b", "sum")],
-    ).to_pandas().sort_values("cv")
+    census = purchase_view_cents(sf_dir)
     a = census["a"].to_numpy(np.int64)
     b = census["b"].to_numpy(np.int64)
     n = int(a.sum())
@@ -456,29 +401,12 @@ def q_hodges_lehmann(sf_dir: str):
     pairs, never the D^2 convolution.  The SQL oracle materializes the
     D_a x D_b weighted support instead (bounded by the value DOMAIN,
     not the row count) and takes the same order statistic."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "c": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("c", "sum")])
-        return g.rename_columns(["event_type", "cv", "c"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("c", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     prof = {}
     for et, grp in census.groupby("event_type", sort=True):
         g = grp.sort_values("cv")
         prof[str(et)] = (g["cv"].to_numpy(np.int64),
-                         g["c"].to_numpy(np.int64))
+                         g["n"].to_numpy(np.int64))
     types = sorted(prof)
     out = {"type_a": [], "type_b": [], "hl_cents": [], "hl": []}
     for i, ta in enumerate(types):
@@ -526,28 +454,11 @@ def q_jarque_bera(sf_dir: str):
     over census cells); the A-chain runs in doubles with a
     token-identical expression on both engines (IEEE products are
     correctly rounded, so the chain is bit-identical)."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "c": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("c", "sum")])
-        return g.rename_columns(["event_type", "cv", "c"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("c", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     out = {"event_type": [], "n": [], "jb": []}
     for et, grp in census.groupby("event_type", sort=True):
         v = [int(x) for x in grp["cv"]]
-        c = [int(x) for x in grp["c"]]
+        c = [int(x) for x in grp["n"]]
         n = sum(c)
         s1 = sum(ci * vi for ci, vi in zip(c, v))
         s2 = sum(ci * vi * vi for ci, vi in zip(c, v))
@@ -586,14 +497,12 @@ def q_heavy_hitters(sf_dir: str):
     exact recount pass, and the final filter count*64 > N is exact —
     the sketch bounds make the two-pass result EQUAL to the full-census
     answer, which is the SQL oracle."""
-    import re
     from collections import Counter
 
     import ray
 
     from ..stages.keyed import topk_per_group
 
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["text"])
     k_sketch = 255
 
@@ -601,7 +510,7 @@ def q_heavy_hitters(sf_dir: str):
         counts: Counter = Counter()
         n_batch = 0
         for t in batch["text"].to_pylist():
-            toks = [m.lower() for m in word_re.findall(t or "")]
+            toks = [m.lower() for m in WORD_RE.findall(t or "")]
             n_batch += len(toks)
             counts.update(toks)
         # Misra-Gries compression: keep k heaviest, subtract the
@@ -646,7 +555,7 @@ def q_heavy_hitters(sf_dir: str):
         cset = ray.get(_c)
         counts: Counter = Counter()
         for t in batch["text"].to_pylist():
-            for m in word_re.findall(t or ""):
+            for m in WORD_RE.findall(t or ""):
                 w = m.lower()
                 if w in cset:
                     counts[w] += 1
@@ -760,23 +669,7 @@ def q_g_test(sf_dir: str):
     exact-integer sum (bignum / HUGEINT), and G = 2 * total / 1e6 is one
     mirrored division.  Empty cells contribute zero (lim x ln x = 0) on
     both engines."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        dow = ((tms // 86_400_000) + 3) % 7
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "dow": pa.array(dow.astype(np.int64)),
-            "n": pa.array(np.ones(len(dow), np.int64)),
-        })
-        g = t.group_by(["event_type", "dow"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "dow", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")],
-    ).to_pandas()
+    census = dow_census(sf_dir)
     r_tot = census.groupby("event_type")["n"].sum().to_dict()
     c_tot = census.groupby("dow")["n"].sum().to_dict()
     big_n = int(census["n"].sum())
@@ -837,24 +730,7 @@ def q_dixon_q(sf_dir: str):
     (x(n)-x(n-1))/(x(n)-x(1)) where x(2)/x(n-1) are the second DISTINCT
     values (ties collapse in the census) — exact ints to one mirrored
     division each; constant series emit 0.0."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "c": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("c", "sum")])
-        return g.rename_columns(["event_type", "cv", "c"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("c", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     out = {"event_type": [], "q_low": [], "q_high": []}
     for et, grp in census.groupby("event_type", sort=True):
         v = np.sort(grp["cv"].to_numpy(np.int64))
@@ -881,23 +757,7 @@ def q_theil_u(sf_dir: str):
     scaled by N*1e6, exact int) and T2 = -sum n_xy * lnhat(n_xy/n_x)
     (conditional), U = (T1 - T2) / T1 — micro-floored lns of exact-int
     ratios, associative integer sums, ONE mirrored division."""
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        dow = ((tms // 86_400_000) + 3) % 7
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "dow": pa.array(dow.astype(np.int64)),
-            "n": pa.array(np.ones(len(dow), np.int64)),
-        })
-        g = t.group_by(["event_type", "dow"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "dow", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")],
-    ).to_pandas()
+    census = dow_census(sf_dir)
     r_tot = {k: int(v) for k, v in
              census.groupby("event_type")["n"].sum().items()}
     c_tot = {int(k): int(v) for k, v in
@@ -1017,17 +877,13 @@ def _lang_vocab_census(sf_dir: str):
     term-sharded exchange: the (lang, term) census folds IN-SHARD to at
     most 2^n_langs subset-count cells, so the driver holds the langs'
     full vocabulary Venn diagram in a handful of ints."""
-    import re
-    from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         seen: set = set()
         for lang, t in zip(batch["lang"].to_pylist(),
                            batch["text"].to_pylist()):
-            for m in word_re.findall(t or ""):
+            for m in WORD_RE.findall(t or ""):
                 seen.add((lang or "", m.lower()))
         keys = sorted(seen)
         return pa.table({
@@ -1142,12 +998,10 @@ def q_hill_numbers(sf_dir: str):
     # recompute per-m entropy needs the full (m, vm) census: reuse the
     # helper's aggregates plus one more pass is avoidable — H derives
     # from the census inside freq_of_freq; keep the exact sum here
-    import re
     from collections import Counter  # noqa: F401  (doc parity)
 
     # entropy: -sum m*Vm * lnhat(m/N) needs (m, vm) rows; fold it from
     # a second census pass kept inside this query for self-containment
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1155,7 +1009,7 @@ def q_hill_numbers(sf_dir: str):
 
         counts: C = C()
         for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
+            counts.update(m.lower() for m in WORD_RE.findall(t or ""))
         terms = list(counts.keys())
         return pa.table({
             "term": pa.array(terms, pa.string()),
@@ -1210,26 +1064,7 @@ def q_margalef(sf_dir: str):
     """Margalef richness R = (V - 1) / ln N and Berger-Parker dominance
     d = max_m / N from the same frequency census — one micro-floored ln
     and two mirrored divisions."""
-    import re
-    from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
-        terms = list(counts.keys())
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "n": pa.array([counts[t] for t in terms], pa.int64()),
-        })
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")],
-    )
+    census = term_census(sf_dir)
 
     def agg_partial(batch: pa.Table) -> pa.Table:
         m = batch["n"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1271,39 +1106,7 @@ def q_ace_richness(sf_dir: str):
     degenerate C = 0 (all rare terms are hapax) falls back to the
     Chao1-style bias-corrected form -> 0.0 extra to keep both engines
     aligned we emit S_abund + S_rare (no correction)."""
-    import re
-    from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
-        terms = list(counts.keys())
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "n": pa.array([counts[t] for t in terms], pa.int64()),
-        })
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")],
-    )
-
-    def ff_partial(batch: pa.Table) -> pa.Table:
-        m = batch["n"].to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(m, return_counts=True)
-        return pa.table({
-            "m": pa.array(vals.astype(np.int64)),
-            "vm": pa.array(cnts.astype(np.int64)),
-        })
-
-    ff = sharded_grouped_agg(
-        census.map_batches(ff_partial, batch_format="pyarrow"),
-        ["m"], [("vm", "sum")],
-    ).to_pandas()
+    ff = freq_of_freq_census(sf_dir)
     m = ff["m"].to_numpy(np.int64)
     vm = ff["vm"].to_numpy(np.int64)
     rare = m <= 10
@@ -1341,39 +1144,7 @@ def q_lexical_gini(sf_dir: str):
     f_ff = freq_of_freq(sf_dir)
     # need the (m, vm) rows again: recompute the tiny census (the
     # helper returns aggregates only) — same two passes
-    import re
-    from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
-        terms = list(counts.keys())
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "n": pa.array([counts[t] for t in terms], pa.int64()),
-        })
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")],
-    )
-
-    def ff_partial(batch: pa.Table) -> pa.Table:
-        m = batch["n"].to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(m, return_counts=True)
-        return pa.table({
-            "m": pa.array(vals.astype(np.int64)),
-            "vm": pa.array(cnts.astype(np.int64)),
-        })
-
-    ff = sharded_grouped_agg(
-        census.map_batches(ff_partial, batch_format="pyarrow"),
-        ["m"], [("vm", "sum")],
-    ).to_pandas().sort_values("m")
+    ff = freq_of_freq_census(sf_dir).sort_values("m")
     big_v = f_ff["v"]
     big_n = f_ff["n"]
     ranksum = 0

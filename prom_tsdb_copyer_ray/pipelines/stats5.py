@@ -25,7 +25,29 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..stages.keyed import sharded_grouped_agg
-from .stats3 import _ntile_1based, _read, dense_hour_counts
+from ..windows import ts_to_ms
+from .qsubstrate import (
+    WORD_RE,
+    _read,
+    cent_census,
+    dense_hour_counts,
+    dow_census,
+    hod_census,
+    term_census,
+    user_cent_sums,
+    user_event_counts,
+    weekend_purchase_census,
+)
+from .stats3 import _ntile_1based
+
+
+def _user_event_times(batch: pa.Table) -> pa.Table:
+    """(user_id, tms, event_id) — the per-user gap kernels' input."""
+    return pa.table({
+        "user_id": pc.cast(batch["user_id"], pa.int64()),
+        "tms": ts_to_ms(batch["ts"]),
+        "event_id": pc.cast(batch["event_id"], pa.int64()),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -103,20 +125,7 @@ def q_hoover_index(sf_dir: str):
     substrate — one user-keyed exchange, (S, n) broadcast back, then a
     shuffle-free per-batch integer partial; the user census never
     reaches the driver.  Exact integers to one mirrored division."""
-    ds = _read(sf_dir, "events", ["user_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({"user_id": batch["user_id"], "x": pa.array(cv)})
-        g = t.group_by(["user_id"]).aggregate([("x", "sum")])
-        return g.rename_columns(["user_id", "x"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("x", "sum")],
-    )
+    census = user_cent_sums(sf_dir)
 
     def sn_partial(batch: pa.Table) -> pa.Table:
         x = batch["x"].to_numpy(zero_copy_only=False)
@@ -299,24 +308,7 @@ def q_buishand_range(sf_dir: str):
 def _cent_profiles(sf_dir: str):
     """Per-type sorted cent-value census {type: (values, counts)} — the
     cliffs_delta substrate (one (type, cv) exchange, census-bounded)."""
-    ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cv = np.rint(
-            batch["value"].to_numpy(zero_copy_only=False) * 100.0
-        ).astype(np.int64)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "cv": pa.array(cv),
-            "n": pa.array(np.ones(len(cv), np.int64)),
-        })
-        g = t.group_by(["event_type", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "cv", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "cv"], [("n", "sum")],
-    ).to_pandas()
+    census = cent_census(sf_dir)
     prof = {}
     for et, grp in census.groupby("event_type", sort=True):
         g = grp.sort_values("cv")
@@ -533,25 +525,7 @@ def q_gk_lambda(sf_dir: str):
     symmetric blend over the pooled numerators.  One (type, dow)
     census exchange; all-exact integers to three mirrored divisions
     (max over exact counts is deterministic)."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        dow = ((tms // 86_400_000) + 3) % 7
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "dow": pa.array(dow.astype(np.int64)),
-            "n": pa.array(np.ones(len(dow), np.int64)),
-        })
-        g = t.group_by(["event_type", "dow"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "dow", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")],
-    ).to_pandas()
+    census = dow_census(sf_dir)
     pivot = census.pivot_table(index="event_type", columns="dow",
                                values="n", fill_value=0,
                                aggfunc="sum").to_numpy(np.int64)
@@ -803,25 +777,7 @@ def _type_dow_pivot(sf_dir: str) -> np.ndarray:
     """The (type, dow) contingency census as a dense int64 pivot with
     rows = sorted observed types, cols = sorted observed dows — ONE
     (type, dow) census exchange (<= types x 7 rows)."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        dow = ((tms // 86_400_000) + 3) % 7
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "dow": pa.array(dow.astype(np.int64)),
-            "n": pa.array(np.ones(len(dow), np.int64)),
-        })
-        g = t.group_by(["event_type", "dow"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "dow", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")],
-    ).to_pandas()
+    census = dow_census(sf_dir)
     return census.pivot_table(index="event_type", columns="dow",
                               values="n", fill_value=0,
                               aggfunc="sum").to_numpy(np.int64)
@@ -905,27 +861,7 @@ def q_yule_coefs(sf_dir: str):
     Q = (ad - bc)/(ad + bc), Y = (sqrt(ad) - sqrt(bc)) /
     (sqrt(ad) + sqrt(bc)) — exact integer cell products, mirrored
     sqrt/division chain, 0.0 when ad + bc = 0."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        we = (((tms // 86_400_000) + 3) % 7 >= 5).astype(np.int64)
-        pu = pc.cast(pc.equal(batch["event_type"], "purchase"),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "we": pa.array(we),
-            "pu": pa.array(pu),
-            "n": pa.array(np.ones(len(we), np.int64)),
-        })
-        g = t.group_by(["we", "pu"]).aggregate([("n", "sum")])
-        return g.rename_columns(["we", "pu", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["we", "pu"], [("n", "sum")],
-    ).to_pandas()
+    census = weekend_purchase_census(sf_dir)
     cell = {(int(r["we"]), int(r["pu"])): int(r["n"])
             for _, r in census.iterrows()}
     a = cell.get((1, 1), 0)
@@ -1419,26 +1355,7 @@ def q_brillouin_index(sf_dir: str):
     expanded as the exact integer sum of micro-floored logs
     LF(k) = sum_{i=2..k} floor(1e6*ln i) (identical single-libm floors
     on both engines) — exact integers to ONE mirrored division."""
-    import re
-    from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
-    ds = _read(sf_dir, "documents", ["text"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        for t in batch["text"].to_pylist():
-            counts.update(m.lower() for m in word_re.findall(t or ""))
-        terms = list(counts.keys())
-        return pa.table({
-            "term": pa.array(terms, pa.string()),
-            "n": pa.array([counts[t] for t in terms], pa.int64()),
-        })
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["term"], [("n", "sum")],
-    ).to_pandas()
+    census = term_census(sf_dir).to_pandas()
     m_arr = census["n"].to_numpy(np.int64)
     big_n = int(m_arr.sum())
     if big_n < 2:
@@ -2238,9 +2155,6 @@ def q_word_length_stats(sf_dir: str):
     micro-floored-ln protocol: H = (N*LN(N) - sum_l c_l*LN(c_l)) /
     (1e6*N) with LN(k) = floor(1e6*ln k).  One (len, count) census
     exchange (O(max token length) rows)."""
-    import re
-
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2248,7 +2162,7 @@ def q_word_length_stats(sf_dir: str):
 
         counts: Counter = Counter()
         for t in batch["text"].to_pylist():
-            counts.update(len(m) for m in word_re.findall(t or ""))
+            counts.update(len(m) for m in WORD_RE.findall(t or ""))
         ls = sorted(counts)
         return pa.table({
             "l": pa.array(ls, pa.int64()),
@@ -2460,27 +2374,7 @@ def q_two_prop_z(sf_dir: str):
     and x2/n2 weekday, z = (x1*n2 - x2*n1) /
     sqrt((x1+x2)*(n1+n2-x1-x2)*n1*n2/(n1+n2)) — exact integers to one
     mirrored chain."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        we = (((tms // 86_400_000) + 3) % 7 >= 5).astype(np.int64)
-        pu = pc.cast(pc.equal(batch["event_type"], "purchase"),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "we": pa.array(we),
-            "pu": pa.array(pu),
-            "n": pa.array(np.ones(len(we), np.int64)),
-        })
-        g = t.group_by(["we", "pu"]).aggregate([("n", "sum")])
-        return g.rename_columns(["we", "pu", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["we", "pu"], [("n", "sum")],
-    ).to_pandas()
+    census = weekend_purchase_census(sf_dir)
     cell = {(int(r["we"]), int(r["pu"])): int(r["n"])
             for _, r in census.iterrows()}
     x1 = cell.get((1, 1), 0)
@@ -2640,20 +2534,7 @@ def q_user_hhi(sf_dir: str):
     count N^2/S2 — the user census folds to (S2, N) inside the
     sharded exchange and never reaches the driver (hoover scale
     shape).  Exact integers to one mirrored division each."""
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "user_id": batch["user_id"],
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["user_id"]).aggregate([("n", "sum")])
-        return g.rename_columns(["user_id", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")],
-    )
+    census = user_event_counts(sf_dir)
 
     def fold(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy(zero_copy_only=False)
@@ -2739,16 +2620,8 @@ def _user_gap_partials(sf_dir: str):
     exact Python ints."""
     from ..stages.common import shard_apply
     from ..stages.keyed import _segment_starts
-    from ..windows import ts_to_ms
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "tms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-        })
 
     def per_shard(group: pa.Table) -> pa.Table:
         cols = ["n_users", "n_events", "n_gaps", "g1", "g2",
@@ -2784,7 +2657,7 @@ def _user_gap_partials(sf_dir: str):
         return pa.table({c: pa.array([vals[c]], pa.int64())
                          for c in cols})
 
-    parts = shard_apply(ds, ["user_id"], per_shard, prepare=project,
+    parts = shard_apply(ds, ["user_id"], per_shard, prepare=_user_event_times,
                         coalesce=False).to_pandas()
     return {c: int(parts[c].sum()) for c in parts.columns}
 
@@ -2855,16 +2728,8 @@ def q_gap_quantiles(sf_dir: str):
     (gap_s, count) census (O(distinct gaps) rows)."""
     from ..stages.common import shard_apply
     from ..stages.keyed import _segment_starts
-    from ..windows import ts_to_ms
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-
-    def project(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "user_id": pc.cast(batch["user_id"], pa.int64()),
-            "tms": ts_to_ms(batch["ts"]),
-            "event_id": pc.cast(batch["event_id"], pa.int64()),
-        })
 
     def per_shard(group: pa.Table) -> pa.Table:
         t = group.sort_by([("user_id", "ascending"), ("tms", "ascending"),
@@ -2877,7 +2742,7 @@ def q_gap_quantiles(sf_dir: str):
                          "c": pa.array(cnts.astype(np.int64))})
 
     census = sharded_grouped_agg(
-        shard_apply(ds, ["user_id"], per_shard, prepare=project, coalesce=False),
+        shard_apply(ds, ["user_id"], per_shard, prepare=_user_event_times, coalesce=False),
         ["g"], [("c", "sum")],
     ).to_pandas().sort_values("g")
     g = census["g"].to_numpy(np.int64)
@@ -2952,20 +2817,7 @@ def q_events_per_user(sf_dir: str):
     """Per-user event-count distribution: mean, population variance
     and dispersion index (VMR) — exact integer count moments folded
     in-shard (the user_hhi shape)."""
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "user_id": batch["user_id"],
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["user_id"]).aggregate([("n", "sum")])
-        return g.rename_columns(["user_id", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")],
-    )
+    census = user_event_counts(sf_dir)
 
     def fold(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy(zero_copy_only=False)
@@ -2998,9 +2850,6 @@ def q_doc_tokens_by_lang(sf_dir: str):
     mean tokens/doc and exact median / p90 order statistics — the
     per-doc [A-Za-z]+ token counts leave the batches as a
     (lang, tokens, docs) census."""
-    import re
-
-    word_re = re.compile(r"[A-Za-z]+")
     ds = _read(sf_dir, "documents", ["lang", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3009,7 +2858,7 @@ def q_doc_tokens_by_lang(sf_dir: str):
         counts: Counter = Counter()
         for lang, t in zip(batch["lang"].to_pylist(),
                            batch["text"].to_pylist()):
-            counts[(lang or "", len(word_re.findall(t or "")))] += 1
+            counts[(lang or "", len(WORD_RE.findall(t or "")))] += 1
         keys = sorted(counts)
         return pa.table({
             "lang": pa.array([k[0] for k in keys], pa.string()),
@@ -3148,29 +2997,12 @@ def q_peak_hour_share(sf_dir: str):
     """Peak hour-of-day per type: the hod with the max event count
     (tie -> smallest hod) and its share of the type's events — exact
     integer argmax + one mirrored division."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "d": pa.array(((tms // 3_600_000) % 24).astype(np.int64)),
-            "n": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "d"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "d", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("n", "sum")],
-    ).to_pandas()
+    census = hod_census(sf_dir)
     out = {"event_type": [], "peak_hod": [], "peak_share": []}
     for et, grp in census.groupby("event_type", sort=True):
-        g = grp.sort_values("d")
-        d = g["d"].to_numpy(np.int64)
-        c = g["n"].to_numpy(np.int64)
+        g = grp.sort_values("hod")
+        d = g["hod"].to_numpy(np.int64)
+        c = g["o"].to_numpy(np.int64)
         k = int(c.argmax())
         tot = int(c.sum())
         out["event_type"].append(str(et))
@@ -3388,33 +3220,16 @@ def q_kl_vs_pooled(sf_dir: str):
     LN(N_t * m_d)) / 1e6 with micro-floored logs of the exact integer
     products (c = type count at hod d, m = pooled count, N_t/M the
     totals) — cells with c_d = 0 contribute 0."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "d": pa.array(((tms // 3_600_000) % 24).astype(np.int64)),
-            "n": pa.array(np.ones(len(tms), np.int64)),
-        })
-        g = t.group_by(["event_type", "d"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "d", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "d"], [("n", "sum")],
-    ).to_pandas()
-    pooled = census.groupby("d")["n"].sum().to_dict()
+    census = hod_census(sf_dir)
+    pooled = census.groupby("hod")["o"].sum().to_dict()
     big_m = int(sum(pooled.values()))
     out = {"event_type": [], "kl_bits_e": []}
     for et, grp in census.groupby("event_type", sort=True):
-        n_t = int(grp["n"].sum())
+        n_t = int(grp["o"].sum())
         acc = 0
         for _, row in grp.iterrows():
-            c = int(row["n"])
-            m = int(pooled[int(row["d"])])
+            c = int(row["o"])
+            m = int(pooled[int(row["hod"])])
             if c > 0:
                 acc += c * (math.floor(1e6 * math.log(float(c * big_m)))
                             - math.floor(1e6 * math.log(float(n_t
@@ -3596,25 +3411,7 @@ def q_dow_uniformity(sf_dir: str):
     """Chi-square of each type's day-of-week profile against the
     uniform distribution: chi2 = (7*sum c_d^2 - n^2)/n — exact
     integers to ONE mirrored division (E = n/7 cancels)."""
-    from ..windows import ts_to_ms
-
-    ds = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        dow = ((tms // 86_400_000) + 3) % 7
-        t = pa.table({
-            "event_type": batch["event_type"],
-            "dow": pa.array(dow.astype(np.int64)),
-            "n": pa.array(np.ones(len(dow), np.int64)),
-        })
-        g = t.group_by(["event_type", "dow"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "dow", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "dow"], [("n", "sum")],
-    ).to_pandas()
+    census = dow_census(sf_dir)
     out = {"event_type": [], "chi2_uniform": []}
     for et, grp in census.groupby("event_type", sort=True):
         c = grp["n"].to_numpy(np.int64)
@@ -3771,20 +3568,7 @@ def q_user_gini(sf_dir: str):
     rows, then the strictly-below cumulative identity gives the exact
     pairwise-|difference| sum; G = gaa/(U*S1) (population
     convention)."""
-    ds = _read(sf_dir, "events", ["user_id"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "user_id": batch["user_id"],
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["user_id"]).aggregate([("n", "sum")])
-        return g.rename_columns(["user_id", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["user_id"], [("n", "sum")],
-    )
+    census = user_event_counts(sf_dir)
 
     def ff(batch: pa.Table) -> pa.Table:
         n = batch["n"].to_numpy(zero_copy_only=False)

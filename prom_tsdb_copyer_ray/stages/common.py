@@ -52,14 +52,15 @@ def shard_of_ints(x: np.ndarray, n: int) -> np.ndarray:
 def key_hash64(table: pa.Table, key_cols: list[str]) -> np.ndarray:
     """Deterministic combined 64-bit hash over key columns (string or int),
     vectorized: strings hash over the column's data buffer, ints through
-    :func:`mix64` — no per-key Python."""
+    :func:`mix64` (a null int hashes as 0) — no per-key Python."""
     h = np.zeros(table.num_rows, dtype=np.uint64)
     for c in key_cols:
         col = table[c]
         if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
             ch = poly_hash_column(col, fold63=False)
         else:
-            ch = mix64(pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False))
+            ints = pc.fill_null(pc.cast(col, pa.int64()), 0)
+            ch = mix64(ints.to_numpy(zero_copy_only=False))
         with np.errstate(over="ignore"):
             h = mix64(h * np.uint64(0x9E3779B97F4A7C15) ^ ch)
     return h

@@ -34,7 +34,11 @@ from .common import key_hash64, shard_apply
 
 
 def _segment_starts(t: pa.Table, key_cols: list[str]) -> np.ndarray:
-    """Boolean new-segment mask over a table already sorted by key_cols."""
+    """Boolean new-segment mask over a table already sorted by key_cols.
+
+    Nulls form one group, as in SQL ``GROUP BY``: a null key equals the
+    null before it and differs from any value (``sort_by`` puts nulls
+    last)."""
     n = t.num_rows
     new = np.zeros(n, dtype=bool)
     if n == 0:
@@ -44,9 +48,13 @@ def _segment_starts(t: pa.Table, key_cols: list[str]) -> np.ndarray:
         col = t[c]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        neq = pc.not_equal(col.slice(1), col.slice(0, n - 1)).to_numpy(
-            zero_copy_only=False
-        )
+        neq = pc.not_equal(col.slice(1), col.slice(0, n - 1))
+        if col.null_count:
+            null = col.is_null().to_numpy(zero_copy_only=False)
+            neq = pc.fill_null(neq, True).to_numpy(zero_copy_only=False)
+            neq &= ~(null[1:] & null[:-1])
+        else:
+            neq = neq.to_numpy(zero_copy_only=False)
         new[1:] |= neq
     return new
 

@@ -11,7 +11,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import poly_hash_column
-from ..functions.text import LangIdModel, quality_counts
+from ..functions.text import WORD_RE, LangIdModel, quality_counts
 from .common import shard_apply
 
 # Gate instrumentation for the vocabulary broadcast-vs-sharded paths
@@ -148,16 +148,12 @@ def term_document_frequency(ds, text_col: str = "text", top_n: int = 100):
     reaches the final (tiny) sort.  The per-doc ``re.findall`` is a
     C-level compiled-regex pass, same justification as the extraction
     stage (stages/extract.py)."""
-    import re
-
-    word_re = re.compile(r"[A-Za-z]+")
-
     def partial_df(batch: pa.Table) -> pa.Table:
         from collections import Counter
 
         counts: Counter = Counter()
         for t in batch[text_col].to_pylist():
-            counts.update({m.lower() for m in word_re.findall(t or "")})
+            counts.update({m.lower() for m in WORD_RE.findall(t or "")})
         terms = list(counts.keys())
         return pa.table(
             {
@@ -392,6 +388,24 @@ def add_compression_ratio(ds, id_col: str = "doc_id", text_col: str = "text",
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _mean_per_id(parts, id_col: str, out_col: str):
+    """``out_col = round(s / n, 6)`` per ``id_col`` from partial (id, s, n)
+    rows: one sharded sum, then a per-batch divide."""
+    from .keyed import sharded_grouped_agg
+
+    agg = sharded_grouped_agg(parts, [id_col], [("s", "sum"), ("n", "sum")])
+
+    def finish(batch: pa.Table) -> pa.Table:
+        s = batch["s"].to_numpy(zero_copy_only=False)
+        n = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)
+        return pa.table({
+            id_col: batch[id_col],
+            out_col: pa.array(np.round(s / n, 6), pa.float64()),
+        })
+
+    return agg.map_batches(finish, batch_format="pyarrow")
+
+
 def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
                     out_col: str = "nll",
                     max_broadcast_terms: int | None = None):
@@ -419,7 +433,6 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
     from collections import Counter
 
     from ..functions.text import _WS_SPLIT
-    from .keyed import sharded_grouped_agg
 
     def _token_lists(texts):
         trimmed = pc.utf8_trim(pc.cast(texts, pa.string()), " \t\r\n")
@@ -513,18 +526,7 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
             value_fields=[("df", pa.int64())],
             post=fold,
         )
-        agg = sharded_grouped_agg(
-            parts, [id_col], [("s", "sum"), ("n", "sum")])
-
-        def finish(batch: pa.Table) -> pa.Table:
-            s = batch["s"].to_numpy(zero_copy_only=False)
-            n = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-            return pa.table({
-                id_col: batch[id_col],
-                out_col: pa.array(np.round(s / n, 6), pa.float64()),
-            })
-
-        return agg.map_batches(finish, batch_format="pyarrow")
+        return _mean_per_id(parts, id_col, out_col)
 
     LAST_RUN_INFO.clear()
     LAST_RUN_INFO.update(op="unigram_logprob", path="broadcast",
@@ -830,17 +832,7 @@ def _bigram_logprob_sharded(ds, census_ds, id_col: str, text_col: str,
         value_fields=[("nll", pa.float64())],
         post=fold,
     )
-    agg = sharded_grouped_agg(parts, [id_col], [("s", "sum"), ("n", "sum")])
-
-    def finish(batch: pa.Table) -> pa.Table:
-        s = batch["s"].to_numpy(zero_copy_only=False)
-        n = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table({
-            id_col: batch[id_col],
-            out_col: pa.array(np.round(s / n, 6), pa.float64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _mean_per_id(parts, id_col, out_col)
 
 
 def _shard_pair_sum(group: pa.Table) -> pa.Table:
@@ -921,11 +913,8 @@ def bm25_scores(ds, terms: list[str], text_col: str = "text",
     term order both engines use; the final score is rounded to
     ``round_to`` decimals.  Docs with zero query-term hits are dropped.
     """
-    import re
-
     import ray
 
-    word_re = re.compile(r"[A-Za-z]+")
     terms = list(terms)
 
     def _tf_dl(batch: pa.Table):
@@ -936,7 +925,7 @@ def bm25_scores(ds, terms: list[str], text_col: str = "text",
         dl = np.zeros(n, dtype=np.int64)
         tpos = {t: j for j, t in enumerate(terms)}
         for i, txt in enumerate(texts):
-            toks = word_re.findall(txt or "")
+            toks = WORD_RE.findall(txt or "")
             dl[i] = len(toks)
             for tok in toks:
                 j = tpos.get(tok.lower())
@@ -1008,20 +997,16 @@ def bpe_train(ds, text_col: str = "text", k: int = 8,
 
     Returns ``[(left, right, count), ...]`` in merge order.
     """
-    import re
-
     import ray
 
     from .keyed import sharded_grouped_agg
-
-    word_re = re.compile(r"[A-Za-z]+")
 
     def wc_partial(batch: pa.Table) -> pa.Table:
         from collections import Counter
 
         wc: Counter = Counter()
         for t in batch[text_col].to_pylist():
-            wc.update(w.lower() for w in word_re.findall(t or ""))
+            wc.update(w.lower() for w in WORD_RE.findall(t or ""))
         words = list(wc.keys())
         return pa.table({
             "w": pa.array(words, pa.string()),
@@ -1129,17 +1114,14 @@ def term_parity_drift(ds, text_col: str = "text", id_col: str = "doc_id",
     batch, never per-occurrence rows; ONE term-hash exchange co-locates
     both parities of a term, so the pivot + filter + score happen inside
     the shard task and only surviving scored terms leave it."""
-    import re
     from collections import Counter
-
-    word_re = re.compile(r"[A-Za-z]+")
 
     def partial_df(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         counts: Counter = Counter()
         for doc_id, t in zip(ids, batch[text_col].to_pylist()):
             par = int(doc_id) & 1
-            counts.update({(m.lower(), par) for m in word_re.findall(t or "")})
+            counts.update({(m.lower(), par) for m in WORD_RE.findall(t or "")})
         keys = list(counts.keys())
         return pa.table({
             "term": pa.array([k[0] for k in keys], pa.string()),
@@ -1215,9 +1197,6 @@ def build_text_index(ds, index_dir: str, text_col: str = "text",
     input batch, so per-batch posting rows are globally unique."""
     import json
     import os
-    import re
-
-    word_re = re.compile(r"[A-Za-z]+")
 
     def postings(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -1225,7 +1204,7 @@ def build_text_index(ds, index_dir: str, text_col: str = "text",
         docs: list[int] = []
         poss: list[int] = []
         for doc_id, t in zip(ids, batch[text_col].to_pylist()):
-            for p, m in enumerate(word_re.findall(t or "")):
+            for p, m in enumerate(WORD_RE.findall(t or "")):
                 terms.append(m.lower())
                 docs.append(int(doc_id))
                 poss.append(p)
@@ -1321,13 +1300,10 @@ class BPEEncoder:
 
     def __init__(self, merges: list, text_col: str = "text",
                  id_col: str = "doc_id", out_col: str = "n_bpe"):
-        import re
-
         self.merges = [(a, b) for a, b, *_ in merges]
         self.text_col = text_col
         self.id_col = id_col
         self.out_col = out_col
-        self.word_re = re.compile(r"[A-Za-z]+")
         self.cache: dict[str, int] = {}
 
     def _encode_len(self, word: str) -> int:
@@ -1354,7 +1330,7 @@ class BPEEncoder:
     def __call__(self, batch: pa.Table) -> pa.Table:
         counts = [
             sum(self._encode_len(w.lower())
-                for w in self.word_re.findall(t or ""))
+                for w in WORD_RE.findall(t or ""))
             for t in batch[self.text_col].to_pylist()
         ]
         return pa.table({
