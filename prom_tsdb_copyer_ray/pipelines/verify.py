@@ -29,32 +29,29 @@ def verify_tier_chunks(tier_ds) -> dict:
 
     def audit(batch: pa.Table) -> pa.Table:
         bad = 0
-        n = batch.num_rows
-        tiers = batch["tier"].to_pylist()
-        for i in range(n):
-            d_ms = TIERS[tiers[i]]
-            ns = batch["n_samples"][i].as_py()
+        cols = ("tier", "n_samples", "ts_bytes", "val_bytes", "window_start",
+                "min_ts", "max_ts", "agg_count")
+        for tier, ns, tsb, vb, w, lo, hi, cnt in zip(*(batch[c].to_pylist() for c in cols)):
             try:
-                ts, vals = decode_chunk(
-                    batch["ts_bytes"][i].as_py(), batch["val_bytes"][i].as_py(), ns
-                )
+                ts, vals = decode_chunk(tsb, vb, ns)
             except Exception:
                 bad += 1  # truncated / corrupt chunk bytes
                 continue
-            w = batch["window_start"][i].as_py()
+            d_ms = TIERS[tier]
             ok = (
                 len(ts) == ns
                 and (len(ts) == 0 or (np.all(np.diff(ts) > 0) and ts[0] >= w and ts[-1] < w + d_ms))
             )
-            if ok and tiers[i] == "5m":
+            if ok and tier == "5m":
                 ok = (
-                    batch["min_ts"][i].as_py() == int(ts[0])
-                    and batch["max_ts"][i].as_py() == int(ts[-1])
-                    and batch["agg_count"][i].as_py() == int(np.sum(~np.isnan(vals)))
+                    lo == int(ts[0])
+                    and hi == int(ts[-1])
+                    and cnt == int(np.sum(~np.isnan(vals)))
                 )
             if not ok:
                 bad += 1
-        return pa.table({"rows": pa.array([n], pa.int64()), "bad_rows": pa.array([bad], pa.int64())})
+        return pa.table({"rows": pa.array([batch.num_rows], pa.int64()),
+                         "bad_rows": pa.array([bad], pa.int64())})
 
     parts = tier_ds.map_batches(audit, batch_format="pyarrow").to_pandas()
     return {"rows": int(parts["rows"].sum()), "bad_rows": int(parts["bad_rows"].sum())}

@@ -44,11 +44,6 @@ def fmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def shard_of_ints(x: np.ndarray, n: int) -> np.ndarray:
-    """Deterministic hash shard in ``[0, n)`` of an int array (int64 out)."""
-    return (mix64(x) % np.uint64(n)).astype(np.int64)
-
-
 def key_hash64(table: pa.Table, key_cols: list[str]) -> np.ndarray:
     """Deterministic combined 64-bit hash over key columns (string or int),
     vectorized: strings hash over the column's data buffer, ints through
@@ -184,7 +179,7 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     never the raw key, so one vectorized kernel call covers thousands of
     keys (segment boundaries after one in-task sort) and the group count
     stays ``O(NUM_SHARDS x distinct by)`` at any key cardinality; a raw-key
-    ``map_groups`` pays one ~5 ms task per key.  Hash sharding spreads keys
+    ``map_groups`` pays one kernel call per key.  Hash sharding spreads keys
     evenly whatever their order or domain; a single hot key is still one
     group, so operators document their bound ("one key's history fits in a
     task").  ``by`` adds a coarse, ordered group column (the rollup's time

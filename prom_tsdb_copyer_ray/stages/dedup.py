@@ -39,7 +39,7 @@ from ..functions.hashing import (
     simhash64,
 )
 from . import common
-from .common import fanin, shard_apply, shard_of_ints
+from .common import shard_apply
 from .common import mix64 as _mix64
 
 
@@ -112,50 +112,31 @@ def exact_dedup_rows(ds, id_col: str = "doc_id", text_col: str = "text"):
     keeps rows whose id is marked.  Full rows cross the wire once.
     """
     winners = exact_dedup(ds, id_col=id_col, text_col=text_col)
-    n_shards = common.NUM_SHARDS
-
-    def shard_of(ids: np.ndarray) -> pa.Array:
-        return pa.array(shard_of_ints(ids, n_shards))
-
     schema = ds.schema()
     data_cols = list(schema.names)
     data_types = {c: t for c, t in zip(schema.names, schema.types)}
 
     def mark_rows(batch: pa.Table) -> pa.Table:
-        # full-width null rows so the union's schema matches the doc rows
-        ids = batch[id_col].to_numpy().astype(np.int64, copy=False)
-        cols = {c: pa.nulls(len(ids), data_types[c]) for c in data_cols}
-        cols["_shard"] = shard_of(ids)
-        cols["_winner_id"] = pa.array(ids)
+        # full-width null rows but the id, so the union's schema matches the
+        # doc rows and both sides shard on the id column
+        cols = {c: pa.nulls(batch.num_rows, data_types[c]) for c in data_cols}
+        cols[id_col] = pc.cast(batch[id_col], data_types[id_col])
+        cols["_mark"] = pa.array(np.ones(batch.num_rows, bool))
         return pa.table(cols)
 
     def doc_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy().astype(np.int64, copy=False)
-        return (
-            batch.append_column("_shard", shard_of(ids))
-            .append_column("_winner_id", pa.nulls(len(ids), pa.int64()))
-        )
+        return batch.append_column("_mark", pa.array(np.zeros(batch.num_rows, bool)))
 
     marks = winners.map_batches(mark_rows, batch_format="pyarrow")
     docs = ds.map_batches(doc_rows, batch_format="pyarrow")
 
     def keep_winners(group: pa.Table) -> pa.Table:
-        is_mark = pc.is_valid(group["_winner_id"]).to_numpy(zero_copy_only=False)
-        winner_ids = np.sort(
-            group["_winner_id"].filter(pa.array(is_mark)).to_numpy(zero_copy_only=False)
-        )
-        rows = group.filter(pa.array(~is_mark))
-        rid = rows[id_col].to_numpy().astype(np.int64, copy=False)
-        pos = np.searchsorted(winner_ids, rid)
-        pos[pos >= len(winner_ids)] = 0
-        ok = winner_ids[pos] == rid if len(winner_ids) else np.zeros(len(rid), bool)
-        return rows.filter(pa.array(ok)).select(data_cols)
+        is_mark = group["_mark"].to_numpy(zero_copy_only=False)
+        ids = group[id_col].to_numpy().astype(np.int64, copy=False)
+        keep = ~is_mark & np.isin(ids, ids[is_mark])
+        return group.filter(pa.array(keep)).select(data_cols)
 
-    return (
-        docs.union(marks)
-        .groupby("_shard")
-        .map_groups(keep_winners, batch_format="pyarrow")
-    )
+    return shard_apply(docs.union(marks), [id_col], keep_winners, coalesce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +235,7 @@ def _segment_pairs(sort_keys: tuple[np.ndarray, ...], ids: np.ndarray,
     for the whole shard, then a Python loop over only the multi-member
     segments (the rare duplicate buckets), numpy triu inside.  This is the
     tiny-group killer: one grouped task handles thousands of LSH buckets
-    instead of one ~5 ms map_groups call per bucket.
+    instead of one map_groups kernel call per bucket.
 
     With ``vals`` (a per-row int array aligned with ``ids``, constant per
     id) also returns (va, vb) per pair — used to carry shingle-set sizes
@@ -470,14 +451,12 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
     driver-CSR fast path — the price of unbounded candidate counts."""
     import ray
 
-    from .common import fanin
     from .joins import bloom_mask, build_bloom
 
     bits = _bloom_bits_for(n_cand)
     words = build_bloom(cand, "a", num_bits=bits) \
         | build_bloom(cand, "b", num_bits=bits)
     words_ref = ray.put(words)
-    route_shards = common.NUM_SHARDS
 
     def route_partial(batch: pa.Table) -> pa.Table:
         a_np = batch["a"].to_numpy().astype(np.int64, copy=False)
@@ -490,13 +469,12 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
         keep = np.ones(len(key), dtype=bool)
         keep[1:] = (key[1:] != key[:-1]) | (sh[1:] != sh[:-1])
         key, sh = key[keep], sh[keep]
-        t = pa.table({
+        return pa.table({
             "key": pa.array(key, pa.int64()),
             "_pshard": pa.array(sh, pa.int64()),
             "payload": pa.nulls(len(key), pa.large_binary()),
             "_side": pa.array(np.zeros(len(key), np.int64)),
         })
-        return t.append_column("_rshard", pa.array(shard_of_ints(key, route_shards)))
 
     def doc_partial(batch: pa.Table) -> pa.Table:
         w = ray.get(words_ref)
@@ -510,16 +488,14 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
              for t in sel[text_col].to_pylist()],
             pa.large_binary(),
         )
-        t = pa.table({
+        return pa.table({
             "key": pa.array(sid, pa.int64()),
             "_pshard": pa.array(np.zeros(len(sid), np.int64)),
             "payload": payloads,
             "_side": pa.array(np.ones(len(sid), np.int64)),
         })
-        return t.append_column("_rshard", pa.array(shard_of_ints(sid, route_shards)))
 
-    def expand(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_rshard")
+    def expand(t: pa.Table) -> pa.Table:
         side = t["_side"].to_numpy(zero_copy_only=False)
         rt = t.filter(pa.array(side == 0))
         pl = t.filter(pa.array(side == 1))
@@ -557,9 +533,7 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
 
     both = cand.map_batches(route_partial, batch_format="pyarrow").union(
         ds.map_batches(doc_partial, batch_format="pyarrow"))
-    return (both.repartition(fanin())
-            .groupby("_rshard")
-            .map_groups(expand, batch_format="pyarrow"))
+    return shard_apply(both, ["key"], expand)
 
 
 def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
@@ -654,8 +628,6 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
         instead of a Python sort-per-pair loop (the sf1 battery's dominant
         cost: intra-replica near-dup clusters make pairs quadratic in
         replica count while docs stay linear)."""
-        if group.num_rows == 0:
-            return pa.table(_EMPTY_PAIRS)
         # filter BEFORE to_numpy: a null-bearing int64 column converts to
         # float64 (NaN nulls), silently corrupting ids >= 2^53
         is_sh = pc.is_valid(group["payload"])
@@ -721,12 +693,7 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
             }
         )
 
-    return (
-        sh_rows.union(pr_rows)
-        .repartition(fanin())
-        .groupby("_pshard")
-        .map_groups(verify, batch_format="pyarrow")
-    )
+    return shard_apply(sh_rows.union(pr_rows), ["_pshard"], verify)
 
 
 # ---------------------------------------------------------------------------

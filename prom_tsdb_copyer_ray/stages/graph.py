@@ -30,12 +30,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-# The CC loop runs TWO sorts per iteration; uncoalesced 128-block unions
-# cost 16k exchange tasks per sort (~1000 s over a 10-round loop at sf0.1).
-from . import common
 from .common import fanin, shard_apply
-from .common import shard_of_ints as _mix_shard
+
+# a graph of at most this many int rows (2 x edges + nodes for CC, directed
+# edges for PageRank; ~4M is <100 MB) is solved inside one task
+SMALL_GRAPH_ROWS = 4_000_000
 
 
 def _solve_cc_in_task(batch: pa.Table, node_col: str) -> pa.Table:
@@ -79,7 +78,7 @@ def _solve_cc_in_task(batch: pa.Table, node_col: str) -> pa.Table:
 
 def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                          a_col: str = "a", b_col: str = "b",
-                         max_iters: int = 50, small_graph_rows: int = 4_000_000):
+                         max_iters: int = 50):
     """(node, component) for every node, component = min reachable node id.
 
     ``edges_ds`` holds undirected int64 edges (``a_col``, ``b_col``);
@@ -87,17 +86,14 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
     component).  Every edge endpoint must appear in ``nodes_ds``.
 
     Size-aware execution: when 2*edges + nodes fits one worker's heap
-    (``small_graph_rows``, int rows so the default ~4M is <100 MB), the
-    whole graph collapses into ONE Ray task running the vectorized
-    in-memory solver — the iterative loop's per-round exchanges are pure
-    overhead at that size (a 5k-node dup graph paid ~8 s of scheduling for
-    ~50 ms of math).  Above the threshold the distributed hash-min loop
-    runs unchanged; pass ``small_graph_rows=0`` to force it.
+    (:data:`SMALL_GRAPH_ROWS`), the whole graph collapses into ONE Ray task
+    running the vectorized in-memory solver — the iterative loop's
+    per-round exchanges are pure overhead at that size (a 5k-node dup graph
+    paid ~8 s of scheduling for ~50 ms of math).  Above the threshold the
+    distributed hash-min loop runs; ``SMALL_GRAPH_ROWS = 0`` forces it.
+    Each round's exchanges are :func:`~.common.shard_apply` calls given the
+    loop's row bound, so its size rule picks one task or the exchange.
     """
-    import ray
-
-    n_shards = common.NUM_SHARDS
-
     def to_directed(batch: pa.Table) -> pa.Table:
         a = pc.cast(batch[a_col], pa.int64()).to_numpy(zero_copy_only=False)
         b = pc.cast(batch[b_col], pa.int64()).to_numpy(zero_copy_only=False)
@@ -108,7 +104,6 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "src": pa.array(src),
                 "dst": pa.array(dst),
                 "label": pa.nulls(len(src), pa.int64()),
-                "_s": pa.array(_mix_shard(src, n_shards)),
             }
         )
 
@@ -117,14 +112,13 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
         .repartition(fanin())
         .materialize()
     )
-    # size-aware loop fan-in: the per-iteration sorts move only int rows
-    # (2 x edges + nodes), so partition count follows data volume — a
-    # 5k-node graph in 16 partitions pays 16x16 exchange tasks per sort
-    # per round for ~300 rows each; cap at ~64k rows per partition, floor 2
-    n_rows = edges_bi.count() + nodes_ds.count()
-    loop_fanin = max(2, min(fanin(), n_rows // 65_536 + 1))
+    # row bounds of the loop's exchanges (shard_apply's size rule): a label
+    # row per node plus the directed edges into propagate and minimize, a
+    # label row per node into the pointer jump
+    n_nodes = nodes_ds.count()
+    n_rows = edges_bi.count() + n_nodes
 
-    if n_rows <= small_graph_rows:
+    if n_rows <= SMALL_GRAPH_ROWS:
         def tag_nodes(batch: pa.Table) -> pa.Table:
             node = pc.cast(batch[node_col], pa.int64())
             return pa.table(
@@ -132,7 +126,6 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                     "src": node,
                     "dst": pa.nulls(len(node), pa.int64()),
                     "label": node,
-                    "_s": pa.array(np.zeros(len(node), np.int64)),
                 }
             )
 
@@ -156,13 +149,11 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
     labels = nodes_ds.map_batches(init_labels, batch_format="pyarrow").materialize()
 
     def label_rows(batch: pa.Table) -> pa.Table:
-        src = batch["node"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "src": batch["node"],
                 "dst": pa.nulls(batch.num_rows, pa.int64()),
                 "label": batch["label"],
-                "_s": pa.array(_mix_shard(src, n_shards)),
             }
         )
 
@@ -200,20 +191,11 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "node": pa.array(node),
                 "cand": pa.array(cand),
                 "own": pa.array(own),
-                "_m": pa.array(_mix_shard(node, n_shards)),
             }
         )
 
     def minimize(group: pa.Table) -> pa.Table:
         """One node shard: new label = min candidate; flag changes."""
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "label": pa.array([], pa.int64()),
-                    "changed": pa.array([], pa.int64()),
-                }
-            )
         node = group["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         cand = group["cand"].to_numpy(zero_copy_only=False).astype(np.int64)
         own = group["own"].to_numpy(zero_copy_only=False).astype(np.int8)
@@ -247,16 +229,11 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
                 "is_auth": pa.array(
                     np.concatenate([np.ones(n, np.int8), np.zeros(n, np.int8)])
                 ),
-                "_j": pa.array(_mix_shard(key, n_shards)),
             }
         )
 
     def resolve(group: pa.Table) -> pa.Table:
         """label <- label[label] (halves pointer-chain depth per round)."""
-        if group.num_rows == 0:
-            return pa.table(
-                {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
-            )
         is_auth = group["is_auth"].to_numpy(zero_copy_only=False).astype(np.int8) == 1
         auth = group.filter(pa.array(is_auth))
         seek = group.filter(pa.array(~is_auth))
@@ -278,16 +255,9 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
     JUMP_AFTER = 12  # above the round count of typical shallow dup graphs
     for it in range(max_iters):
         lab_tagged = labels.map_batches(label_rows, batch_format="pyarrow")
-        new_labels = (
-            lab_tagged.union(edges_bi)
-            .repartition(loop_fanin)
-            .groupby("_s")
-            .map_groups(propagate, batch_format="pyarrow")
-            .repartition(loop_fanin)
-            .groupby("_m")
-            .map_groups(minimize, batch_format="pyarrow")
-            .materialize()
-        )
+        cands = shard_apply(lab_tagged.union(edges_bi), ["src"], propagate,
+                            rows=n_rows)
+        new_labels = shard_apply(cands, ["node"], minimize, rows=n_rows).materialize()
         n_changed = new_labels.sum("changed")
         # lazy projection over the materialized table: consumed once per
         # iteration, so a second materialization would be a pure copy
@@ -295,12 +265,8 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
         if not n_changed:
             break
         if it >= JUMP_AFTER:
-            labels = (
-                labels.map_batches(jump_rows, batch_format="pyarrow")
-                .repartition(loop_fanin)
-                .groupby("_j")
-                .map_groups(resolve, batch_format="pyarrow")
-            )
+            labels = shard_apply(labels, ["key"], resolve, prepare=jump_rows,
+                                 rows=n_nodes)
 
     def rename(batch: pa.Table) -> pa.Table:
         return pa.table({node_col: batch["node"], "component": batch["label"]})
@@ -324,8 +290,7 @@ def group_star_edges(ds, key_cols: list[str], id_col: str = "doc_id",
 
 def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
                  a_col: str = "a", b_col: str = "b",
-                 iters: int = 5, scale: int = 10**9,
-                 small_graph_rows: int = 4_000_000):
+                 iters: int = 5, scale: int = 10**9):
     """Deterministic integer PageRank over an undirected edge set.
 
     Float PageRank re-associates mass sums under Ray's nondeterministic
@@ -392,7 +357,7 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
     # Size-aware: when the directed edge list fits one worker, all
     # iterations run inside ONE Ray task (integer spec -> bit-identical to
     # the distributed loop, whose per-iteration exchange is pure overhead
-    # at this size).  ``small_graph_rows=0`` forces the loop.
+    # at this size).  ``SMALL_GRAPH_ROWS = 0`` forces the loop.
     n_edge_rows = edges.count()
     if n_edge_rows == 0:
         final = np.full(len(all_nodes), teleport if iters > 0 else scale, np.int64)
@@ -400,7 +365,7 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
             "node": pa.array(all_nodes, pa.int64()),
             "rank": pa.array(final, pa.int64()),
         }))
-    if n_edge_rows <= small_graph_rows:
+    if n_edge_rows <= SMALL_GRAPH_ROWS:
         def run_all(batch: pa.Table) -> pa.Table:
             nodes_s, deg_s = _ray.get(nodes_ref)
             src = batch["src"].to_numpy(zero_copy_only=False)
@@ -479,8 +444,6 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
 
     from .keyed import sharded_grouped_agg
 
-    n_shards = common.NUM_SHARDS
-
     def canon(batch: pa.Table) -> pa.Table:
         a = _pc.cast(batch[a_col], pa.int64()).to_numpy(zero_copy_only=False)
         b = _pc.cast(batch[b_col], pa.int64()).to_numpy(zero_copy_only=False)
@@ -514,14 +477,6 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
     deg_s = deg_df.set_index("node")["deg"].loc[nodes_s].to_numpy(np.int64)
     deg_ref = ray.put((nodes_s, deg_s))
 
-    def _pair_shard(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        from .common import mix64
-
-        with np.errstate(over="ignore"):
-            h = mix64(u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                      ^ mix64(v))
-        return (h % np.uint64(n_shards)).astype(np.int64)
-
     def orient(batch: pa.Table, _d=deg_ref) -> pa.Table:
         ns, ds_ = ray.get(_d)
         u = batch["u"].to_numpy(zero_copy_only=False)
@@ -532,23 +487,12 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
         u_is_apex = (du < dv) | ((du == dv) & (u < v))
         apex = np.where(u_is_apex, u, v)
         nb = np.where(u_is_apex, v, u)
-        return pa.table({
-            "apex": pa.array(apex), "nb": pa.array(nb),
-            "_a": pa.array(_mix_shard(apex, n_shards)),
-        })
+        return pa.table({"apex": pa.array(apex), "nb": pa.array(nb)})
 
     def wedges(group: pa.Table) -> pa.Table:
-        t = group.drop_columns("_a").sort_by(
-            [("apex", "ascending"), ("nb", "ascending")]
-        )
+        t = group.sort_by([("apex", "ascending"), ("nb", "ascending")])
         a = t["apex"].to_numpy(zero_copy_only=False)
         nb = t["nb"].to_numpy(zero_copy_only=False)
-        out_empty = pa.table({"x": pa.array([], pa.int64()),
-                              "y": pa.array([], pa.int64()),
-                              "tag": pa.array([], pa.int8()),
-                              "_p": pa.array([], pa.int64())})
-        if len(a) == 0:
-            return out_empty
         new = np.ones(len(a), dtype=bool)
         new[1:] = a[1:] != a[:-1]
         starts = np.flatnonzero(new)
@@ -563,7 +507,9 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
             wx.append(seg[iu])
             wy.append(seg[ju])
         if not wx:
-            return out_empty
+            return pa.table({"x": pa.array([], pa.int64()),
+                             "y": pa.array([], pa.int64()),
+                             "tag": pa.array([], pa.int8())})
         x = np.concatenate(wx)
         y = np.concatenate(wy)
         # canonical pair form for the membership check
@@ -572,7 +518,6 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
         return pa.table({
             "x": pa.array(cx), "y": pa.array(cy),
             "tag": pa.array(np.zeros(len(cx), np.int8)),
-            "_p": pa.array(_pair_shard(cx, cy)),
         })
 
     def tag_edges(batch: pa.Table) -> pa.Table:
@@ -581,12 +526,9 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
         return pa.table({
             "x": pa.array(u), "y": pa.array(v),
             "tag": pa.array(np.ones(len(u), np.int8)),
-            "_p": pa.array(_pair_shard(u, v)),
         })
 
     def count(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table({"n": pa.array([], pa.int64())})
         tag = group["tag"].to_numpy(zero_copy_only=False)
         x = group["x"].to_numpy(zero_copy_only=False)
         y = group["y"].to_numpy(zero_copy_only=False)
@@ -601,20 +543,12 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
         hitn = int((comp_e[idx] == comp_w).sum())
         return pa.table({"n": pa.array([hitn], pa.int64())})
 
-    wedge_rows = (
-        edges.map_batches(orient, batch_format="pyarrow")
-        .repartition(fanin())
-        .groupby("_a")
-        .map_groups(wedges, batch_format="pyarrow")
-    )
+    wedge_rows = shard_apply(edges.map_batches(orient, batch_format="pyarrow"),
+                             ["apex"], wedges)
     tagged = wedge_rows.union(
         edges.map_batches(tag_edges, batch_format="pyarrow")
     )
-    counts = (
-        tagged.repartition(fanin())
-        .groupby("_p")
-        .map_groups(count, batch_format="pyarrow")
-    )
+    counts = shard_apply(tagged, ["x", "y"], count)
     total = counts.sum("n")
     return int(total or 0)
 

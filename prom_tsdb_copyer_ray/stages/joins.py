@@ -23,6 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .common import shard_apply
+
 
 def _int_keys(table: pa.Table, key: str) -> np.ndarray:
     return pc.cast(table[key], pa.int64()).to_numpy(zero_copy_only=False)
@@ -89,11 +91,6 @@ def broadcast_join(ds, right_table: pa.Table, left_key: str, right_key: str,
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
-from . import common
-from .common import fanin
-from .common import shard_of_ints as _shard_of_ints
-
-
 def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
                  right_cols: list[str] | None = None, how: str = "inner"):
     """Equi-join of two Datasets: ONE co-partitioning shuffle (tag-union by
@@ -112,18 +109,12 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
         raise ValueError(f"unknown how: {how}")
     if how in ("semi", "anti"):
         right_cols = []
-    n_shards = common.NUM_SHARDS
-
-    def _shard(x: np.ndarray) -> np.ndarray:
-        return _shard_of_ints(x, n_shards)
-
     left_cols = list(left_ds.schema().names)
     lschema = left_ds.schema()
 
     def norm_left(batch: pa.Table) -> pa.Table:
         k = _int_keys(batch, left_key)
         batch = batch.append_column("_jk", pa.array(k))
-        batch = batch.append_column("_jshard", pa.array(_shard(k)))
         for c, t in zip(rt_names, rt_types):
             batch = batch.append_column("_r_" + c, pa.nulls(batch.num_rows, t))
         return batch.append_column(
@@ -141,7 +132,6 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
         k = _int_keys(batch, right_key)
         cols = {c: pa.nulls(len(k), t) for c, t in zip(lschema.names, lschema.types)}
         cols["_jk"] = pa.array(k)
-        cols["_jshard"] = pa.array(_shard(k))
         for c in rt_names:
             cols["_r_" + c] = batch[c]
         t = pa.table(cols)
@@ -212,12 +202,7 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
                 pieces.append(right_only(~matched_r))
         return pa.concat_tables(pieces) if len(pieces) > 1 else out
 
-    return (
-        lefts.union(rights)
-        .repartition(fanin())
-        .groupby("_jshard")
-        .map_groups(probe, batch_format="pyarrow")
-    )
+    return shard_apply(lefts.union(rights), ["_jk"], probe)
 
 
 def build_bloom(ds, key: str, num_bits: int = 1 << 20,
@@ -334,7 +319,6 @@ def set_op(left_ds, right_ds, cols: list[str], op: str):
     """
     if op not in ("except", "intersect"):
         raise ValueError(f"unknown set op: {op}")
-    from .common import shard_apply
     from .keyed import _segment_starts
 
     def tag(side: int):
@@ -381,8 +365,8 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
     """Inner equi-join that survives pathological key skew: HOT keys (an
     exact census says >= ``hot_threshold`` left rows) are joined by
     broadcasting their right rows and probing inline — those rows ride the
-    exchange pre-joined, spread round-robin across shards — while COLD keys
-    take the ordinary co-partitioning tag-union.  Without this, a key
+    exchange pre-joined, spread over the shards by a row counter — while
+    COLD keys take the ordinary co-partitioning tag-union.  Without this, a key
     holding 30% of a 100 TB fact table lands 30% of the data on one shard
     of :func:`shuffle_join`.
 
@@ -427,7 +411,6 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
         pa.concat_tables(hot_parts)["_k"].to_numpy(zero_copy_only=False)
     )
     hot_ref = ray.put(hot_keys)
-    n_shards = common.NUM_SHARDS
 
     def _hot_mask(k: np.ndarray, hk: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(hk, k)
@@ -459,21 +442,18 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
         hot = _hot_mask(k, hk)
         cold_t = batch.filter(pa.array(~hot))
         cold = cold_t.append_column("_jk", pa.array(k[~hot]))
-        cold = cold.append_column(
-            "_jshard", pa.array(_shard_of_ints(k[~hot], n_shards)))
         for c, t in zip(right_cols, rt_types):
             cold = cold.append_column(c, pa.nulls(cold.num_rows, t))
         cold = cold.append_column(
             "_done", pa.nulls(cold.num_rows, pa.int8()).fill_null(0))
-        # hot rows: probe the broadcast inline, ride the exchange pre-joined
+        # hot rows: probe the broadcast inline, ride the exchange pre-joined;
+        # their ``_jk`` is a row counter, so they spread over every shard
+        # instead of landing on their hot key's
         keys_s, rdata = ray.get(rhot_ref)
         ht = batch.filter(pa.array(hot))
         rows, ridx = _probe_sorted_right(k[hot], keys_s)
         done = ht.take(pa.array(rows))
-        done = done.append_column("_jk", pa.array(k[hot][rows]))
-        done = done.append_column(
-            "_jshard",
-            pa.array((np.arange(len(rows)) % n_shards).astype(np.int64)))
+        done = done.append_column("_jk", pa.array(np.arange(len(rows), dtype=np.int64)))
         for c in right_cols:
             done = done.append_column(c, rdata[c].take(pa.array(ridx)))
         done = done.append_column(
@@ -487,7 +467,6 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
         cols = {c: pa.nulls(cold.num_rows, t)
                 for c, t in zip(lschema.names, lschema.types)}
         cols["_jk"] = pa.array(ck)
-        cols["_jshard"] = pa.array(_shard_of_ints(ck, n_shards))
         for c in right_cols:
             cols[c] = cold[c]
         t = pa.table(cols)
@@ -513,9 +492,4 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
 
     lefts = left_ds.map_batches(norm_left, batch_format="pyarrow")
     rights = right_ds.map_batches(norm_right, batch_format="pyarrow")
-    return (
-        lefts.union(rights)
-        .repartition(fanin())
-        .groupby("_jshard")
-        .map_groups(probe, batch_format="pyarrow")
-    )
+    return shard_apply(lefts.union(rights), ["_jk"], probe)

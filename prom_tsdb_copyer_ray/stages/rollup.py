@@ -391,19 +391,13 @@ def decode_tier_points(tier_table: pa.Table) -> pa.Table:
     from ..codec import decode_chunk
 
     keys, names, domains, langs, ts_out, val_out = [], [], [], [], [], []
-    sk = tier_table["series_key"].to_pylist()
-    nm = tier_table["__name__"].to_pylist()
-    dm = tier_table["domain"].to_pylist()
-    lg = tier_table["lang"].to_pylist()
-    for i in range(tier_table.num_rows):
-        n = tier_table["n_samples"][i].as_py()
-        t_arr, v_arr = decode_chunk(
-            tier_table["ts_bytes"][i].as_py(), tier_table["val_bytes"][i].as_py(), n
-        )
-        keys.extend([sk[i]] * n)
-        names.extend([nm[i]] * n)
-        domains.extend([dm[i]] * n)
-        langs.extend([lg[i]] * n)
+    cols = ("series_key", "__name__", "domain", "lang", "n_samples", "ts_bytes", "val_bytes")
+    for sk, nm, dm, lg, n, tsb, vb in zip(*(tier_table[c].to_pylist() for c in cols)):
+        t_arr, v_arr = decode_chunk(tsb, vb, n)
+        keys.extend([sk] * n)
+        names.extend([nm] * n)
+        domains.extend([dm] * n)
+        langs.extend([lg] * n)
         ts_out.append(t_arr)
         val_out.append(v_arr)
     return pa.table(

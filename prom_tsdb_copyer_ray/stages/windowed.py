@@ -46,7 +46,7 @@ def sliding_window_sum(
     def per_shard(group: pa.Table) -> pa.Table:
         """Many keys per task (hash shard): one sort, then a per-key-segment
         prefix-sum — group count stays O(shards) at any key cardinality
-        (raw-key map_groups would launch one ~5 ms task per key)."""
+        (raw-key map_groups would make one kernel call per key)."""
         t = group.sort_by(
             [(c, "ascending") for c in key_cols] + [(window_col, "ascending")]
         )
@@ -261,7 +261,7 @@ def asof_join(
 
     def per_shard(group: pa.Table) -> pa.Table:
         """Many keys per task (hash shard of the key, not the raw key —
-        raw-key map_groups is one ~5 ms task per key, unusable at millions
+        raw-key map_groups is one kernel call per key, unusable at millions
         of keys).  Per shard: sort both sides once, then a per-key-segment
         vectorized searchsorted; the segment walk is a dict lookup per key,
         not a task per key."""

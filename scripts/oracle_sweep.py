@@ -30,7 +30,9 @@ def norm(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     for c in df.columns:
         if df[c].dtype == object:
-            df[c] = df[c].astype(str)
+            # bytes (codec chunks) hex-encode: str() of arbitrary bytes can
+            # fail to decode
+            df[c] = df[c].map(lambda v: v.hex() if isinstance(v, bytes) else v).astype(str)
         elif np.issubdtype(df[c].dtype, np.floating):
             df[c] = df[c].round(9)
         elif str(df[c].dtype).startswith("datetime"):

@@ -111,22 +111,31 @@ def test_group_quantiles_matches_numpy(ray_session):
             assert out.loc[str(kk), col] == want
 
 
-@pytest.mark.parametrize("small_graph_rows", [0, 4_000_000])
-def test_connected_components_chain_and_isolated(ray_session, small_graph_rows):
+@pytest.mark.parametrize("graph_rows, small_rows", [
+    pytest.param(0, None, id="0"),
+    pytest.param(0, 0, id="0-exchange"),
+    pytest.param(4_000_000, None, id="4000000"),
+])
+def test_connected_components_chain_and_isolated(ray_session, monkeypatch,
+                                                 graph_rows, small_rows):
     """A chain forces multiple propagation rounds; isolated nodes keep
-    themselves as component.  Parametrized over both execution paths:
-    the distributed hash-min loop (small_graph_rows=0) and the
-    single-task vectorized solver (default threshold)."""
+    themselves as component.  Parametrized over every execution path: the
+    hash-min loop (``SMALL_GRAPH_ROWS = 0``) with its exchanges on
+    ``shard_apply``'s single-task path (default ``SMALL_ROWS``) and on its
+    hash exchange (``SMALL_ROWS = 0``), and the single-task vectorized
+    solver (default threshold)."""
     import ray.data
 
-    from prom_tsdb_copyer_ray.stages.graph import connected_components
+    from prom_tsdb_copyer_ray.stages import common, graph
 
+    monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", graph_rows)
+    if small_rows is not None:
+        monkeypatch.setattr(common, "SMALL_ROWS", small_rows)
     edges = pa.table({"a": [1, 2, 3, 10, 20], "b": [2, 3, 4, 11, 21]})
     nodes = pa.table({"node": [1, 2, 3, 4, 10, 11, 20, 21, 99]})
     out = (
-        connected_components(
+        graph.connected_components(
             ray.data.from_arrow(edges), ray.data.from_arrow(nodes),
-            small_graph_rows=small_graph_rows,
         )
         .to_pandas()
         .set_index("node")["component"]
@@ -262,21 +271,21 @@ def test_count_distinct_ignores_nulls(ray_session):
     assert out == {"a": 1}
 
 
-def test_connected_components_missing_endpoint_raises(ray_session):
+def test_connected_components_missing_endpoint_raises(ray_session, monkeypatch):
     """Regression: an edge endpoint absent from nodes_ds must fail loudly,
     not propagate a neighbor's label silently."""
     import pytest
     import ray.data
 
-    from prom_tsdb_copyer_ray.stages.graph import connected_components
+    from prom_tsdb_copyer_ray.stages import graph
 
     edges = pa.table({"a": [1, 5], "b": [2, 99]})
     nodes = pa.table({"node": [1, 2, 99]})  # 5 missing
     for sgr in (0, 4_000_000):  # both the loop and the single-task path
+        monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", sgr)
         with pytest.raises(Exception):
-            connected_components(
+            graph.connected_components(
                 ray.data.from_arrow(edges), ray.data.from_arrow(nodes),
-                small_graph_rows=sgr,
             ).materialize()
 
 
@@ -399,21 +408,21 @@ def test_sessionize_fuzz_vs_pandas(ray_session):
     np.testing.assert_allclose(got["sum_value"], want["sum_value"], rtol=1e-9)
 
 
-def test_connected_components_long_chain_pointer_jumping(ray_session):
+def test_connected_components_long_chain_pointer_jumping(ray_session, monkeypatch):
     """A 300-node chain converges in O(log d) rounds once adaptive pointer
     jumping kicks in — plain hash-min would need ~300 rounds and exhaust
     max_iters."""
     import ray.data
 
-    from prom_tsdb_copyer_ray.stages.graph import connected_components
+    from prom_tsdb_copyer_ray.stages import graph
 
+    monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", 0)  # force the loop under test
     n = 300
     edges = pa.table({"a": list(range(n - 1)), "b": list(range(1, n))})
     nodes = pa.table({"node": list(range(n))})
     out = (
-        connected_components(
+        graph.connected_components(
             ray.data.from_arrow(edges), ray.data.from_arrow(nodes), max_iters=40,
-            small_graph_rows=0,  # force the distributed loop under test
         )
         .to_pandas()["component"]
         .unique()
@@ -1143,12 +1152,13 @@ def test_exact_global_quantiles_selection(ray_session):
         assert got[q] == want, q
 
 
-def test_pagerank_int_partition_invariant(ray_session):
+def test_pagerank_int_partition_invariant(ray_session, monkeypatch):
     """Integer mass routing is exact/associative: bit-identical ranks
     across block layouts; hub outranks leaves; teleport floor for
     isolated nodes."""
     import ray.data
 
+    from prom_tsdb_copyer_ray.stages import graph
     from prom_tsdb_copyer_ray.stages.graph import pagerank_int
 
     # star: 0 is the hub of 1..6; 7-8 a pair; 9 isolated
@@ -1168,9 +1178,10 @@ def test_pagerank_int_partition_invariant(ray_session):
         .to_pandas().set_index("node")["rank"]
     )
     # the distributed loop must be bit-identical to the single-task path
+    monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", 0)
     r3 = (
         pagerank_int(ray.data.from_arrow(edges).repartition(4),
-                     ray.data.from_arrow(nodes), iters=4, small_graph_rows=0)
+                     ray.data.from_arrow(nodes), iters=4)
         .to_pandas().set_index("node")["rank"]
     )
     assert r1.to_dict() == r2.to_dict()

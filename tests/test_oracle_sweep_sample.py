@@ -10,33 +10,18 @@ advances by 30 names per calendar day, covering the whole battery every
 from __future__ import annotations
 
 import datetime
+import os
+import sys
 
 import duckdb
-import numpy as np
 import pandas as pd
-import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "scripts"))
+from oracle_sweep import TABLES, norm  # noqa: E402
 
 SF_DIR = "/root/testdata/sf0.01"
 SAMPLE = 30
-TABLES = [
-    "region", "nation", "customer", "supplier", "part", "orders",
-    "lineitem", "events", "documents", "embeddings",
-]
-
-
-def _norm(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)].copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-        elif np.issubdtype(df[c].dtype, np.floating):
-            df[c] = df[c].round(9)
-        elif str(df[c].dtype).startswith("datetime"):
-            df[c] = df[c].astype("datetime64[us]")
-        elif np.issubdtype(df[c].dtype, np.integer):
-            df[c] = df[c].astype("int64")
-    return df.sort_values(list(df.columns), kind="mergesort") \
-        .reset_index(drop=True)
 
 
 def _sample_names(names: list[str]) -> list[str]:
@@ -60,7 +45,7 @@ def test_rotating_sweep_sample_sf001(ray_session):
             res = qs[name](SF_DIR)
             got = res if isinstance(res, pd.DataFrame) else res.to_pandas()
             want = con.execute(osql[name]).df()
-            got, want = _norm(got), _norm(want)
+            got, want = norm(got), norm(want)
             assert list(got.columns) == list(want.columns), "columns"
             assert len(got) == len(want), f"rows {len(got)}!={len(want)}"
             pd.testing.assert_frame_equal(
@@ -70,3 +55,12 @@ def test_rotating_sweep_sample_sf001(ray_session):
     assert not failures, (
         f"sf0.01 rotating sweep sample ({len(names)} queries): "
         + "; ".join(failures))
+
+
+def test_norm_binary_column():
+    """Binary columns (codec chunks) normalize to hex, not a decode error;
+    equal frames normalize equal whatever their row order."""
+    a = pd.DataFrame({"k": [2, 1], "b": [b"\x8c\x01", b"\x00"]})
+    got = norm(a)
+    assert got["b"].tolist() == ["00", "8c01"]
+    pd.testing.assert_frame_equal(got, norm(a.iloc[::-1]))

@@ -128,6 +128,34 @@ def test_no_operator_takes_a_shard_count():
     assert not found, found
 
 
+def test_every_exchange_runs_through_shard_apply():
+    """No module but ``stages/common.py`` writes its own hash exchange (a
+    ``groupby("_<shard column>")``), no function takes a ``small_graph_rows``
+    size knob and ``shard_of_ints`` is gone: ``key_hash64`` is the one shard
+    function and :data:`SMALL_ROWS` the one size rule."""
+    import ast
+    import pathlib
+
+    import prom_tsdb_copyer_ray
+
+    root = pathlib.Path(prom_tsdb_copyer_ray.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        text = path.read_text()
+        if rel != pathlib.Path("stages", "common.py") and 'groupby("_' in text:
+            found.append(f"{rel}: groupby")
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "small_graph_rows" for p in params):
+                    found.append(f"{rel}:{node.lineno}: small_graph_rows")
+            if isinstance(node, ast.FunctionDef) and node.name == "shard_of_ints":
+                found.append(f"{rel}:{node.lineno}: shard_of_ints")
+    assert not found, found
+
+
 @pytest.mark.parametrize("by", [(), ("_b",)])
 def test_small_materialized_input_runs_one_task(ray_session, by):
     """A materialized input under ``SMALL_ROWS`` skips the exchange: one
