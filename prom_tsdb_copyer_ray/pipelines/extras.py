@@ -108,9 +108,9 @@ def _khop_sharded_hop(edge_rows, frontier_ds):
         nbrs = np.unique(ev[np.isin(ek, fk)])
         return pa.table({"node": pa.array(nbrs, pa.int64())})
 
-    both = edge_rows.map_batches(tag_edges, batch_format="pyarrow").union(
-        frontier_ds.map_batches(tag_frontier, batch_format="pyarrow"))
-    return shard_apply(both, ["k"], per_shard)
+    return shard_apply([edge_rows.map_batches(tag_edges, batch_format="pyarrow"),
+                        frontier_ds.map_batches(tag_frontier, batch_format="pyarrow")],
+                       ["k"], per_shard)
 
 
 def q_khop_reach(sf_dir: str, max_driver_nodes: int | None = None):

@@ -175,6 +175,12 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     columns dropped — to ``kernel(table) -> table``.  :data:`NUM_SHARDS`
     is read here, on the driver, and rides into the batch closure.
 
+    ``ds`` may be a list of Datasets of one schema — the tagged sides of a
+    co-partition.  Each side is hashed in its own map, which fuses into
+    that side's last map, and the hashed sides are unioned: Ray Data cannot
+    fuse a map across a ``union``, so hashing after it would cost one more
+    task per input block.
+
     Partitioning / skew design: the group key is a hash shard of the key,
     never the raw key, so one vectorized kernel call covers thousands of
     keys (segment boundaries after one in-task sort) and the group count
@@ -201,11 +207,11 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     Size rule: an input known to hold fewer than :data:`SMALL_ROWS` rows
     skips the hash, the coalesce and the sort.  ``rows`` is that knowledge:
     an upper bound on the input's row count, known before it executes
-    (:func:`size_input` finds one); without it, a ``MaterializedDataset``'s
-    ``count()`` (block metadata, free) is used, and any other input takes
-    the exchange — ``shard_apply`` never executes its input (a chained
-    exchange would run twice).  A small input runs as ``map_batches(one_task,
-    batch_size=SMALL_ROWS)``: ``prepare`` on the whole input, a split on
+    (:func:`size_input` finds one); without it, the ``count()`` of inputs
+    that are all ``MaterializedDataset`` (block metadata, free) is used,
+    and any other input takes the exchange — ``shard_apply`` never
+    executes its input (a chained exchange would run twice).  A small
+    input runs as ``map_batches(one_task, batch_size=SMALL_ROWS)``: ``prepare`` on the whole input, a split on
     ``by`` in ascending order and one ``kernel`` call per ``by`` value —
     exactly the ``NUM_SHARDS = 1`` semantics, since each key still reaches
     one call.  Bundling contract: Ray Data bundles a map's input blocks
@@ -235,14 +241,16 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
 
     keys = list(keys)
     by = list(by)
-    if rows is None and isinstance(ds, MaterializedDataset):
-        rows = ds.count()
+    first, *rest = ds if isinstance(ds, (list, tuple)) else [ds]
+    if rows is None and all(isinstance(d, MaterializedDataset) for d in (first, *rest)):
+        rows = sum(d.count() for d in (first, *rest))
     if rows is not None and rows < SMALL_ROWS:
         def one_task(table: pa.Table) -> pa.Table:
             if prepare is not None:
                 table = prepare(table)
             return _apply_by(table, by, kernel)
 
+        ds = first.union(*rest) if rest else first
         return ds.map_batches(one_task, batch_size=SMALL_ROWS, batch_format="pyarrow")
     helpers = [*by, "_shard"]
     n_shards = np.uint64(NUM_SHARDS)
@@ -256,7 +264,9 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     def per_group(group: pa.Table) -> pa.Table:
         return kernel(group.drop_columns(helpers))
 
-    out = ds.map_batches(add_shard, batch_format="pyarrow")
+    first, *rest = (d.map_batches(add_shard, batch_format="pyarrow")
+                    for d in (first, *rest))
+    out = first.union(*rest) if rest else first
     if coalesce:
         out = out.repartition(fanin())
     return out.groupby(helpers).map_groups(per_group, batch_format="pyarrow")

@@ -136,7 +136,7 @@ def exact_dedup_rows(ds, id_col: str = "doc_id", text_col: str = "text"):
         keep = ~is_mark & np.isin(ids, ids[is_mark])
         return group.filter(pa.array(keep)).select(data_cols)
 
-    return shard_apply(docs.union(marks), [id_col], keep_winners, coalesce=False)
+    return shard_apply([docs, marks], [id_col], keep_winners, coalesce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +531,9 @@ def _shingle_rows_sharded(ds, cand, pair_shards_fn, ngram: int,
             "payload": pl["payload"].take(pa.array(rows)),
         })
 
-    both = cand.map_batches(route_partial, batch_format="pyarrow").union(
-        ds.map_batches(doc_partial, batch_format="pyarrow"))
-    return shard_apply(both, ["key"], expand)
+    return shard_apply([cand.map_batches(route_partial, batch_format="pyarrow"),
+                        ds.map_batches(doc_partial, batch_format="pyarrow")],
+                       ["key"], expand)
 
 
 def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
@@ -574,11 +574,11 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
     cap = NGRAM_MAX_DRIVER_PAIRS if max_driver_pairs is None \
         else max_driver_pairs
 
-    # Routing map: each pair lives in ONE shard; a doc's shingle payload
-    # must reach exactly the shards holding its pairs.  Shard assignment
-    # is a 2D BLOCK partition — shard(a,b) = (h(a) % NA) * G + h(b) % G —
-    # so a doc's pairs land in at most NA + G ≈ 2*sqrt(NUM_SHARDS) shards
-    # no matter how many pairs it has (vs min(NUM_SHARDS, n_pairs) under
+    # Routing map: each pair lives in ONE pair-shard (one ``verify`` call);
+    # a doc's shingle payload must reach exactly the pair-shards holding
+    # its pairs.  Shard assignment is a 2D BLOCK partition — shard(a,b) =
+    # (h(a) % NA) * G + h(b) % G — so a doc's pairs land in at most
+    # NA + G ≈ 2*sqrt(NUM_SHARDS) shards no matter how many pairs it has (vs min(NUM_SHARDS, n_pairs) under
     # flat mix(a,b) hashing: at sf1 every doc shipped its ~8 KB payload
     # to all 64 shards, a 4x-avoidable shuffle), while a hub doc's pairs
     # still spread over G shards for skew.  Below the cap: CSR routing
@@ -693,7 +693,9 @@ def ngram_jaccard_pairs(ds, threshold: float = 0.8, ngram: int = 5,
             }
         )
 
-    return shard_apply(sh_rows.union(pr_rows), ["_pshard"], verify)
+    # ``by`` on the pair-shard itself: hashing 64 pair-shard ids onto 64
+    # shards collides, and a merged group would hold a doc's payload twice
+    return shard_apply([sh_rows, pr_rows], ["_pshard"], verify, by=("_pshard",))
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def connected_components(edges_ds, nodes_ds, node_col: str = "node",
     JUMP_AFTER = 12  # above the round count of typical shallow dup graphs
     for it in range(max_iters):
         lab_tagged = labels.map_batches(label_rows, batch_format="pyarrow")
-        cands = shard_apply(lab_tagged.union(edges_bi), ["src"], propagate,
+        cands = shard_apply([lab_tagged, edges_bi], ["src"], propagate,
                             rows=n_rows)
         new_labels = shard_apply(cands, ["node"], minimize, rows=n_rows).materialize()
         n_changed = new_labels.sum("changed")
@@ -545,10 +545,9 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
 
     wedge_rows = shard_apply(edges.map_batches(orient, batch_format="pyarrow"),
                              ["apex"], wedges)
-    tagged = wedge_rows.union(
-        edges.map_batches(tag_edges, batch_format="pyarrow")
-    )
-    counts = shard_apply(tagged, ["x", "y"], count)
+    counts = shard_apply(
+        [wedge_rows, edges.map_batches(tag_edges, batch_format="pyarrow")],
+        ["x", "y"], count)
     total = counts.sum("n")
     return int(total or 0)
 

@@ -202,7 +202,7 @@ def shuffle_join(left_ds, right_ds, left_key: str, right_key: str,
                 pieces.append(right_only(~matched_r))
         return pa.concat_tables(pieces) if len(pieces) > 1 else out
 
-    return shard_apply(lefts.union(rights), ["_jk"], probe)
+    return shard_apply([lefts, rights], ["_jk"], probe)
 
 
 def build_bloom(ds, key: str, num_bits: int = 1 << 20,
@@ -339,10 +339,9 @@ def set_op(left_ds, right_ds, cols: list[str], op: str):
         keep = (has_l & ~has_r) if op == "except" else (has_l & has_r)
         return t.drop_columns("_side").take(pa.array(starts[keep]))
 
-    both = left_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        right_ds.map_batches(tag(1), batch_format="pyarrow")
-    )
-    return shard_apply(both, cols, per_shard)
+    return shard_apply([left_ds.map_batches(tag(0), batch_format="pyarrow"),
+                        right_ds.map_batches(tag(1), batch_format="pyarrow")],
+                       cols, per_shard)
 
 
 def _probe_sorted_right(lk: np.ndarray, keys_s: np.ndarray):
@@ -492,4 +491,4 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
 
     lefts = left_ds.map_batches(norm_left, batch_format="pyarrow")
     rights = right_ds.map_batches(norm_right, batch_format="pyarrow")
-    return shard_apply(lefts.union(rights), ["_jk"], probe)
+    return shard_apply([lefts, rights], ["_jk"], probe)

@@ -86,9 +86,9 @@ def _co_lookup(rows_ds, lookup_ds, payload_fields, value_fields,
         joined = pa.table(cols)
         return post(joined) if post is not None else joined
 
-    both = (rows_ds.map_batches(pad(1), batch_format="pyarrow")
-            .union(lookup_ds.map_batches(pad(0), batch_format="pyarrow")))
-    return shard_apply(both, ["_jk"], per_shard)
+    return shard_apply([rows_ds.map_batches(pad(1), batch_format="pyarrow"),
+                        lookup_ds.map_batches(pad(0), batch_format="pyarrow")],
+                       ["_jk"], per_shard)
 
 
 def add_quality_counts(ds, text_col: str = "text"):

@@ -206,7 +206,7 @@ def range_join(
 
     lefts = left_ds.map_batches(norm_left, batch_format="pyarrow")
     rights = right_ds.map_batches(explode_right, batch_format="pyarrow")
-    return shard_apply(lefts.union(rights), [key_col], per_group, by=("_bucket",),
+    return shard_apply([lefts, rights], [key_col], per_group, by=("_bucket",),
                        coalesce=False)
 
 
@@ -311,7 +311,7 @@ def asof_join(
             )
         return out
 
-    return shard_apply(left_tagged.union(right_tagged), key_cols, per_shard)
+    return shard_apply([left_tagged, right_tagged], key_cols, per_shard)
 
 
 def counter_increase(

@@ -408,26 +408,47 @@ def test_sessionize_fuzz_vs_pandas(ray_session):
     np.testing.assert_allclose(got["sum_value"], want["sum_value"], rtol=1e-9)
 
 
-def test_connected_components_long_chain_pointer_jumping(ray_session, monkeypatch):
-    """A 300-node chain converges in O(log d) rounds once adaptive pointer
-    jumping kicks in — plain hash-min would need ~300 rounds and exhaust
-    max_iters."""
+def _long_chain_components() -> dict:
+    """Components of two interleaved 300-node chains (even ids, odd ids)
+    under the distributed loop: plain hash-min would need ~300 rounds and
+    exhaust ``max_iters=40``, so two components mean the adaptive pointer
+    jump ran, and a jump that read another node's label would merge them."""
     import ray.data
 
     from prom_tsdb_copyer_ray.stages import graph
 
-    monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", 0)  # force the loop under test
     n = 300
-    edges = pa.table({"a": list(range(n - 1)), "b": list(range(1, n))})
-    nodes = pa.table({"node": list(range(n))})
-    out = (
-        graph.connected_components(
-            ray.data.from_arrow(edges), ray.data.from_arrow(nodes), max_iters=40,
-        )
-        .to_pandas()["component"]
-        .unique()
-    )
-    assert list(out) == [0]
+    a = [2 * i + side for side in (0, 1) for i in range(n - 1)]
+    edges = pa.table({"a": a, "b": [x + 2 for x in a]})
+    nodes = pa.table({"node": list(range(2 * n))})
+    out = graph.connected_components(
+        ray.data.from_arrow(edges), ray.data.from_arrow(nodes), max_iters=40,
+    ).to_pandas()
+    return out.groupby("component")["node"].apply(lambda s: sorted(s)).to_dict()
+
+
+def test_connected_components_long_chain_pointer_jumping(ray_session, monkeypatch):
+    """300-node chains converge in O(log d) rounds once adaptive pointer
+    jumping kicks in; the loop's exchanges take ``shard_apply``'s
+    single-task path (the graph is under ``SMALL_ROWS``)."""
+    from prom_tsdb_copyer_ray.stages import graph
+
+    monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", 0)  # force the loop under test
+    assert _long_chain_components() == {0: list(range(0, 600, 2)),
+                                        1: list(range(1, 600, 2))}
+
+
+def test_connected_components_long_chain_pointer_jumping_exchange(ray_session,
+                                                                  monkeypatch):
+    """The same chains with every round on ``shard_apply``'s hash exchange
+    (``SMALL_ROWS = 0``): the pointer jump's authority rows (keyed by node)
+    and seeker rows (keyed by label) must meet in one shard."""
+    from prom_tsdb_copyer_ray.stages import common, graph
+
+    monkeypatch.setattr(graph, "SMALL_GRAPH_ROWS", 0)
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
+    assert _long_chain_components() == {0: list(range(0, 600, 2)),
+                                        1: list(range(1, 600, 2))}
 
 
 def test_approx_quantiles_accuracy_and_block_invariance(ray_session):

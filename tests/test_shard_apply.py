@@ -195,6 +195,45 @@ def test_small_materialized_input_runs_one_task(ray_session, by):
     assert (lazy["call_rows"] < small["call_rows"]).any()
 
 
+def test_list_input_hashes_each_side_before_the_union(ray_session, monkeypatch):
+    """A list of inputs (a co-partition's sides) gives the rows of their
+    union on both paths, and on the exchange each side is hashed in its own
+    map, fused into the side's last map: a map after a ``union`` would be
+    its own operator, one more task per input block."""
+    import re
+
+    import ray.data
+
+    from prom_tsdb_copyer_ray.stages import common
+
+    t = _events()
+    half = t.num_rows // 2
+
+    def sum_kernel(t: pa.Table) -> pa.Table:
+        return t.group_by(["k", "s"]).aggregate([("v", "sum"), ("v", "count")])
+
+    def side(batch: pa.Table) -> pa.Table:
+        return batch
+
+    def sides(materialize: bool) -> list:
+        out = [ray.data.from_arrow(part).repartition(3)
+               .map_batches(side, batch_format="pyarrow")
+               for part in (t.slice(0, half), t.slice(half))]
+        return [d.materialize() for d in out] if materialize else out
+
+    want = (t.to_pandas().groupby(["k", "s"], as_index=False)["v"]
+            .agg(v_sum="sum", v_count="count")).sort_values(["k", "s"]).reset_index(drop=True)
+    for small in (True, False):  # all-materialized inputs are sized, lazy ones are not
+        out = shard_apply(sides(small), ["k", "s"], sum_kernel).materialize()
+        got = out.to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[list(want.columns)], want, check_dtype=False)
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
+    out = shard_apply(sides(False), ["k", "s"], sum_kernel).materialize()
+    stats = out.stats()
+    assert "MapBatches(side)->MapBatches(add_shard)" in stats
+    assert not re.search(r"^Operator \d+ MapBatches\(add_shard\):", stats, re.M), stats
+
+
 def test_small_path_empty_input(ray_session):
     """An empty materialized input never reaches the kernel and yields no rows."""
     import ray.data
