@@ -242,13 +242,10 @@ def curate_summary(ds, *, min_tokens: int = 30, distinct_mult: int = 3,
         pos = np.clip(np.searchsorted(w, ids), 0, max(len(w) - 1, 0))
         hit = (w[pos] == ids) if len(w) else np.zeros(len(ids), bool)
         t = batch.filter(pa.array(hit))
-        g = t.group_by("lang").aggregate(
-            [("doc_id", "count"), ("n_tokens", "sum")]
-        )
         return pa.table({
-            "lang": g["lang"],
-            "n_docs": pc.cast(g["doc_id_count"], pa.int64()),
-            "sum_tokens": pc.cast(g["n_tokens_sum"], pa.int64()),
+            "lang": t["lang"],
+            "n_docs": pa.array(np.ones(t.num_rows, np.int64)),
+            "sum_tokens": pc.cast(t["n_tokens"], pa.int64()),
         })
 
     parts = prepped.map_batches(partial, batch_format="pyarrow")

@@ -242,12 +242,10 @@ def _value_census(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "cv": pa.array(cv),
             "n": pa.array(np.ones(len(cv), np.int64)),
         })
-        g = t.group_by(["cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["cv", "n"])
 
     return sharded_grouped_agg(
         ds.map_batches(census, batch_format="pyarrow"),
@@ -448,12 +446,11 @@ def q_cross_corr(sf_dir: str):
             t["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
         tms = ts_to_ms(t["ts"]).to_numpy(zero_copy_only=False)
-        g = pa.table({
+        return pa.table({
             "event_type": t["event_type"],
             "hr": pa.array(tms // 3600000, pa.int64()),
             "s": pa.array(cv),
-        }).group_by(["event_type", "hr"]).aggregate([("s", "sum")])
-        return g.rename_columns(["event_type", "hr", "s"])
+        })
 
     census_df = sharded_grouped_agg(
         ds.map_batches(census, batch_format="pyarrow"),
@@ -556,15 +553,12 @@ def q_jackknife_se(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "hod": pa.array((tms // 3600000) % 24, pa.int64()),
             "nh": pa.array(np.ones(len(cv), np.int64)),
             "sh": pa.array(cv),
         })
-        g = t.group_by(["event_type", "hod"]).aggregate(
-            [("nh", "sum"), ("sh", "sum")])
-        return g.rename_columns(["event_type", "hod", "nh", "sh"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -614,13 +608,11 @@ def q_kaplan_meier(sf_dir: str):
     def dur_census(batch: pa.Table) -> pa.Table:
         mn = batch["mn"].to_numpy(zero_copy_only=False)
         mx = batch["mx"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "dur": pa.array((mx - mn) // 3600000, pa.int64()),
             "cens": pa.array((data_max - mx < 86400000).astype(np.int64)),
             "cnt": pa.array(np.ones(len(mn), np.int64)),
         })
-        g = t.group_by(["dur", "cens"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["dur", "cens", "cnt"])
 
     census = sharded_grouped_agg(
         per_user.map_batches(dur_census, batch_format="pyarrow"),
@@ -681,14 +673,12 @@ def q_linreg_2f(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "h": pa.array((tms // 3600000) % 24, pa.int64()),
             "d": pa.array(((tms // 86400000) + 4) % 7, pa.int64()),
             "n": pa.array(np.ones(len(cv), np.int64)),
             "sy": pa.array(cv),
         })
-        g = t.group_by(["h", "d"]).aggregate([("n", "sum"), ("sy", "sum")])
-        return g.rename_columns(["h", "d", "n", "sy"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -739,14 +729,12 @@ def q_t_closeness(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         nb = pc.cast(batch["n_chars"], pa.int64()).to_numpy(
             zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "lang": batch["lang"],
             "sb": pa.array(nb // 100, pa.int64()),
             "source": batch["source"],
             "ngs": pa.array(np.ones(len(nb), np.int64)),
         })
-        g = t.group_by(["lang", "sb", "source"]).aggregate([("ngs", "sum")])
-        return g.rename_columns(["lang", "sb", "source", "ngs"])
 
     census = sharded_grouped_agg(
         docs.map_batches(partial, batch_format="pyarrow"),
@@ -857,7 +845,7 @@ def q_readability(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         txt = batch["text"]
-        t = pa.table({
+        return pa.table({
             "lang": batch["lang"],
             "n_docs": pa.array(np.ones(batch.num_rows, np.int64)),
             "words": pc.cast(
@@ -868,11 +856,6 @@ def q_readability(sf_dir: str):
                 pc.count_substring_regex(txt, r"[aeiouAEIOU]+"),
                 pa.int64()),
         })
-        g = t.group_by(["lang"]).aggregate(
-            [("n_docs", "sum"), ("words", "sum"), ("longw", "sum"),
-             ("vgroups", "sum")])
-        return g.rename_columns(
-            ["lang", "n_docs", "words", "longw", "vgroups"])
 
     census = sharded_grouped_agg(
         docs.map_batches(partial, batch_format="pyarrow"),
@@ -989,16 +972,13 @@ def q_sax_words(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "day": pa.array(tms // 86400000, pa.int64()),
             "seg": pa.array(((tms // 3600000) % 24) // 6, pa.int64()),
             "n": pa.array(np.ones(len(cv), np.int64)),
             "ss": pa.array(cv),
         })
-        g = t.group_by(["event_type", "day", "seg"]).aggregate(
-            [("n", "sum"), ("ss", "sum")])
-        return g.rename_columns(["event_type", "day", "seg", "n", "ss"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),

@@ -63,44 +63,33 @@ def _finalize(ds, renames: dict[str, str], rounds: dict[str, int] | None = None)
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _windowed_partial(keys: list[str], d_ms: int, ts_col: str = "ts", val_col: str = "value"):
-    """map_batches kernel: per-batch partial (count/sum/min/max) per
-    (keys..., window_start) — the pre-aggregation that keeps the groupby
-    shuffle small (SURVEY.md §4 partial+final pattern)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        w = window_start(ts_to_ms(batch[ts_col]), d_ms)
-        t = batch.append_column("window_start", w)
-        return t.group_by(keys + ["window_start"]).aggregate(
-            [(val_col, "count"), (val_col, "sum"), (val_col, "min"), (val_col, "max")]
-        )
-
-    return fn
-
-
-def _final_rollup(ds, keys: list[str], val_col: str = "value"):
-    # keys = (labels..., window) — cardinality grows with the time span, so
-    # the final merge is the sharded segment kernel, not a per-key Ray
-    # aggregate (float sums are re-associated; every sum_value consumer
-    # rounds to 4 decimals on both sides)
-    out = sharded_grouped_agg(
-        ds, keys,
-        [(f"{val_col}_count", "sum"), (f"{val_col}_sum", "sum"),
-         (f"{val_col}_min", "min"), (f"{val_col}_max", "max")],
-    )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            list(keys) + ["n", "sum_value", "min_value", "max_value"]
-        )
-
-    return out.map_batches(rename, batch_format="pyarrow")
-
-
 def _rollup_events(sf_dir: str, d_ms: int):
+    """(event_type, window_start, n, sum_value, min_value, max_value) per
+    ``d_ms`` window of events — the partial+final rollup (SURVEY.md §4).
+
+    Keys = (type, window): cardinality grows with the time span, so the
+    merge is the sharded segment kernel, not a per-key Ray aggregate
+    (float sums are re-associated; every sum_value consumer rounds to 4
+    decimals on both sides)."""
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-    part = ds.map_batches(_windowed_partial(["event_type"], d_ms), batch_format="pyarrow")
-    return _final_rollup(part, ["event_type", "window_start"])
+
+    def project(batch: pa.Table) -> pa.Table:
+        v = batch["value"]
+        return pa.table({
+            "event_type": batch["event_type"],
+            "window_start": window_start(ts_to_ms(batch["ts"]), d_ms),
+            "n": pc.cast(pc.is_valid(v), pa.int64()),
+            "sum_value": v,
+            "min_value": v,
+            "max_value": v,
+        })
+
+    return sharded_grouped_agg(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        [("n", "sum"), ("sum_value", "sum"),
+         ("min_value", "min"), ("max_value", "max")],
+    )
 
 
 def _round_sum(ds):
@@ -272,13 +261,11 @@ def _type_count_census(sf_dir: str, col: str, key: str, derive, count: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         k = derive(batch[col])
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             key: pa.array(k, pa.int64()),
             count: pa.array(np.ones(len(k), np.int64)),
         })
-        g = t.group_by(["event_type", key]).aggregate([(count, "sum")])
-        return g.rename_columns(["event_type", key, count])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -340,13 +327,11 @@ def purchase_view_cents(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         et = batch["event_type"].to_numpy(zero_copy_only=False)
         mask = (et == "purchase") | (et == "view")
-        t = pa.table({
+        return pa.table({
             "cv": pa.array(_cents(batch["value"])[mask]),
             "a": pa.array((et[mask] == "purchase").astype(np.int64)),
             "b": pa.array((et[mask] == "view").astype(np.int64)),
         })
-        g = t.group_by(["cv"]).aggregate([("a", "sum"), ("b", "sum")])
-        return g.rename_columns(["cv", "a", "b"])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -363,13 +348,11 @@ def weekend_purchase_census(sf_dir: str):
         we = (((tms // 86_400_000) + 3) % 7 >= 5).astype(np.int64)
         pu = pc.cast(pc.equal(batch["event_type"], "purchase"),
                      pa.int64()).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "we": pa.array(we),
             "pu": pa.array(pu),
             "n": pa.array(np.ones(len(we), np.int64)),
         })
-        g = t.group_by(["we", "pu"]).aggregate([("n", "sum")])
-        return g.rename_columns(["we", "pu", "n"])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -383,16 +366,30 @@ def user_event_counts(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": batch["user_id"],
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["user_id"]).aggregate([("n", "sum")])
-        return g.rename_columns(["user_id", "n"])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
         ["user_id"], [("n", "sum")],
+    )
+
+
+def source_doc_counts(sf_dir: str):
+    """(source, n) documents per source — a Dataset, source-bounded."""
+    ds = _read(sf_dir, "documents", ["source"])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "source": batch["source"],
+            "n": pa.array(np.ones(batch.num_rows, np.int64)),
+        })
+
+    return sharded_grouped_agg(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["source"], [("n", "sum")],
     )
 
 
@@ -401,10 +398,8 @@ def user_cent_sums(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"user_id": batch["user_id"],
-                      "x": pa.array(_cents(batch["value"]))})
-        g = t.group_by(["user_id"]).aggregate([("x", "sum")])
-        return g.rename_columns(["user_id", "x"])
+        return pa.table({"user_id": batch["user_id"],
+                         "x": pa.array(_cents(batch["value"]))})
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -418,13 +413,11 @@ def user_ts_spans(sf_dir: str):
 
     def per_user_partial(batch: pa.Table) -> pa.Table:
         tms = _ts_ms(batch["ts"])
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "mn": pa.array(tms, pa.int64()),
             "mx": pa.array(tms, pa.int64()),
         })
-        g = t.group_by(["user_id"]).aggregate([("mn", "min"), ("mx", "max")])
-        return g.rename_columns(["user_id", "mn", "mx"])
 
     return sharded_grouped_agg(
         ds.map_batches(per_user_partial, batch_format="pyarrow"),
@@ -437,13 +430,11 @@ def type_hourly_counts(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "window_start": window_start(ts_to_ms(batch["ts"]), MS_1H),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "window_start", "n"])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -458,13 +449,11 @@ def type_cents_5m(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         tms = _ts_ms(batch["ts"])
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "window_start": pa.array((tms // MS_5M) * MS_5M, pa.int64()),
             "cs": pa.array(_cents(batch["value"]), pa.int64()),
         })
-        g = t.group_by(["event_type", "window_start"]).aggregate([("cs", "sum")])
-        return g.rename_columns(["event_type", "window_start", "cs"])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -496,15 +485,13 @@ def term_census(sf_dir: str):
 
 
 def freq_of_freq_census(sf_dir: str):
-    """(m, vm): how many terms occur exactly m times — a second combiner
+    """(m, vm): how many terms occur exactly m times — a second census
     over :func:`term_census` rows, O(distinct counts) rows."""
 
     def ff_partial(batch: pa.Table) -> pa.Table:
-        m = batch["n"].to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(m, return_counts=True)
         return pa.table({
-            "m": pa.array(vals.astype(np.int64)),
-            "vm": pa.array(cnts.astype(np.int64)),
+            "m": pc.cast(batch["n"], pa.int64()),
+            "vm": pa.array(np.ones(batch.num_rows, np.int64)),
         })
 
     return sharded_grouped_agg(

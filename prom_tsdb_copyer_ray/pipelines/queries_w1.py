@@ -29,6 +29,7 @@ from .qsubstrate import (  # noqa: F401
     np,
     pa,
     pc,
+    source_doc_counts,
     ts_to_ms,
     window_start,
 )
@@ -156,29 +157,23 @@ def q_dedup_first(sf_dir: str):
     """Dedup keep-first (compaction semantics): earliest event per
     (user_id, event_type), ties by min event_id — via an order-preserving
     composite min, fully vectorized partial+final."""
-    from ray.data.aggregate import Min
-
     ds = _read(sf_dir, "events", ["ts", "user_id", "event_type", "event_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
         ms = ts_to_ms(batch["ts"])
         comp = pc.add(pc.multiply(ms, pa.scalar(_COMP, pa.int64())), batch["event_id"])
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": batch["user_id"],
                 "event_type": batch["event_type"],
                 "comp": comp,
             }
         )
-        return t.group_by(["user_id", "event_type"]).aggregate([("comp", "min")])
 
     from ..stages.keyed import sharded_grouped_agg
 
     final = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow").map_batches(
-            lambda b: b.rename_columns(["user_id", "event_type", "comp"]),
-            batch_format="pyarrow",
-        ),
+        ds.map_batches(partial, batch_format="pyarrow"),
         ["user_id", "event_type"],
         [("comp", "min")],
     )
@@ -574,44 +569,27 @@ def q_hist_5m(sf_dir: str):
     """Histogram aggregation: per (event_type, 5m window) cumulative bucket
     counts of `value` (the engine's histogram-sample builder; the histogram
     rollup itself is stages/histograms.py)."""
-    from ray.data.aggregate import Sum
-
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
+    names = [f"le_{int(le)}" for le in HIST_LES] + ["le_inf"]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        w = window_start(ts_to_ms(batch["ts"]), MS_5M)
-        t = pa.table(
-            {
-                "event_type": batch["event_type"],
-                "window_start": w,
-                "value": batch["value"],
-            }
-        )
-        aggs = []
+    def buckets(batch: pa.Table) -> pa.Table:
+        v = batch["value"]
+        cols = {
+            "event_type": batch["event_type"],
+            "window_start": window_start(ts_to_ms(batch["ts"]), MS_5M),
+        }
         for le in HIST_LES:
-            t = t.append_column(
-                f"le_{int(le)}",
-                pc.cast(pc.less_equal(t["value"], le), pa.int64()),
-            )
-            aggs.append((f"le_{int(le)}", "sum"))
-        aggs.append(("value", "count"))
-        return t.group_by(["event_type", "window_start"]).aggregate(aggs)
+            cols[f"le_{int(le)}"] = pc.cast(pc.less_equal(v, le), pa.int64())
+        cols["le_inf"] = pc.cast(pc.is_valid(v), pa.int64())
+        return pa.table(cols)
 
-    names = [f"le_{int(le)}" for le in HIST_LES]
     from ..stages.keyed import sharded_grouped_agg
 
-    out = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
+    return sharded_grouped_agg(
+        ds.map_batches(buckets, batch_format="pyarrow"),
         ["event_type", "window_start"],
-        [(f"{n}_sum", "sum") for n in names] + [("value_count", "sum")],
+        [(n, "sum") for n in names],
     )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            ["event_type", "window_start"] + names + ["le_inf"]
-        )
-
-    return out.map_batches(rename, batch_format="pyarrow")
 
 
 def q_sliding_1h(sf_dir: str):
@@ -714,18 +692,12 @@ def q_gap_stats(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         gap = pc.subtract(batch["tsms"], batch["prev_ts"])
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "user_id": batch["user_id"],
             "max_gap_ms": gap,
             "n_gaps_1h": pc.cast(pc.greater(gap, 3_600_000), pa.int64()),
         })
-        g = t.group_by(["event_type", "user_id"]).aggregate(
-            [("max_gap_ms", "max"), ("n_gaps_1h", "sum")]
-        )
-        return g.rename_columns(
-            ["event_type", "user_id", "max_gap_ms", "n_gaps_1h"]
-        )
 
     return sharded_grouped_agg(
         lagged.map_batches(partial, batch_format="pyarrow"),
@@ -868,27 +840,25 @@ samples AS (
 
 
 def _pages_tier_query(sf_dir: str, d_ms: int):
-    from ray.data.aggregate import Max, Min, Sum
-
     from ..sources.pages import read_pages_from_documents
     from ..pipelines.copy import pages_to_samples
 
     pages = read_pages_from_documents(sf_dir)
     samples = pages_to_samples(pages, concurrency=(1, 4))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        w = window_start(batch["ts"], d_ms)
-        t = pa.table(
+    def project(batch: pa.Table) -> pa.Table:
+        v = batch["value"]
+        return pa.table(
             {
                 "metric": batch["__name__"],
                 "domain": batch["domain"],
                 "lang": batch["lang"],
-                "window_start": w,
-                "value": batch["value"],
+                "window_start": window_start(batch["ts"], d_ms),
+                "agg_count": pc.cast(pc.is_valid(v), pa.int64()),
+                "agg_sum": v,
+                "agg_min": v,
+                "agg_max": v,
             }
-        )
-        return t.group_by(["metric", "domain", "lang", "window_start"]).aggregate(
-            [("value", "count"), ("value", "sum"), ("value", "min"), ("value", "max")]
         )
 
     # final over (metric, domain, lang, window): series x windows keys —
@@ -896,20 +866,12 @@ def _pages_tier_query(sf_dir: str, d_ms: int):
     # summed values are integer-valued floats (byte counts / 1.0-rates)
     from ..stages.keyed import sharded_grouped_agg
 
-    keys = ["metric", "domain", "lang", "window_start"]
-    out = sharded_grouped_agg(
-        samples.map_batches(partial, batch_format="pyarrow"),
-        keys,
-        [("value_count", "sum"), ("value_sum", "sum"),
-         ("value_min", "min"), ("value_max", "max")],
+    return sharded_grouped_agg(
+        samples.map_batches(project, batch_format="pyarrow"),
+        ["metric", "domain", "lang", "window_start"],
+        [("agg_count", "sum"), ("agg_sum", "sum"),
+         ("agg_min", "min"), ("agg_max", "max")],
     )
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            keys + ["agg_count", "agg_sum", "agg_min", "agg_max"]
-        )
-
-    return out.map_batches(rename, batch_format="pyarrow")
 
 
 def q_pages_rollup_5m(sf_dir: str):
@@ -1252,13 +1214,11 @@ def q_mix_sources(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("source").aggregate(
-            [("doc_id", "count"), ("doc_id", "sum")]
-        )
+        ids = batch["doc_id"]
         return pa.table({
-            "source": g["source"],
-            "n_kept": pc.cast(g["doc_id_count"], pa.int64()),
-            "sum_doc_id": pc.cast(g["doc_id_sum"], pa.int64()),
+            "source": batch["source"],
+            "n_kept": pc.cast(pc.is_valid(ids), pa.int64()),
+            "sum_doc_id": pc.cast(ids, pa.int64()),
         })
 
     parts = kept.map_batches(partial, batch_format="pyarrow")
@@ -1285,16 +1245,12 @@ def q_props_extract(sf_dir: str):
             ),
             pa.int64(),
         )
-        t = pa.table({"event_type": batch["event_type"], "k": k})
-        g = t.group_by("event_type").aggregate(
-            [("k", "count"), ("k", "sum"), ("k", "min"), ("k", "max")]
-        )
         return pa.table({
-            "event_type": g["event_type"],
-            "n": pc.cast(g["k_count"], pa.int64()),
-            "sum_k": pc.cast(g["k_sum"], pa.int64()),
-            "min_k": g["k_min"],
-            "max_k": g["k_max"],
+            "event_type": batch["event_type"],
+            "n": pc.cast(pc.is_valid(k), pa.int64()),
+            "sum_k": k,
+            "min_k": k,
+            "max_k": k,
         })
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
@@ -1861,10 +1817,8 @@ def q_full_join(sf_dir: str):
     def side(event_type: str, out: str):
         def partial(batch: pa.Table) -> pa.Table:
             t = batch.filter(pc.equal(batch["event_type"], event_type))
-            t = pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
-                          "_one": pa.array(np.ones(t.num_rows, np.int64))})
-            g = t.group_by(["user_id"]).aggregate([("_one", "sum")])
-            return g.rename_columns(["user_id", out])
+            return pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
+                             out: pa.array(np.ones(t.num_rows, np.int64))})
 
         return sharded_grouped_agg(
             ds.map_batches(partial, batch_format="pyarrow"),
@@ -2143,13 +2097,11 @@ def q_share_of_type(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["event_type", "user_id"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "user_id", "n"])
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2386,16 +2338,12 @@ def q_dataset_split(sf_dir: str):
         ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         bucket = ((ids * 48271) % 2147483647) % 100
         split = np.where(bucket < 80, "train", np.where(bucket < 90, "val", "test"))
-        t = pa.table({
+        return pa.table({
             "split": pa.array(split.astype(object), pa.string()),
             "lang": batch["lang"],
             "n_docs": pa.array(np.ones(len(ids), np.int64)),
             "sum_chars": pc.cast(batch["n_chars"], pa.int64()),
         })
-        g = t.group_by(["split", "lang"]).aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum")]
-        )
-        return g.rename_columns(["split", "lang", "n_docs", "sum_chars"])
 
     return sharded_grouped_agg(
         ds.map_batches(assign, batch_format="pyarrow"),
@@ -2436,13 +2384,11 @@ def q_peak_hour(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         tsms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "hour": pa.array((tsms // 3_600_000) % 24, pa.int64()),
             "n": pa.array(np.ones(len(tsms), np.int64)),
         })
-        g = t.group_by(["event_type", "hour"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "hour", "n"])
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2484,13 +2430,11 @@ def q_resets(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
         p = batch["prev"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "user_id": batch["user_id"],
             "n_resets": pa.array((v < p).astype(np.int64)),
         })
-        g = t.group_by(["event_type", "user_id"]).aggregate([("n_resets", "sum")])
-        return g.rename_columns(["event_type", "user_id", "n_resets"])
 
     return sharded_grouped_agg(
         lagged.map_batches(partial, batch_format="pyarrow"),
@@ -2586,12 +2530,10 @@ def q_cluster_sizes(sf_dir: str):
     cc = connected_components(edges, docs, node_col="doc_id")
 
     def comp_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "component": pc.cast(batch["component"], pa.int64()),
             "size": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["component"]).aggregate([("size", "sum")])
-        return g.rename_columns(["component", "size"])
 
     sizes = sharded_grouped_agg(
         cc.map_batches(comp_partial, batch_format="pyarrow"),
@@ -2599,12 +2541,10 @@ def q_cluster_sizes(sf_dir: str):
     )
 
     def size_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "size": batch["size"],
             "n_components": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["size"]).aggregate([("n_components", "sum")])
-        return g.rename_columns(["size", "n_components"])
 
     return sharded_grouped_agg(
         sizes.map_batches(size_partial, batch_format="pyarrow"),
@@ -2686,13 +2626,11 @@ def q_slo_burn(sf_dir: str):
         tsms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         w = (tsms // MS_5M) * MS_5M
         err = pc.equal(batch["event_type"], "error").to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "w": pa.array(w, pa.int64()),
             "n_err": pa.array(err.astype(np.int64)),
             "n_all": pa.array(np.ones(len(w), np.int64)),
         })
-        g = t.group_by(["w"]).aggregate([("n_err", "sum"), ("n_all", "sum")])
-        return g.rename_columns(["w", "n_err", "n_all"])
 
     win = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2703,13 +2641,11 @@ def q_slo_burn(sf_dir: str):
         w = batch["w"].to_numpy(zero_copy_only=False)
         ne = batch["n_err"].to_numpy(zero_copy_only=False)
         na = batch["n_all"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "day": pa.array((w // MS_1D) * MS_1D, pa.int64()),
             "n_burn": pa.array((10 * ne > na).astype(np.int64)),
             "n_windows": pa.array(np.ones(len(w), np.int64)),
         })
-        g = t.group_by(["day"]).aggregate([("n_burn", "sum"), ("n_windows", "sum")])
-        return g.rename_columns(["day", "n_burn", "n_windows"])
 
     return sharded_grouped_agg(
         win.map_batches(day_partial, batch_format="pyarrow"),
@@ -2781,16 +2717,12 @@ def q_monthly_rollup(sf_dir: str):
             .astype("datetime64[ms]").astype(np.int64)
         )
         v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "month_ms": pa.array(month_ms, pa.int64()),
             "n": pa.array(np.ones(len(tsms), np.int64)),
             "csum": pa.array(np.rint(v * 100).astype(np.int64), pa.int64()),
         })
-        g = t.group_by(["event_type", "month_ms"]).aggregate(
-            [("n", "sum"), ("csum", "sum")]
-        )
-        return g.rename_columns(["event_type", "month_ms", "n", "csum"])
 
     out = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2818,13 +2750,11 @@ def q_k_anonymity(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "source"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "lang": batch["lang"],
             "source": batch["source"],
             "n_docs": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["lang", "source"]).aggregate([("n_docs", "sum")])
-        return g.rename_columns(["lang", "source", "n_docs"])
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2937,15 +2867,11 @@ def q_anomaly_3sigma(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "n_anomalies": pc.cast(batch["is_anomaly"], pa.int64()),
             "n_points": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["event_type"]).aggregate(
-            [("n_anomalies", "sum"), ("n_points", "sum")]
-        )
-        return g.rename_columns(["event_type", "n_anomalies", "n_points"])
 
     return sharded_grouped_agg(
         flags.map_batches(partial, batch_format="pyarrow"),
@@ -2964,13 +2890,11 @@ def q_skyline(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "x": pa.array(np.rint(v * 100).astype(np.int64)),
             "y": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["user_id"]).aggregate([("x", "sum"), ("y", "sum")])
-        return g.rename_columns(["user_id", "x", "y"])
 
     per_user = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -3034,13 +2958,11 @@ def q_value_histogram(sf_dir: str):
         hi = np.array([bmap[c][1] for c in cats], np.int64)[idx]
         cv = batch["cv"].to_numpy(zero_copy_only=False)
         bucket = (cv - lo) * _HIST_NB // (hi - lo + 1)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "bucket": pa.array(bucket),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["event_type", "bucket"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "bucket", "n"])
 
     return sharded_grouped_agg(
         centi.map_batches(bucketize, batch_format="pyarrow"),
@@ -3122,13 +3044,11 @@ def q_quality_deciles(sf_dir: str):
     def bucketize(batch: pa.Table) -> pa.Table:
         comp = batch["comp"].to_numpy(zero_copy_only=False)
         decile = np.searchsorted(th, comp, side="right").astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "decile": pa.array(decile),
             "n_docs": pa.array(np.ones(batch.num_rows, np.int64)),
             "char_mass": batch["n_chars"],
         })
-        g = t.group_by(["decile"]).aggregate([("n_docs", "sum"), ("char_mass", "sum")])
-        return g.rename_columns(["decile", "n_docs", "char_mass"])
 
     return sharded_grouped_agg(
         narrow.map_batches(bucketize, batch_format="pyarrow"),
@@ -3380,13 +3300,11 @@ def q_psi_buckets(sf_dir: str):
         cv = batch["cv"].to_numpy(zero_copy_only=False)
         par = batch["parity"].to_numpy(zero_copy_only=False)
         bucket = (cv - glo) * _PSI_NB // (ghi - glo + 1)
-        t = pa.table({
+        return pa.table({
             "bucket": pa.array(bucket),
             "n_even": pa.array((par == 0).astype(np.int64)),
             "n_odd": pa.array((par == 1).astype(np.int64)),
         })
-        g = t.group_by(["bucket"]).aggregate([("n_even", "sum"), ("n_odd", "sum")])
-        return g.rename_columns(["bucket", "n_even", "n_odd"])
 
     counts = sharded_grouped_agg(
         centi.map_batches(bucketize, batch_format="pyarrow"),
@@ -3499,11 +3417,7 @@ def q_hopping_15m(sf_dir: str):
                 "n": pa.array(np.ones(len(tms), np.int64)),
                 "sum_c": pa.array(cv),
             }))
-        t = pa.concat_tables(parts)
-        g = t.group_by(["event_type", "window_start"]).aggregate(
-            [("n", "sum"), ("sum_c", "sum")]
-        )
-        return g.rename_columns(["event_type", "window_start", "n", "sum_c"])
+        return pa.concat_tables(parts)
 
     out = sharded_grouped_agg(
         ds.map_batches(explode, batch_format="pyarrow"),
@@ -3627,24 +3541,12 @@ def q_fair_share_sample(sf_dir: str):
     math the SQL mirrors; selection is the deterministic smallest-Lehmer-
     rank docs per source (combiner-bounded top-k).  Output: kept
     (source, doc_id) rows."""
-    from ..stages.keyed import sharded_grouped_agg, topk_per_group
+    from ..stages.keyed import topk_per_group
 
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
-    def counts(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "source": batch["source"],
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        return t.group_by(["source"]).aggregate([("n", "sum")]).rename_columns(
-            ["source", "n"]
-        )
-
     per_source: dict[str, int] = {}
-    for part in sharded_grouped_agg(
-        ds.map_batches(counts, batch_format="pyarrow"),
-        ["source"], [("n", "sum")],
-    ).iter_batches(batch_format="pyarrow"):
+    for part in source_doc_counts(sf_dir).iter_batches(batch_format="pyarrow"):
         for r in part.to_pylist():
             per_source[r["source"]] = per_source.get(r["source"], 0) + r["n"]
 
@@ -3725,13 +3627,10 @@ def q_quarantine(sf_dir: str):
     )
 
     def counts(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "reason": batch["_quarantine_reason"],
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        return t.group_by(["reason"]).aggregate([("n", "sum")]).rename_columns(
-            ["reason", "n"]
-        )
 
     return sharded_grouped_agg(
         tagged.map_batches(counts, batch_format="pyarrow"),
@@ -3774,16 +3673,12 @@ def q_schema_evolution(sf_dir: str):
     )
 
     def counts(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
             "n_value": pc.cast(pc.is_valid(batch["value"]), pa.int64()),
             "n_props": pc.cast(pc.is_valid(batch["props"]), pa.int64()),
         })
-        g = t.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("n_value", "sum"), ("n_props", "sum")]
-        )
-        return g.rename_columns(["event_type", "n", "n_value", "n_props"])
 
     return sharded_grouped_agg(
         ds.map_batches(counts, batch_format="pyarrow"),
@@ -3863,12 +3758,7 @@ def q_tpch_q3(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(
-            ["l_orderkey", "o_date_ms", "o_orderpriority"]
-        ).aggregate([("micro", "sum")])
-        return g.rename_columns(
-            ["l_orderkey", "o_date_ms", "o_orderpriority", "micro"]
-        )
+        return batch
 
     per_order = sharded_grouped_agg(
         joined.map_batches(partial, batch_format="pyarrow"),
@@ -3974,14 +3864,12 @@ def q_tpch_q5(sf_dir: str):
         disc_c = np.rint(
             (1.0 - t["l_discount"].to_numpy(zero_copy_only=False)) * 100
         ).astype(np.int64)
-        out = pa.table({
+        return pa.table({
             "n_name": pa.array(
                 np.array(nat_vals, dtype=object)[idx].tolist(), pa.string()
             ),
             "micro": pa.array(price_c * disc_c),
         })
-        g = out.group_by(["n_name"]).aggregate([("micro", "sum")])
-        return g.rename_columns(["n_name", "micro"])
 
     agg = sharded_grouped_agg(
         li2.map_batches(score, batch_format="pyarrow"),
@@ -4023,12 +3911,10 @@ def q_tpch_q18(sf_dir: str):
         qty = np.rint(
             batch["l_quantity"].to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "l_orderkey": pc.cast(batch["l_orderkey"], pa.int64()),
             "sum_qty": pa.array(qty),
         })
-        g = t.group_by(["l_orderkey"]).aggregate([("sum_qty", "sum")])
-        return g.rename_columns(["l_orderkey", "sum_qty"])
 
     per_order = sharded_grouped_agg(
         li.map_batches(partial, batch_format="pyarrow"),
@@ -4132,8 +4018,7 @@ def q_tpch_q10(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["o_custkey"]).aggregate([("micro", "sum")])
-        return g.rename_columns(["o_custkey", "micro"])
+        return batch
 
     per_cust = sharded_grouped_agg(
         joined.map_batches(partial, batch_format="pyarrow"),
@@ -4305,13 +4190,11 @@ def q_benford_digits(sf_dir: str):
             if not big.any():
                 break
             d[big] //= 10
-        t = pa.table({
+        return pa.table({
             "event_type": types,
             "digit": pa.array(d),
             "n": pa.array(np.ones(len(d), np.int64)),
         })
-        g = t.group_by(["event_type", "digit"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "digit", "n"])
 
     return sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),

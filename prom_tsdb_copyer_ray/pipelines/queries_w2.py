@@ -234,13 +234,11 @@ def q_gini_concentration(sf_dir: str):
     ds = _read(sf_dir, "documents", ["source", "n_chars"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "source": batch["source"],
             "n_chars": pc.cast(batch["n_chars"], pa.int64()),
             "cnt": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["source", "n_chars"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["source", "n_chars", "cnt"])
 
     census = pa.concat_tables(
         sharded_grouped_agg(
@@ -337,14 +335,11 @@ def q_bloom_lookup(sf_dir: str):
         centi = np.rint(
             t["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        g = pa.table({
+        return pa.table({
             "user_id": pc.cast(t["user_id"], pa.int64()),
             "n_events": pa.array(np.ones(t.num_rows, np.int64)),
             "sum_centi": pa.array(centi),
-        }).group_by(["user_id"]).aggregate(
-            [("n_events", "sum"), ("sum_centi", "sum")]
-        )
-        return g.rename_columns(["user_id", "n_events", "sum_centi"])
+        })
 
     return sharded_grouped_agg(
         ds.map_batches(exact, batch_format="pyarrow"),
@@ -483,18 +478,14 @@ def q_skew_report(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         uid = pc.cast(pc.cast(batch["user_id"], pa.int64()), pa.string())
-        parts = []
-        for col, vals in (("event_type", batch["event_type"]), ("user_id", uid)):
-            t = pa.table({
+        return pa.concat_tables([
+            pa.table({
                 "col": pa.array([col] * batch.num_rows, pa.string()),
                 "val": vals,
                 "n": pa.array(np.ones(batch.num_rows, np.int64)),
             })
-            parts.append(
-                t.group_by(["col", "val"]).aggregate([("n", "sum")])
-                .rename_columns(["col", "val", "n"])
-            )
-        return pa.concat_tables(parts)
+            for col, vals in (("event_type", batch["event_type"]), ("user_id", uid))
+        ])
 
     counts = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -898,8 +889,7 @@ def q_canonical_url(sf_dir: str):
         t = t.set_column(1, "url_canon", canonical_url(t["url"]))
         t = t.append_column("n_variants",
                             pa.array(np.ones(t.num_rows, np.int64)))
-        g = t.group_by(["doc_id", "url_canon"]).aggregate([("n_variants", "sum")])
-        return g.rename_columns(["doc_id", "url_canon", "n_variants"])
+        return t
 
     return sharded_grouped_agg(
         ds.map_batches(variants, batch_format="pyarrow"),
@@ -1070,8 +1060,7 @@ def q_label_ops(sf_dir: str):
         t = label_join(t, "instance", ":", ["domain", "lang"])
         t = t.select(["metric", "shard", "instance"])
         t = t.append_column("n", pa.array(np.ones(t.num_rows, np.int64)))
-        g = t.group_by(["metric", "shard", "instance"]).aggregate([("n", "sum")])
-        return g.rename_columns(["metric", "shard", "instance", "n"])
+        return t
 
     return sharded_grouped_agg(
         samples.map_batches(relabel_count, batch_format="pyarrow"),
@@ -1135,14 +1124,7 @@ def q_skew_join(sf_dir: str):
 
     left = ds.map_batches(keyed, batch_format="pyarrow")
 
-    def distinct_partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(["k"]).group_by(["k"]).aggregate([])
-        return t.append_column("n", pa.array(np.ones(t.num_rows, np.int64)))
-
-    dim = sharded_grouped_agg(
-        left.map_batches(distinct_partial, batch_format="pyarrow"),
-        ["k"], [("n", "max")],
-    )
+    dim = sharded_grouped_agg(left, ["k"], [])
 
     def add_grp(batch: pa.Table) -> pa.Table:
         k = batch["k"].to_numpy(zero_copy_only=False)
@@ -1260,13 +1242,11 @@ def q_changes(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
         p = batch["prev"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "user_id": batch["user_id"],
             "n_changes": pa.array((v != p).astype(np.int64)),
         })
-        g = t.group_by(["event_type", "user_id"]).aggregate([("n_changes", "sum")])
-        return g.rename_columns(["event_type", "user_id", "n_changes"])
 
     return sharded_grouped_agg(
         lagged.map_batches(partial, batch_format="pyarrow"),
@@ -1349,17 +1329,13 @@ def q_stddev_1h(sf_dir: str):
         v = batch["value"].to_numpy(zero_copy_only=False)
         cv = np.rint(v * 100).astype(np.int64)
         w = window_start(ts_to_ms(batch["ts"]), MS_1H)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "window_start": w,
             "_n": pa.array(np.ones(len(cv), np.int64)),
             "_s": pa.array(cv),
             "_s2": pa.array(cv * cv),
         })
-        g = t.group_by(["event_type", "window_start"]).aggregate(
-            [("_n", "sum"), ("_s", "sum"), ("_s2", "sum")])
-        return g.rename_columns(
-            ["event_type", "window_start", "_n", "_s", "_s2"])
 
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -1414,15 +1390,12 @@ def q_seasonal_residual(sf_dir: str):
     prepped = ds.map_batches(prep, batch_format="pyarrow")
 
     def census_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "hod": batch["hod"],
             "_n": pa.array(np.ones(batch.num_rows, np.int64)),
             "_s": batch["cv"],
         })
-        g = t.group_by(["event_type", "hod"]).aggregate(
-            [("_n", "sum"), ("_s", "sum")])
-        return g.rename_columns(["event_type", "hod", "_n", "_s"])
 
     census = sharded_grouped_agg(
         prepped.map_batches(census_partial, batch_format="pyarrow"),
@@ -1476,13 +1449,11 @@ def q_weighted_median(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang", "n_chars", "text"])
 
     def census_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "lang": batch["lang"],
             "n_chars": pc.cast(batch["n_chars"], pa.int64()),
             "w": pc.cast(token_count(batch["text"]), pa.int64()),
         })
-        g = t.group_by(["lang", "n_chars"]).aggregate([("w", "sum")])
-        return g.rename_columns(["lang", "n_chars", "w"])
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -1686,15 +1657,12 @@ def q_isotonic_hourly(sf_dir: str):
     def census_partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "hod": pa.array((tms // 3600000) % 24, pa.int64()),
             "_n": pa.array(np.ones(batch.num_rows, np.int64)),
             "_s": pa.array(np.rint(v * 100).astype(np.int64)),
         })
-        g = t.group_by(["event_type", "hod"]).aggregate(
-            [("_n", "sum"), ("_s", "sum")])
-        return g.rename_columns(["event_type", "hod", "_n", "_s"])
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -1936,20 +1904,15 @@ def _type_moment_census(sf_dir: str, keys_hod: bool):
         v = batch["value"].to_numpy(zero_copy_only=False)
         cv = np.rint(v * 100).astype(np.int64)
         cols = {"event_type": batch["event_type"]}
-        keys = ["event_type"]
         if keys_hod:
             tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
             cols["hod"] = pa.array((tms // 3600000) % 24, pa.int64())
-            keys.append("hod")
         cols.update({
             "_n": pa.array(np.ones(len(cv), np.int64)),
             "_s": pa.array(cv),
             "_s2": pa.array(cv * cv),
         })
-        t = pa.table(cols)
-        g = t.group_by(keys).aggregate(
-            [("_n", "sum"), ("_s", "sum"), ("_s2", "sum")])
-        return g.rename_columns(keys + ["_n", "_s", "_s2"])
+        return pa.table(cols)
 
     keys = ["event_type", "hod"] if keys_hod else ["event_type"]
     return sharded_grouped_agg(

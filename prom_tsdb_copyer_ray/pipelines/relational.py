@@ -74,9 +74,9 @@ def q_tpch_q4(sf_dir: str):
     """TPC-H Q4 (order-priority checking).  EXISTS probe adapted to
     'some lineitem shipped >60 days after the order date'.  Plan: the
     one-quarter window of orders is collected and broadcast into the
-    lineitem scan; per-batch distinct (orderkey, priority) combiner ->
-    count_distinct_per_group does the sharded distinct-order count —
-    raw lineitems never shuffle."""
+    lineitem scan; count_distinct_per_group does the sharded
+    distinct-order count over the late (orderkey, priority) pairs, its
+    per-batch combiner dropping repeats before the exchange."""
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"])
 
@@ -104,8 +104,7 @@ def q_tpch_q4(sf_dir: str):
         keep = pc.greater(
             ship, pc.add(batch["o_date_ms"], pa.scalar(_MS_60D, pa.int64()))
         )
-        t = batch.filter(keep).select(["l_orderkey", "o_orderpriority"])
-        return t.group_by(["l_orderkey", "o_orderpriority"]).aggregate([])
+        return batch.filter(keep).select(["l_orderkey", "o_orderpriority"])
 
     pairs = joined.map_batches(late_pairs, batch_format="pyarrow")
     return count_distinct_per_group(
@@ -162,7 +161,7 @@ def q_tpch_q7(sf_dir: str):
         sn = _i64(batch["s_nationkey"])
         keep = cn != sn
         t = batch.filter(pa.array(keep))
-        out = pa.table({
+        return pa.table({
             "supp_nation": pa.array(
                 nnames[np.searchsorted(nkeys, sn[keep])].tolist(), pa.string()
             ),
@@ -172,10 +171,6 @@ def q_tpch_q7(sf_dir: str):
             "l_year": t["l_year"],
             "micro": t["micro"],
         })
-        g = out.group_by(["supp_nation", "cust_nation", "l_year"]).aggregate(
-            [("micro", "sum")]
-        )
-        return g.rename_columns(["supp_nation", "cust_nation", "l_year", "micro"])
 
     agg = sharded_grouped_agg(
         j2.map_batches(partial, batch_format="pyarrow"),
@@ -250,15 +245,11 @@ def q_tpch_q8(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         micro = _cents(batch["l_extendedprice"]) * _disc1_cents(batch["l_discount"])
         nat = _i64(batch["s_nationkey"])
-        t = pa.table({
+        return pa.table({
             "o_year": batch["o_year"],
             "nat_micro": pa.array(np.where(nat == 0, micro, 0)),
             "tot_micro": pa.array(micro),
         })
-        g = t.group_by(["o_year"]).aggregate(
-            [("nat_micro", "sum"), ("tot_micro", "sum")]
-        )
-        return g.rename_columns(["o_year", "nat_micro", "tot_micro"])
 
     agg = sharded_grouped_agg(
         li3.map_batches(partial, batch_format="pyarrow"),
@@ -309,15 +300,13 @@ def q_tpch_q9(sf_dir: str):
             - retail_c * qty * 100
         )
         sn = _i64(batch["s_nationkey"])
-        t = pa.table({
+        return pa.table({
             "nation": pa.array(
                 nnames[np.searchsorted(nkeys, sn)].tolist(), pa.string()
             ),
             "o_year": pc.cast(pc.year(batch["l_shipdate"]), pa.int64()),
             "micro": pa.array(amount),
         })
-        g = t.group_by(["nation", "o_year"]).aggregate([("micro", "sum")])
-        return g.rename_columns(["nation", "o_year", "micro"])
 
     agg = sharded_grouped_agg(
         j2.map_batches(partial, batch_format="pyarrow"),
@@ -346,12 +335,10 @@ def q_tpch_q11(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "l_partkey": pc.cast(batch["l_partkey"], pa.int64()),
             "value_c": pa.array(_cents(batch["l_extendedprice"])),
         })
-        g = t.group_by(["l_partkey"]).aggregate([("value_c", "sum")])
-        return g.rename_columns(["l_partkey", "value_c"])
 
     per_part = sharded_grouped_agg(
         li.map_batches(partial, batch_format="pyarrow"),
@@ -386,14 +373,12 @@ def q_tpch_q15(sf_dir: str):
             pc.less(ms, pa.scalar(_MS_1996_04, pa.int64())),
         )
         t = batch.filter(keep)
-        out = pa.table({
+        return pa.table({
             "s": pc.cast(t["l_suppkey"], pa.int64()),
             "micro": pa.array(
                 _cents(t["l_extendedprice"]) * _disc1_cents(t["l_discount"])
             ),
         })
-        g = out.group_by(["s"]).aggregate([("micro", "sum")])
-        return g.rename_columns(["s", "micro"])
 
     per_supp = sharded_grouped_agg(
         li.map_batches(partial, batch_format="pyarrow"),
@@ -492,13 +477,11 @@ def q_tpch_q17(sf_dir: str):
         qty = np.rint(
             batch["l_quantity"].to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "l_partkey": pc.cast(batch["l_partkey"], pa.int64()),
             "sum_q": pa.array(qty),
             "cnt": pa.array(np.ones(len(qty), np.int64)),
         })
-        g = t.group_by(["l_partkey"]).aggregate([("sum_q", "sum"), ("cnt", "sum")])
-        return g.rename_columns(["l_partkey", "sum_q", "cnt"])
 
     li_b3 = broadcast_join(li, b3, "l_partkey", "p_partkey", how="semi")
     stats = _collect(sharded_grouped_agg(
@@ -590,13 +573,11 @@ def q_tpch_q21(sf_dir: str):
     def late_partial(batch: pa.Table) -> pa.Table:
         ship = ts_to_ms(batch["l_shipdate"]).to_numpy(zero_copy_only=False)
         odate = batch["o_date_ms"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "l_orderkey": pc.cast(batch["l_orderkey"], pa.int64()),
             "l_suppkey": pc.cast(batch["l_suppkey"], pa.int64()),
             "late": pa.array((ship > odate + _MS_90D).astype(np.int64)),
         })
-        g = t.group_by(["l_orderkey", "l_suppkey"]).aggregate([("late", "max")])
-        return g.rename_columns(["l_orderkey", "l_suppkey", "late"])
 
     per_pair = sharded_grouped_agg(
         j.map_batches(late_partial, batch_format="pyarrow"),
@@ -606,16 +587,12 @@ def q_tpch_q21(sf_dir: str):
     def per_order_partial(batch: pa.Table) -> pa.Table:
         late = batch["late"].to_numpy(zero_copy_only=False)
         sk = batch["l_suppkey"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "l_orderkey": batch["l_orderkey"],
             "n_supp": pa.array(np.ones(len(late), np.int64)),
             "n_late": pa.array(late),
             "late_supp": pa.array(late * sk),
         })
-        g = t.group_by(["l_orderkey"]).aggregate(
-            [("n_supp", "sum"), ("n_late", "sum"), ("late_supp", "sum")]
-        )
-        return g.rename_columns(["l_orderkey", "n_supp", "n_late", "late_supp"])
 
     per_order = sharded_grouped_agg(
         per_pair.map_batches(per_order_partial, batch_format="pyarrow"),
@@ -629,15 +606,9 @@ def q_tpch_q21(sf_dir: str):
         guilty = batch["late_supp"].to_numpy(zero_copy_only=False)[
             (n_supp >= 2) & (n_late == 1)
         ]
-        if len(guilty) == 0:
-            return pa.table({
-                "s": pa.array([], pa.int64()),
-                "numwait": pa.array([], pa.int64()),
-            })
-        sk, cnt = np.unique(guilty, return_counts=True)
         return pa.table({
-            "s": pa.array(sk, pa.int64()),
-            "numwait": pa.array(cnt.astype(np.int64)),
+            "s": pa.array(guilty, pa.int64()),
+            "numwait": pa.array(np.ones(len(guilty), np.int64)),
         })
 
     per_supp = _collect(sharded_grouped_agg(
@@ -681,17 +652,13 @@ def q_tpch_q22(sf_dir: str):
             pc.greater_equal(ms, pa.scalar(_MS_1996_01, pa.int64())),
             pc.less(ms, pa.scalar(_MS_1997_01, pa.int64())),
         )
-        t = pa.table({
+        return pa.table({
             "ck": pc.cast(batch.filter(keep)["o_custkey"], pa.int64())
         })
-        g = t.group_by(["ck"]).aggregate([])
-        return g.append_column(
-            "one", pa.array(np.ones(g.num_rows, np.int64))
-        )
 
     active = _collect(sharded_grouped_agg(
         orders.map_batches(distinct_part, batch_format="pyarrow"),
-        ["ck"], [("one", "max")],
+        ["ck"], [],
     ))["ck"].to_numpy(zero_copy_only=False)
 
     ck = _i64(cust["c_custkey"])
@@ -739,12 +706,10 @@ def q_tpch_q2(sf_dir: str):
     def comp_partial(batch: pa.Table) -> pa.Table:
         sk = _i64(batch["l_suppkey"])
         bal = sbal_c[np.searchsorted(skeys_s, sk)]
-        t = pa.table({
+        return pa.table({
             "p_partkey": pc.cast(batch["l_partkey"], pa.int64()),
             "comp": pa.array((bal + _BAL_OFF) * _COMP_BASE + sk),
         })
-        g = t.group_by(["p_partkey"]).aggregate([("comp", "min")])
-        return g.rename_columns(["p_partkey", "comp"])
 
     per_part = _collect(sharded_grouped_agg(
         li_big.map_batches(comp_partial, batch_format="pyarrow"),
@@ -794,15 +759,12 @@ def q_tpch_q20(sf_dir: str):
         ).astype(np.int64)
         ms = ts_to_ms(batch["l_shipdate"]).to_numpy(zero_copy_only=False)
         in96 = ((ms >= lo) & (ms < hi)).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "l_suppkey": pc.cast(batch["l_suppkey"], pa.int64()),
             "l_partkey": pc.cast(batch["l_partkey"], pa.int64()),
             "qall": pa.array(q),
             "q96": pa.array(q * in96),
         })
-        g = t.group_by(["l_suppkey", "l_partkey"]).aggregate(
-            [("qall", "sum"), ("q96", "sum")])
-        return g.rename_columns(["l_suppkey", "l_partkey", "qall", "q96"])
 
     per_pair = _collect(sharded_grouped_agg(
         li_w.map_batches(partial, batch_format="pyarrow"),
@@ -842,11 +804,8 @@ def q_tpch_q13(sf_dir: str):
 
     def part(batch: pa.Table) -> pa.Table:
         keep = pc.invert(pc.equal(batch["o_orderpriority"], "1-URGENT"))
-        t = pa.table({
-            "ck": pc.cast(batch.filter(keep)["o_custkey"], pa.int64()),
-        })
-        g = t.group_by(["ck"]).aggregate([([], "count_all")])
-        return g.rename_columns(["ck", "n"])
+        ck = pc.cast(batch.filter(keep)["o_custkey"], pa.int64())
+        return pa.table({"ck": ck, "n": pa.array(np.ones(len(ck), np.int64))})
 
     census = _collect(sharded_grouped_agg(
         orders.map_batches(part, batch_format="pyarrow"),

@@ -44,13 +44,11 @@ def q_spearman_corr(sf_dir: str):
 
     def census_partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
             "cv": pa.array(_cents(batch["value"])),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["hod", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["hod", "cv", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -103,13 +101,11 @@ def q_kendall_tau(sf_dir: str):
 
     def census_partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
             "vb": pa.array(_cents(batch["value"]) // 5000, pa.int64()),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["hod", "vb"]).aggregate([("n", "sum")])
-        return g.rename_columns(["hod", "vb", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -154,13 +150,11 @@ def q_theil_sen(sf_dir: str):
 
     def census_partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
             "s": pa.array(_cents(batch["value"])),
             "c": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["hod"]).aggregate([("s", "sum"), ("c", "sum")])
-        return g.rename_columns(["hod", "s", "c"])
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -196,13 +190,11 @@ def q_changepoint(sf_dir: str):
 
     def census_partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "day_ms": pa.array((tms // _MS_1D) * _MS_1D, pa.int64()),
             "s": pa.array(_cents(batch["value"])),
             "c": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["day_ms"]).aggregate([("s", "sum"), ("c", "sum")])
-        return g.rename_columns(["day_ms", "s", "c"])
 
     census = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -243,12 +235,10 @@ def q_runs_test(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type", "ts", "event_id", "value"])
 
     def vcensus(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "cv": pa.array(_cents(batch["value"])),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["cv", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(vcensus, batch_format="pyarrow"),

@@ -336,7 +336,7 @@ def q_hapax_rate(sf_dir: str):
     )
 
     def lang_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "lang": batch["lang"],
             "vocab": pa.array(np.ones(batch.num_rows, np.int64)),
             "hapax": pa.array(
@@ -344,9 +344,6 @@ def q_hapax_rate(sf_dir: str):
                 .astype(np.int64)),
             "tokens": batch["n"],
         })
-        g = t.group_by(["lang"]).aggregate(
-            [("vocab", "sum"), ("hapax", "sum"), ("tokens", "sum")])
-        return g.rename_columns(["lang", "vocab", "hapax", "tokens"])
 
     agg = sharded_grouped_agg(
         census.map_batches(lang_partial, batch_format="pyarrow"),
@@ -546,13 +543,11 @@ def q_odds_ratio(sf_dir: str):
         wknd = (dow >= 5).astype(np.int64)
         purch = (np.asarray(batch["event_type"].to_numpy(
             zero_copy_only=False)) == "purchase").astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "purch": pa.array(purch),
             "wknd": pa.array(wknd),
             "n": pa.array(np.ones(len(tms), np.int64)),
         })
-        g = t.group_by(["purch", "wknd"]).aggregate([("n", "sum")])
-        return g.rename_columns(["purch", "wknd", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -909,10 +904,7 @@ def q_dau_jaccard(sf_dir: str):
             "act": pa.array(np.zeros(int(nxt.sum()), np.int64)),
             "both": pa.array(np.ones(int(nxt.sum()), np.int64)),
         })
-        merged = pa.concat_tables([acts, pairs])
-        g = merged.group_by(["day"]).aggregate(
-            [("act", "sum"), ("both", "sum")])
-        return g.rename_columns(["day", "act", "both"])
+        return pa.concat_tables([acts, pairs])
 
     census = sharded_grouped_agg(
         shard_apply(ds, ["user_id"], per_shard, prepare=partial,
@@ -1417,12 +1409,10 @@ def q_heaps_law(sf_dir: str):
     # raw ids (<= 5*65536 values) for the exact pick.
     def bucket_partial(batch: pa.Table) -> pa.Table:
         did = batch["doc_id"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "b": pa.array(did // 65536, pa.int64()),
             "n": pa.array(np.ones(len(did), np.int64)),
         })
-        g = t.group_by(["b"]).aggregate([("n", "sum")])
-        return g.rename_columns(["b", "n"])
 
     bcen = sharded_grouped_agg(
         _read(sf_dir, "documents", ["doc_id"])
@@ -1593,15 +1583,12 @@ def q_rfm_segments(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "user_id": batch["user_id"],
             "day": pa.array(tms // 86_400_000, pa.int64()),
             "n": pa.array(np.ones(len(cv), np.int64)),
             "cents": pa.array(cv),
         })
-        g = t.group_by(["user_id"]).aggregate(
-            [("day", "max"), ("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["user_id", "day", "n", "cents"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -1652,15 +1639,12 @@ def q_mcnemar(sf_dir: str):
             batch["value"].to_numpy(zero_copy_only=False)[mask] * 100.0
         ).astype(np.int64)
         day = (tms // 86_400_000).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "cv": pa.array(cv),
             "n": pa.array(np.ones(len(cv), np.int64)),
             "dmin": pa.array(day if len(day) else day),
             "dmax": pa.array(day if len(day) else day),
         })
-        g = t.group_by(["cv"]).aggregate(
-            [("n", "sum"), ("dmin", "min"), ("dmax", "max")])
-        return g.rename_columns(["cv", "n", "dmin", "dmax"])
 
     vc = sharded_grouped_agg(
         ds.map_batches(census_partial, batch_format="pyarrow"),
@@ -1681,15 +1665,12 @@ def q_mcnemar(sf_dir: str):
         mask = (et == "purchase") & (cv > thr)
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)[mask]
         day = (tms // 86_400_000).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "user_id": pa.array(
                 batch["user_id"].to_numpy(zero_copy_only=False)[mask]),
             "early": pa.array((day < mid).astype(np.int64)),
             "late": pa.array((day >= mid).astype(np.int64)),
         })
-        g = t.group_by(["user_id"]).aggregate(
-            [("early", "max"), ("late", "max")])
-        return g.rename_columns(["user_id", "early", "late"])
 
     pairs = sharded_grouped_agg(
         ds.map_batches(pair_partial, batch_format="pyarrow"),
@@ -1727,10 +1708,8 @@ def q_cochran_q(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({"cv": pa.array(cv),
-                      "n": pa.array(np.ones(len(cv), np.int64))})
-        g = t.group_by(["cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["cv", "n"])
+        return pa.table({"cv": pa.array(cv),
+                         "n": pa.array(np.ones(len(cv), np.int64))})
 
     vc = sharded_grouped_agg(
         ds.map_batches(vc_partial, batch_format="pyarrow"),
@@ -1745,16 +1724,13 @@ def q_cochran_q(sf_dir: str):
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
         mask = cv > thr
-        t = pa.table({
+        return pa.table({
             "user_id": pa.array(
                 batch["user_id"].to_numpy(zero_copy_only=False)[mask]),
             "event_type": pa.array(
                 batch["event_type"].to_numpy(zero_copy_only=False)[mask]),
             "one": pa.array(np.ones(int(mask.sum()), np.int64)),
         })
-        return t.group_by(["user_id", "event_type"]).aggregate(
-            [("one", "max")]).rename_columns(
-                ["user_id", "event_type", "one"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -1825,15 +1801,13 @@ def q_log_rank(sf_dir: str):
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         mn = batch["mn"].to_numpy(zero_copy_only=False)
         mx = batch["mx"].to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "dur": pa.array((mx - mn) // 3600000, pa.int64()),
             "cens": pa.array(
                 (data_max - mx < 86400000).astype(np.int64)),
             "grp": pa.array((uid % 2).astype(np.int64)),
             "cnt": pa.array(np.ones(len(mn), np.int64)),
         })
-        g = t.group_by(["dur", "cens", "grp"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["dur", "cens", "grp", "cnt"])
 
     census = sharded_grouped_agg(
         per_user.map_batches(dur_census, batch_format="pyarrow"),
@@ -1910,16 +1884,13 @@ def q_partial_corr(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
             "dow": pa.array(((tms // 86_400_000) + 3) % 7, pa.int64()),
             "n": pa.array(np.ones(len(cv), np.int64)),
             "sx": pa.array(cv),
             "sxx": pa.array(cv * cv),
         })
-        g = t.group_by(["hod", "dow"]).aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sxx", "sum")])
-        return g.rename_columns(["hod", "dow", "n", "sx", "sxx"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -1972,13 +1943,11 @@ def q_kuiper(sf_dir: str):
         et = batch["event_type"].to_numpy(zero_copy_only=False)
         mask = (et == "purchase") | (et == "view")
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)[mask]
-        t = pa.table({
+        return pa.table({
             "d": pa.array((tms // 3_600_000) % 24, pa.int64()),
             "a": pa.array((et[mask] == "purchase").astype(np.int64)),
             "b": pa.array((et[mask] == "view").astype(np.int64)),
         })
-        g = t.group_by(["d"]).aggregate([("a", "sum"), ("b", "sum")])
-        return g.rename_columns(["d", "a", "b"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2048,15 +2017,12 @@ def q_f_test(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "n": pa.array(np.ones(len(cv), np.int64)),
             "s": pa.array(cv),
             "q": pa.array(cv * cv),
         })
-        g = t.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("s", "sum"), ("q", "sum")])
-        return g.rename_columns(["event_type", "n", "s", "q"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2186,13 +2152,11 @@ def q_jonckheere(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "part": pa.array(((tms // 3_600_000) % 24) // 6, pa.int64()),
             "cv": pa.array(cv),
             "n": pa.array(np.ones(len(cv), np.int64)),
         })
-        g = t.group_by(["part", "cv"]).aggregate([("n", "sum")])
-        return g.rename_columns(["part", "cv", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2249,14 +2213,12 @@ def q_mantel_haenszel(sf_dir: str):
         night = ((hod < 6) | (hod >= 22)).astype(np.int64)
         purch = (batch["event_type"].to_numpy(zero_copy_only=False)
                  == "purchase").astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "dow": pa.array(dow, pa.int64()),
             "p": pa.array(purch),
             "ni": pa.array(night),
             "n": pa.array(np.ones(len(tms), np.int64)),
         })
-        g = t.group_by(["dow", "p", "ni"]).aggregate([("n", "sum")])
-        return g.rename_columns(["dow", "p", "ni", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2344,13 +2306,11 @@ def q_cohens_h(sf_dir: str):
         wknd = ((((tms // 86_400_000) + 3) % 7) >= 5).astype(np.int64)
         purch = (batch["event_type"].to_numpy(zero_copy_only=False)
                  == "purchase").astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "w": pa.array(wknd),
             "p": pa.array(purch),
             "n": pa.array(np.ones(len(tms), np.int64)),
         })
-        g = t.group_by(["w", "p"]).aggregate([("n", "sum")])
-        return g.rename_columns(["w", "p", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2389,13 +2349,11 @@ def q_ordinal_assoc(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "hod": pa.array((tms // 3_600_000) % 24, pa.int64()),
             "vb": pa.array(cv // 5000, pa.int64()),
             "n": pa.array(np.ones(len(cv), np.int64)),
         })
-        g = t.group_by(["hod", "vb"]).aggregate([("n", "sum")])
-        return g.rename_columns(["hod", "vb", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),

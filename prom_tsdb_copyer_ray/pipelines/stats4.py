@@ -323,13 +323,11 @@ def q_cochran_armitage(sf_dir: str):
         part = ((tms // 3_600_000) % 24) // 4
         purch = (np.asarray(batch["event_type"].to_numpy(
             zero_copy_only=False)) == "purchase").astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "part": pa.array(part.astype(np.int64)),
             "r": pa.array(purch),
             "n": pa.array(np.ones(len(part), np.int64)),
         })
-        g = t.group_by(["part"]).aggregate([("r", "sum"), ("n", "sum")])
-        return g.rename_columns(["part", "r", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -594,11 +592,7 @@ def q_ccnet_buckets(sf_dir: str):
         b = np.floor(
             batch["nll"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        vals, cnts = np.unique(b, return_counts=True)
-        return pa.table({
-            "b": pa.array(vals.astype(np.int64)),
-            "c": pa.array(cnts.astype(np.int64)),
-        })
+        return pa.table({"b": pa.array(b), "c": pa.array(np.ones(len(b), np.int64))})
 
     census = sharded_grouped_agg(
         scored.map_batches(partial, batch_format="pyarrow"),
@@ -631,15 +625,12 @@ def q_ge2_index(sf_dir: str):
         cv = np.rint(
             batch["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "n": pa.array(np.ones(len(cv), np.int64)),
             "s1": pa.array(cv),
             "s2": pa.array(cv * cv),
         })
-        g = t.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("s1", "sum"), ("s2", "sum")])
-        return g.rename_columns(["event_type", "n", "s1", "s2"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -696,12 +687,10 @@ def q_pielou_j(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["event_type"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -808,15 +797,12 @@ def q_bowker(sf_dir: str):
     def partial(batch: pa.Table, mid=mid) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         half = ((tms // 86_400_000) >= mid).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "half": pa.array(half),
             "event_type": batch["event_type"],
             "n": pa.array(np.ones(len(half), np.int64)),
         })
-        g = t.group_by(["user_id", "half", "event_type"]).aggregate(
-            [("n", "sum")])
-        return g.rename_columns(["user_id", "half", "event_type", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),

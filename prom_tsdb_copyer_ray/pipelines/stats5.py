@@ -33,6 +33,7 @@ from .qsubstrate import (
     dense_hour_counts,
     dow_census,
     hod_census,
+    source_doc_counts,
     term_census,
     user_cent_sums,
     user_event_counts,
@@ -2068,13 +2069,11 @@ def q_weekly_harmonic(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "d": pa.array(((tms // 3_600_000) % 168).astype(np.int64)),
             "t": pa.array(np.ones(len(tms), np.int64)),
         })
-        g = t.group_by(["event_type", "d"]).aggregate([("t", "sum")])
-        return g.rename_columns(["event_type", "d", "t"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2461,13 +2460,11 @@ def q_rayleigh_test(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "d": pa.array(((tms // 3_600_000) % 24).astype(np.int64)),
             "t": pa.array(np.ones(len(tms), np.int64)),
         })
-        g = t.group_by(["event_type", "d"]).aggregate([("t", "sum")])
-        return g.rename_columns(["event_type", "d", "t"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2566,12 +2563,10 @@ def q_topk_user_share(sf_dir: str):
     ds = _read(sf_dir, "events", ["user_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["user_id"]).aggregate([("n", "sum")])
-        return g.rename_columns(["user_id", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2770,15 +2765,12 @@ def q_user_lifetimes(sf_dir: str):
     from ..windows import ts_to_ms
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "lo": ts_to_ms(batch["ts"]),
             "hi": ts_to_ms(batch["ts"]),
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["user_id"]).aggregate(
-            [("lo", "min"), ("hi", "max"), ("n", "sum")])
-        return g.rename_columns(["user_id", "lo", "hi", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -2898,20 +2890,7 @@ def q_source_concentration(sf_dir: str):
     of source shares (= S2/N^2 over the source census) and the top
     source's share (argmax tie -> lexicographically smallest
     source)."""
-    ds = _read(sf_dir, "documents", ["source"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "source": batch["source"],
-            "n": pa.array(np.ones(batch.num_rows, np.int64)),
-        })
-        g = t.group_by(["source"]).aggregate([("n", "sum")])
-        return g.rename_columns(["source", "n"])
-
-    census = sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["source"], [("n", "sum")],
-    ).to_pandas().sort_values("source")
+    census = source_doc_counts(sf_dir).to_pandas().sort_values("source")
     n_arr = census["n"].to_numpy(np.int64)
     n = int(n_arr.sum())
     s2 = int(np.dot(n_arr, n_arr))
@@ -2934,12 +2913,10 @@ def q_lang_entropy(sf_dir: str):
     ds = _read(sf_dir, "documents", ["lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+        return pa.table({
             "lang": batch["lang"],
             "n": pa.array(np.ones(batch.num_rows, np.int64)),
         })
-        g = t.group_by(["lang"]).aggregate([("n", "sum")])
-        return g.rename_columns(["lang", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -3030,16 +3007,13 @@ def q_weekend_lift(sf_dir: str):
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         hr = tms // 3_600_000
         we = (((hr // 24) + 3) % 7 >= 5).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "we": pa.array(we),
             "n": pa.array(np.ones(len(we), np.int64)),
             "hlo": pa.array(hr.astype(np.int64)),
             "hhi": pa.array(hr.astype(np.int64)),
         })
-        g = t.group_by(["event_type", "we"]).aggregate(
-            [("n", "sum"), ("hlo", "min"), ("hhi", "max")])
-        return g.rename_columns(["event_type", "we", "n", "hlo", "hhi"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -3571,10 +3545,8 @@ def q_user_gini(sf_dir: str):
     census = user_event_counts(sf_dir)
 
     def ff(batch: pa.Table) -> pa.Table:
-        n = batch["n"].to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(n, return_counts=True)
-        return pa.table({"c": pa.array(vals.astype(np.int64)),
-                         "u": pa.array(cnts.astype(np.int64))})
+        return pa.table({"c": pc.cast(batch["n"], pa.int64()),
+                         "u": pa.array(np.ones(batch.num_rows, np.int64))})
 
     cc = sharded_grouped_agg(
         census.map_batches(ff, batch_format="pyarrow"),
@@ -3612,7 +3584,7 @@ def q_value_trend(sf_dir: str):
         day = (tms // 86_400_000).astype(np.int64)
         cv = np.rint(batch["value"].to_numpy(zero_copy_only=False)
                      * 100.0).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "event_type": batch["event_type"],
             "n": pa.array(np.ones(len(cv), np.int64)),
             "sd": pa.array(day),
@@ -3621,11 +3593,6 @@ def q_value_trend(sf_dir: str):
             "svv": pa.array(cv * cv),
             "sdv": pa.array(day * cv),
         })
-        g = t.group_by(["event_type"]).aggregate(
-            [("n", "sum"), ("sd", "sum"), ("sv", "sum"),
-             ("sdd", "sum"), ("svv", "sum"), ("sdv", "sum")])
-        return g.rename_columns(
-            ["event_type", "n", "sd", "sv", "sdd", "svv", "sdv"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -3665,13 +3632,11 @@ def q_returning_share(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "day": pa.array((tms // 86_400_000).astype(np.int64)),
             "n": pa.array(np.ones(len(tms), np.int64)),
         })
-        g = t.group_by(["user_id", "day"]).aggregate([("n", "sum")])
-        return g.rename_columns(["user_id", "day", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -3717,15 +3682,12 @@ def q_stickiness(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         tms = ts_to_ms(batch["ts"]).to_numpy(zero_copy_only=False)
         day = (tms // 86_400_000).astype(np.int64)
-        t = pa.table({
+        return pa.table({
             "user_id": pc.cast(batch["user_id"], pa.int64()),
             "day": pa.array(day),
             "wk": pa.array(day // 7),
             "n": pa.array(np.ones(len(day), np.int64)),
         })
-        g = t.group_by(["user_id", "day", "wk"]).aggregate(
-            [("n", "sum")])
-        return g.rename_columns(["user_id", "day", "wk", "n"])
 
     census = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"),

@@ -167,12 +167,16 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
                 rows=None):
     """Hash-shard exchange: every row of a key reaches ONE ``kernel`` call.
 
-    Shape: per batch, the optional ``prepare`` (projection, cast, combiner,
-    extra group column) runs, then ``_shard = key_hash64(keys) %
-    NUM_SHARDS`` is appended; with ``coalesce`` the stream is first
-    repartitioned to :func:`fanin` blocks; then one sort-based
-    ``groupby([*by, "_shard"]).map_groups`` hands each group — the helper
-    columns dropped — to ``kernel(table) -> table``.  :data:`NUM_SHARDS`
+    Shape: per batch, the schema metadata is dropped (a pandas-written
+    Parquet file or a ``from_pandas`` block carries a ``b'pandas'`` entry,
+    and Ray's ``unify_schemas`` cannot hash a schema whose metadata holds
+    one, so it warns and unifies the slow way), the optional ``prepare``
+    (projection, cast, combiner, extra group column) runs, then
+    ``_shard = key_hash64(keys) % NUM_SHARDS`` is appended; with
+    ``coalesce`` the stream is first repartitioned to :func:`fanin`
+    blocks; then one sort-based ``groupby([*by, "_shard"]).map_groups``
+    hands each group — the helper columns dropped — to
+    ``kernel(table) -> table``.  :data:`NUM_SHARDS`
     is read here, on the driver, and rides into the batch closure.
 
     ``ds`` may be a list of Datasets of one schema — the tagged sides of a
@@ -246,6 +250,7 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
         rows = sum(d.count() for d in (first, *rest))
     if rows is not None and rows < SMALL_ROWS:
         def one_task(table: pa.Table) -> pa.Table:
+            table = table.replace_schema_metadata()
             if prepare is not None:
                 table = prepare(table)
             return _apply_by(table, by, kernel)
@@ -256,6 +261,7 @@ def shard_apply(ds, keys, kernel, *, prepare=None, by=(), coalesce=True,
     n_shards = np.uint64(NUM_SHARDS)
 
     def add_shard(batch: pa.Table) -> pa.Table:
+        batch = batch.replace_schema_metadata()
         if prepare is not None:
             batch = prepare(batch)
         shard = key_hash64(batch, keys) % n_shards

@@ -395,13 +395,10 @@ def pack_sequences(ds, seq_len: int, id_col: str = "doc_id",
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         ntok = batch["n_tok"].to_numpy(zero_copy_only=False).astype(np.int64)
         before = offsets[int(ids.min())] + np.cumsum(ntok) - ntok
-        seq = before // seq_len  # nondecreasing within the block
-        starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
-        counts = np.diff(np.r_[starts, len(seq)])
         return pa.table({
-            "seq_id": pa.array(seq[starts], pa.int64()),
-            "n_docs": pa.array(counts, pa.int64()),
-            "n_tokens": pa.array(np.add.reduceat(ntok, starts), pa.int64()),
+            "seq_id": pa.array(before // seq_len, pa.int64()),
+            "n_docs": pa.array(np.ones(len(ntok), np.int64)),
+            "n_tokens": pa.array(ntok, pa.int64()),
         })
 
     parts = pairs.map_batches(assign, batch_size=None, batch_format="pyarrow")

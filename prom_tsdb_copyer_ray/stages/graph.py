@@ -327,10 +327,8 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
     )
 
     def deg_partial(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(src, return_counts=True)
-        return pa.table({"node": pa.array(uniq),
-                         "deg": pa.array(cnt.astype(np.int64))})
+        return pa.table({"node": batch["src"],
+                         "deg": pa.array(np.ones(batch.num_rows, np.int64))})
 
     # collect degrees + node universe ONCE (ints only, O(nodes) — the same
     # bound CC's label state already accepts; at 10^9 nodes this moves to a
@@ -396,11 +394,8 @@ def pagerank_int(edges_ds, nodes_ds, node_col: str = "node",
             dst = batch["dst"].to_numpy(zero_copy_only=False)
             si = np.searchsorted(nodes_s, src)
             per_edge = (m[si] * 85 // 100) // np.maximum(deg_s[si], 1)
-            uniq, inv = np.unique(dst, return_inverse=True)
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inv, per_edge)
-            return pa.table({"node": pa.array(uniq),
-                             "recv": pa.array(sums)})
+            return pa.table({"node": pa.array(dst),
+                             "recv": pa.array(per_edge)})
 
         recv = sharded_grouped_agg(
             edges.map_batches(send, batch_format="pyarrow"),
@@ -465,9 +460,9 @@ def triangle_count(edges_ds, a_col: str = "a", b_col: str = "b") -> int:
     def deg_partial(batch: pa.Table) -> pa.Table:
         u = batch["u"].to_numpy(zero_copy_only=False)
         v = batch["v"].to_numpy(zero_copy_only=False)
-        node, cnt = np.unique(np.concatenate([u, v]), return_counts=True)
+        node = np.concatenate([u, v])
         return pa.table({"node": pa.array(node),
-                         "deg": pa.array(cnt.astype(np.int64))})
+                         "deg": pa.array(np.ones(len(node), np.int64))})
 
     deg_df = sharded_grouped_agg(
         edges.map_batches(deg_partial, batch_format="pyarrow"),
@@ -580,18 +575,17 @@ def group_star_edges_multi(ds, key_sets: list[list[str]],
         return pc.binary_join_element_wise(*cols, SEP)
 
     def partial(batch: pa.Table) -> pa.Table:
-        parts = []
-        for rel, keys in enumerate(key_sets):
-            t = pa.table({
+        ids = pc.cast(batch[id_col], pa.int64())
+        ones = pa.array(np.ones(batch.num_rows, np.int64))
+        return pa.concat_tables([
+            pa.table({
                 "rel": pa.array(np.full(batch.num_rows, rel, np.int64)),
                 "k": _keystr(batch, keys),
-                id_col: pc.cast(batch[id_col], pa.int64()),
+                "_gmin": ids,
+                "_gn": ones,
             })
-            g = t.group_by(["rel", "k"]).aggregate(
-                [(id_col, "min"), ([], "count_all")]
-            )
-            parts.append(g.rename_columns(["rel", "k", "_gmin", "_gn"]))
-        return pa.concat_tables(parts)
+            for rel, keys in enumerate(key_sets)
+        ])
 
     def keep_multi(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.greater(batch["_gn"], 1)).drop_columns("_gn")

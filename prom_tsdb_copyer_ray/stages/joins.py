@@ -384,9 +384,8 @@ def skew_aware_join(left_ds, right_ds, left_key: str, right_key: str,
     right_cols = list(right_cols or [])
 
     def count_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"_k": pa.array(_int_keys(batch, left_key))})
-        g = t.group_by(["_k"]).aggregate([([], "count_all")])
-        return g.rename_columns(["_k", "_n"])
+        k = _int_keys(batch, left_key)
+        return pa.table({"_k": pa.array(k), "_n": pa.array(np.ones(len(k), np.int64))})
 
     counts = sharded_grouped_agg(
         left_ds.select_columns([left_key]).map_batches(

@@ -6,6 +6,10 @@ combiner), then ONE hash-shard exchange, :func:`.common.shard_apply` — its
 docstring holds the partitioning and skew design — so a single vectorized
 task covers thousands of keys via segment boundaries after one sort.
 
+* :func:`sharded_grouped_agg` — the partial+final grouped aggregate
+  (sum / min / max): rows in, one row per key out.  It owns the per-batch
+  Arrow ``group_by`` combiner, so its callers only project the columns
+  its specs read; the other aggregates here compose on it.
 * :func:`topk_per_group` — top-k rows per key by a value column.  The
   per-batch partial top-k is a true combiner: only ``k`` rows per (key,
   batch) ever reach the shuffle.
@@ -137,65 +141,60 @@ def count_distinct_per_group(ds, key_cols: list[str], value_col: str,
                              out_col: str = "n_distinct"):
     """Exact COUNT(DISTINCT value) per key.
 
-    Scale shape: per-batch Arrow ``group_by`` collapses to distinct
-    (key, value) pairs (a true combiner), the single wide shuffle moves only
-    those pairs sharded by the PAIR hash (so a value seen in many batches
-    dedups globally inside one shard), each shard emits per-key partial
-    counts, and the final aggregate sums O(shards x keys) tiny rows.  For
-    approximate needs at extreme cardinality swap the shard stage for a
-    mergeable sketch; this operator is the exact path."""
-    cols = list(key_cols) + [value_col]
+    Scale shape: two :func:`sharded_grouped_agg` exchanges.  The first
+    dedups (key, value) pairs sharded by the PAIR hash (so a value seen in
+    many batches dedups globally inside one shard; its per-batch combiner
+    already drops in-batch repeats); the second sums a ones column per
+    key, its combiner collapsing each block of distinct pairs to per-key
+    counts first.  For approximate needs at extreme cardinality swap the
+    dedup for a mergeable sketch; this operator is the exact path."""
+    keys = list(key_cols)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def valid(batch: pa.Table) -> pa.Table:
         # SQL COUNT(DISTINCT) ignores NULL values
-        batch = batch.filter(pc.is_valid(batch[value_col]))
-        return batch.select(cols).group_by(cols).aggregate([])
+        return batch.filter(pc.is_valid(batch[value_col]))
 
-    def per_shard(group: pa.Table) -> pa.Table:
-        t = group.sort_by([(c, "ascending") for c in cols])
-        uniq = t.filter(pa.array(_segment_starts(t, cols)))
-        knew = _segment_starts(uniq, list(key_cols))
-        kstarts = np.flatnonzero(knew)
-        counts = np.diff(np.r_[kstarts, uniq.num_rows]).astype(np.int64)
-        out = uniq.select(list(key_cols)).take(pa.array(kstarts))
-        return out.append_column("n_partial", pa.array(counts, pa.int64()))
+    def ones(batch: pa.Table) -> pa.Table:
+        return batch.select(keys).append_column(
+            out_col, pa.array(np.ones(batch.num_rows, np.int64)))
 
-    def final_sum(group: pa.Table) -> pa.Table:
-        t = group.sort_by(
-            [(c, "ascending") for c in key_cols]
-        )
-        knew = _segment_starts(t, list(key_cols))
-        starts = np.flatnonzero(knew)
-        sums = np.add.reduceat(
-            t["n_partial"].to_numpy(zero_copy_only=False), starts
-        ).astype(np.int64)
-        out = t.select(list(key_cols)).take(pa.array(starts))
-        return out.append_column(out_col, pa.array(sums, pa.int64()))
-
-    # the final sum is sharded by KEY (segment sum), not a Ray per-key
-    # aggregate — key cardinality can be millions
-    partials = shard_apply(ds, cols, per_shard, prepare=partial, coalesce=False)
-    return shard_apply(partials, key_cols, final_sum, coalesce=False)
+    pairs = sharded_grouped_agg(ds.map_batches(valid, batch_format="pyarrow"),
+                                keys + [value_col], [])
+    return sharded_grouped_agg(pairs.map_batches(ones, batch_format="pyarrow"),
+                               keys, [(out_col, "sum")])
 
 
 _REDUCERS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
 def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]]):
-    """Final-stage aggregation over MANY keys: one hash-shard groupby with a
-    lexsort + ``reduceat`` per agg column, replacing Ray's per-key hash
-    aggregate (Python-level per-key cost — unusable at 1e5+ keys).
+    """Grouped aggregate over MANY keys, partial+final: rows in, one row
+    per key out, replacing Ray's per-key hash aggregate (Python-level
+    per-key cost — unusable at 1e5+ keys).
 
-    Input rows are per-batch PARTIAL aggregates (e.g. from a pyarrow
-    ``group_by`` combiner); ``agg_specs`` is ``[(col, fn)]`` with fn in
-    {"sum", "min", "max"}.  Output: key cols + agg cols, same names.
+    ``agg_specs`` is ``[(col, fn)]`` with fn in {"sum", "min", "max"};
+    output: key cols + agg cols, same names.  Each batch is first combined
+    by an Arrow ``group_by(key_cols).aggregate(agg_specs)`` (the partial:
+    at most one row per key and batch crosses the exchange; nulls are
+    skipped, as in SQL), then one hash-shard exchange merges the partials
+    with a lexsort + ``reduceat`` per agg column — sum, min and max are
+    their own combiners.  Columns outside the keys and specs are dropped
+    by the partial, so a caller only projects what the specs read (a
+    ``COUNT(*)`` is a ones column summed; a key dedup is an empty spec).
     Exactness note: float sums are re-associated — use integer-valued or
     pre-scaled columns when bit-exact results matter."""
+    key_cols = list(key_cols)
+    agg_specs = list(agg_specs)
+    spec_col = {f"{col}_{fn}": col for col, fn in agg_specs}
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(key_cols).aggregate(agg_specs)
+        return g.rename_columns([spec_col.get(c, c) for c in g.column_names])
 
     def per_shard(group: pa.Table) -> pa.Table:
         t = group.sort_by([(c, "ascending") for c in key_cols])
-        starts = np.flatnonzero(_segment_starts(t, list(key_cols)))
-        out = t.select(list(key_cols)).take(pa.array(starts))
+        starts = np.flatnonzero(_segment_starts(t, key_cols))
+        out = t.select(key_cols).take(pa.array(starts))
         for col, fn in agg_specs:
             vals = t[col].to_numpy(zero_copy_only=False)
             out = out.append_column(
@@ -203,33 +202,24 @@ def sharded_grouped_agg(ds, key_cols: list[str], agg_specs: list[tuple[str, str]
             )
         return out
 
-    return shard_apply(ds, key_cols, per_shard)
+    return shard_apply(ds, key_cols, per_shard, prepare=partial)
 
 
 def mode_per_group(ds, key_cols: list[str], value_col: str,
                    count_col: str = "n"):
     """Most frequent value per key (deterministic: ties break to the
-    smallest value).  Composition: per-batch Arrow ``group_by`` count
-    (combiner), hash-shard segment-sum over (key, value), then the
-    :func:`topk_per_group` kernel with k=1 ordered by (count desc, value
-    asc).  Two narrow shuffles; no per-key Python."""
+    smallest value).  Composition: a :func:`sharded_grouped_agg` count
+    over (key, value), then the :func:`topk_per_group` kernel with k=1
+    ordered by (count desc, value asc).  Two narrow shuffles; no per-key
+    Python."""
     cols = list(key_cols) + [value_col]
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(cols).group_by(cols).aggregate([([], "count_all")])
-        return t.rename_columns(cols + [count_col])
+    def ones(batch: pa.Table) -> pa.Table:
+        return batch.select(cols).append_column(
+            count_col, pa.array(np.ones(batch.num_rows, np.int64)))
 
-    def shard_sum(group: pa.Table) -> pa.Table:
-        t = group.sort_by([(c, "ascending") for c in cols])
-        new = _segment_starts(t, cols)
-        starts = np.flatnonzero(new)
-        sums = np.add.reduceat(
-            t[count_col].to_numpy(zero_copy_only=False), starts
-        ).astype(np.int64)
-        out = t.select(cols).take(pa.array(starts))
-        return out.append_column(count_col, pa.array(sums, pa.int64()))
-
-    counts = shard_apply(ds, cols, shard_sum, prepare=partial, coalesce=False)
+    counts = sharded_grouped_agg(ds.map_batches(ones, batch_format="pyarrow"),
+                                 cols, [(count_col, "sum")])
     return topk_per_group(counts, list(key_cols), count_col, 1,
                           tiebreak_col=value_col)
 
@@ -337,10 +327,10 @@ def pivot_counts(ds, key_cols: list[str], cat_col: str, categories: list[str],
     reference's closed value-type switch (copyer.go:108-127) where the
     handled kinds are enumerated up front.
 
-    Scale shape: a per-batch Arrow ``group_by`` over (key, cat) collapses
-    the batch to at most ``keys_in_batch`` WIDE partial rows (the category
-    axis is folded into fixed columns before the exchange), then one
-    :func:`sharded_grouped_agg` segment-sum merges partials — so the
+    Scale shape: each row becomes one WIDE one-hot row (the category axis
+    is folded into fixed columns before the exchange), and
+    :func:`sharded_grouped_agg`'s per-batch combiner collapses a batch to
+    at most ``keys_in_batch`` of them before its one exchange — so the
     shuffle moves ``O(distinct keys x len(categories))`` cells, never the
     events, and no stage is per-key Python.  ``len(categories)`` must be
     small (it is the output schema width); high-cardinality pivots should
@@ -350,39 +340,25 @@ def pivot_counts(ds, key_cols: list[str], cat_col: str, categories: list[str],
     cat_arr = pa.array(cats, pa.string())
     n_names = [f"n_{c}" for c in cats]
     v_names = [f"v_{c}" for c in cats] if value_col is not None else []
-    sel = list(key_cols) + [cat_col] + ([value_col] if value_col else [])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select(sel)
-        aggs = [([], "count_all")]
-        if value_col is not None:
-            aggs.append((value_col, "sum"))
-        g = t.group_by(list(key_cols) + [cat_col]).aggregate(aggs)
-        mask = pc.is_valid(pc.index_in(g[cat_col], value_set=cat_arr))
-        g = g.filter(mask).sort_by([(c, "ascending") for c in key_cols])
-        ci = pc.index_in(g[cat_col], value_set=cat_arr).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        new = _segment_starts(g, list(key_cols))
-        starts = np.flatnonzero(new)
-        row = np.cumsum(new) - 1
-        nk = len(starts)
-        out = g.select(list(key_cols)).take(pa.array(starts))
-        cmat = np.zeros((nk, len(cats)), dtype=np.int64)
-        cmat[row, ci] = g["count_all"].to_numpy(zero_copy_only=False)
+    def one_hot(batch: pa.Table) -> pa.Table:
+        ci = pc.index_in(batch[cat_col], value_set=cat_arr)
+        known = pc.is_valid(ci)
+        t = batch.filter(known)
+        hit = (ci.filter(known).to_numpy(zero_copy_only=False)[:, None]
+               == np.arange(len(cats)))
+        cols = {k: t[k] for k in key_cols}
         for j, name in enumerate(n_names):
-            out = out.append_column(name, pa.array(cmat[:, j]))
+            cols[name] = pa.array(hit[:, j].astype(np.int64))
         if value_col is not None:
-            vmat = np.zeros((nk, len(cats)), dtype=np.float64)
-            vs = g[f"{value_col}_sum"].to_numpy(zero_copy_only=False)
-            vmat[row, ci] = np.nan_to_num(vs, nan=0.0)
+            v = pc.cast(t[value_col], pa.float64()).to_numpy(zero_copy_only=False)
+            v = np.nan_to_num(v, nan=0.0)
             for j, name in enumerate(v_names):
-                out = out.append_column(name, pa.array(vmat[:, j]))
-        return out
+                cols[name] = pa.array(np.where(hit[:, j], v, 0.0))
+        return pa.table(cols)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    specs = [(c, "sum") for c in n_names + v_names]
-    return sharded_grouped_agg(partials, list(key_cols), specs)
+    return sharded_grouped_agg(ds.map_batches(one_hot, batch_format="pyarrow"),
+                               list(key_cols), [(c, "sum") for c in n_names + v_names])
 
 
 def group_linear_trend(ds, key_cols: list[str], x_col: str, y_col: str,
@@ -406,9 +382,9 @@ def group_linear_trend(ds, key_cols: list[str], x_col: str, y_col: str,
     all x equal) are dropped, like the reference's empty-series skip
     (copyer.go:142-145).
 
-    Scale shape: a per-batch Arrow ``group_by`` collapses each batch to
-    one 5-int row per key (classic partial+final combiner), the exchange
-    moves O(keys) rows, and the merge is :func:`sharded_grouped_agg`.
+    Scale shape: five int columns per row into :func:`sharded_grouped_agg`,
+    whose per-batch combiner collapses each batch to one row per key, so
+    the exchange moves O(keys) rows.
     Overflow bound (documented, not checked): ``n * Sxx`` must stay under
     2^63 — center x near 0 (subtract a fixed epoch origin) before calling.
     """
@@ -417,17 +393,13 @@ def group_linear_trend(ds, key_cols: list[str], x_col: str, y_col: str,
     def partial(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch[x_col], pa.int64())
         y = pc.cast(batch[y_col], pa.int64())
-        t = pa.table(
+        return pa.table(
             {**{k: batch[k] for k in keys},
              "_n": pa.array(np.ones(batch.num_rows, np.int64)),
              "_sx": x, "_sy": y,
              "_sxy": pc.multiply_checked(x, y),
              "_sxx": pc.multiply_checked(x, x)}
         )
-        g = t.group_by(keys).aggregate(
-            [(c, "sum") for c in ("_n", "_sx", "_sy", "_sxy", "_sxx")]
-        )
-        return g.rename_columns(keys + ["_n", "_sx", "_sy", "_sxy", "_sxx"])
 
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
@@ -467,11 +439,10 @@ def grouped_corr(ds, key_cols: list[str], x_col: str, y_col: str,
     ops).  Keys with zero variance in either column are dropped (SQL corr
     returns NULL there).
 
-    Scale shape: per-batch Arrow ``group_by`` collapses each batch to one
-    6-int row per key; the exchange moves O(keys) rows into
-    :func:`sharded_grouped_agg`.  Overflow bound (documented, not checked):
-    ``n * Sxx`` and ``n * Syy`` must stay under 2^63 — center/pre-scale
-    accordingly.
+    Scale shape: six int columns per row into :func:`sharded_grouped_agg`
+    (one row per key and batch crosses its exchange).  Overflow bound
+    (documented, not checked): ``n * Sxx`` and ``n * Syy`` must stay under
+    2^63 — center/pre-scale accordingly.
     """
     keys = list(key_cols)
     stats = ("_n", "_sx", "_sy", "_sxy", "_sxx", "_syy")
@@ -479,7 +450,7 @@ def grouped_corr(ds, key_cols: list[str], x_col: str, y_col: str,
     def partial(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch[x_col], pa.int64())
         y = pc.cast(batch[y_col], pa.int64())
-        t = pa.table(
+        return pa.table(
             {**{k: batch[k] for k in keys},
              "_n": pa.array(np.ones(batch.num_rows, np.int64)),
              "_sx": x, "_sy": y,
@@ -487,8 +458,6 @@ def grouped_corr(ds, key_cols: list[str], x_col: str, y_col: str,
              "_sxx": pc.multiply_checked(x, x),
              "_syy": pc.multiply_checked(y, y)}
         )
-        g = t.group_by(keys).aggregate([(c, "sum") for c in stats])
-        return g.rename_columns(keys + list(stats))
 
     merged = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
@@ -798,45 +767,28 @@ def grouping_sets_agg(ds, dim_cols: list[str], sets: list[list[str]],
     ``agg_specs`` is ``[(src_col, fn, out_name)]`` with fn in {"count",
     "sum", "min", "max"} (src_col ignored for "count").
 
-    Scale shape: each batch is grouped ONCE at the finest grain (the union
-    of all sets), then each coarser set re-aggregates that tiny partial —
-    so the data is scanned once and the exchange carries
-    O(keys x len(sets)) partial rows, merged by one
-    :func:`sharded_grouped_agg`.  The classic alternative — one groupby
-    per set — scans (or shuffles) the dataset len(sets) times.
+    Scale shape: each row is emitted once per set (absent dims filled) into
+    ONE :func:`sharded_grouped_agg`, whose per-batch combiner collapses
+    them — so the data is scanned once and the exchange carries
+    O(keys x len(sets)) partial rows.  The classic alternative — one
+    groupby per set — scans (or shuffles) the dataset len(sets) times.
     """
     dims = list(dim_cols)
-    finest = [c for c in dims if any(c in s for s in sets)]
     merge_fn = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
 
-    def partial(batch: pa.Table) -> pa.Table:
-        aggs, names = [], []
-        for src, fn, out in agg_specs:
-            if fn == "count":
-                aggs.append(([], "count_all"))
-            else:
-                aggs.append((src, fn))
-            names.append(out)
-        g = batch.group_by(finest).aggregate(aggs)
-        g = g.rename_columns(finest + names)
-        pieces = []
-        for s in sets:
-            sub_aggs = [(out, merge_fn[fn]) for (_, fn, out) in agg_specs]
-            gg = g.group_by(list(s)).aggregate(sub_aggs)
-            gg = gg.rename_columns(list(s) + names)
-            cols = {}
-            for d in dims:
-                if d in s:
-                    cols[d] = pc.cast(gg[d], pa.string())
-                else:
-                    cols[d] = pa.array([fill] * gg.num_rows, pa.string())
-            for nm in names:
-                cols[nm] = gg[nm]
-            pieces.append(pa.table(cols))
-        return pa.concat_tables(pieces)
+    def expand(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        vals = {out: pa.array(np.ones(n, np.int64)) if fn == "count" else batch[src]
+                for src, fn, out in agg_specs}
+        dim_strs = {d: pc.cast(batch[d], pa.string()) for d in dims}
+        filled = pa.repeat(pa.scalar(fill, pa.string()), n)
+        return pa.concat_tables([
+            pa.table({**{d: dim_strs[d] if d in s else filled for d in dims}, **vals})
+            for s in sets
+        ])
 
     return sharded_grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"), dims,
+        ds.map_batches(expand, batch_format="pyarrow"), dims,
         [(out, merge_fn[fn]) for (_, fn, out) in agg_specs],
     )
 
@@ -894,8 +846,8 @@ def ratio_to_total(ds, key_cols: list[str], value_col: str,
                    out_col: str = "share"):
     """Ratio-to-report: ``v / sum(v) OVER (PARTITION BY key)`` — each row's
     share of its group total.  Two passes like
-    :func:`standardize_per_group`: exact int64 group sums (per-batch
-    combiner + sharded merge) broadcast once via ``ray.put``, then a
+    :func:`standardize_per_group`: exact int64 group sums
+    (:func:`sharded_grouped_agg`) broadcast once via ``ray.put``, then a
     SHUFFLE-FREE vectorized divide (sorted-key-hash searchsorted gather).
     ``value_col`` must be integer; zero-total groups are dropped (SQL:
     division by 0 -> engine-dependent; both sides filter them)."""
@@ -906,9 +858,7 @@ def ratio_to_total(ds, key_cols: list[str], value_col: str,
 
     def partial(batch: pa.Table) -> pa.Table:
         y = pc.cast(batch[value_col], pa.int64())
-        t = pa.table({**{k: batch[k] for k in keys}, "_sy": y})
-        g = t.group_by(keys).aggregate([("_sy", "sum")])
-        return g.rename_columns(keys + ["_sy"])
+        return pa.table({**{k: batch[k] for k in keys}, "_sy": y})
 
     stats = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,
@@ -944,7 +894,7 @@ def standardize_per_group(ds, key_cols: list[str], value_col: str,
     """Per-group z-score standardization (feature normalization):
     ``z = (v - mean) / stddev_pop`` per key, computed in TWO passes —
     pass 1 reduces each key to exact int64 sufficient statistics (n, Sy,
-    Syy) via a per-batch combiner + :func:`sharded_grouped_agg`; the tiny
+    Syy) via :func:`sharded_grouped_agg`; the tiny
     per-key stats table returns to the driver, is broadcast once with
     ``ray.put``, and pass 2 is a shuffle-free vectorized transform
     (sorted-key-hash ``searchsorted`` gather + float math mirrored
@@ -963,11 +913,9 @@ def standardize_per_group(ds, key_cols: list[str], value_col: str,
 
     def partial(batch: pa.Table) -> pa.Table:
         y = pc.cast(batch[value_col], pa.int64())
-        t = pa.table({**{k: batch[k] for k in keys},
-                      "_n": pa.array(np.ones(batch.num_rows, np.int64)),
-                      "_sy": y, "_syy": pc.multiply_checked(y, y)})
-        g = t.group_by(keys).aggregate([(c, "sum") for c in ("_n", "_sy", "_syy")])
-        return g.rename_columns(keys + ["_n", "_sy", "_syy"])
+        return pa.table({**{k: batch[k] for k in keys},
+                         "_n": pa.array(np.ones(batch.num_rows, np.int64)),
+                         "_sy": y, "_syy": pc.multiply_checked(y, y)})
 
     stats = sharded_grouped_agg(
         ds.map_batches(partial, batch_format="pyarrow"), keys,

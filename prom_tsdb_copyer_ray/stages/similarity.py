@@ -699,13 +699,11 @@ def pq_code_counts(ds, n_sub: int = 4, k: int = 8,
             subs.append(np.full(n, s, np.int64))
             codes.append(c)
             ones.append(np.ones(n, np.int64))
-        t = pa.table({
+        return pa.table({
             "subspace": pa.array(np.concatenate(subs)),
             "code": pa.array(np.concatenate(codes)),
             "n_vecs": pa.array(np.concatenate(ones)),
         })
-        g = t.group_by(["subspace", "code"]).aggregate([("n_vecs", "sum")])
-        return g.rename_columns(["subspace", "code", "n_vecs"])
 
     from .keyed import sharded_grouped_agg
 

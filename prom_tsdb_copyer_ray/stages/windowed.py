@@ -511,10 +511,9 @@ def watermark_window_counts(ds, id_col: str, ts_col: str, key_cols: list[str],
         keep = (run == np.iinfo(np.int64).min) | (tms >= run - lateness_ms)
         kept = batch.filter(pa.array(keep))
         w = (kept["_tms"].to_numpy(zero_copy_only=False) // window_ms) * window_ms
-        t = pa.table({**{k: kept[k] for k in keys},
-                      "window_start": pa.array(w, pa.int64())})
-        g = t.group_by(keys + ["window_start"]).aggregate([([], "count_all")])
-        return g.rename_columns(keys + ["window_start", out_count])
+        return pa.table({**{k: kept[k] for k in keys},
+                         "window_start": pa.array(w, pa.int64()),
+                         out_count: pa.array(np.ones(len(w), np.int64))})
 
     parts = pairs.map_batches(count_kept, batch_size=None, batch_format="pyarrow")
     return sharded_grouped_agg(parts, keys + ["window_start"],

@@ -83,3 +83,85 @@ def test_int_key_hash_fills_nulls():
         h = key_hash64(t, ["k"])
     assert h.dtype == np.uint64
     assert h[0] == h[1] == h[3] and h[2] != h[0]
+
+
+@pytest.mark.parametrize("path", ["exchange", "single_task"])
+def test_each_batch_is_combined_before_the_exchange(ray_session, monkeypatch, path):
+    """Many blocks that repeat a few keys: ``sharded_grouped_agg`` combines
+    each block itself, so with one shard the single kernel call of the
+    exchange receives at most (distinct keys x input blocks) rows, not the
+    raw rows; both paths give the pandas rows."""
+    import ray
+
+    from prom_tsdb_copyer_ray.stages import common, keyed
+
+    n_blocks, rows_per_block = 12, 200
+    rng = np.random.default_rng(11)
+    blocks = []
+    for _ in range(n_blocks):
+        k = rng.integers(0, 4, rows_per_block)
+        v = rng.integers(-50, 50, rows_per_block)
+        blocks.append(pa.table({
+            # no null keys here: pyarrow 16's multi-key group_by can split
+            # a null string key into several groups (still merged after
+            # the exchange, but not bounded by the distinct keys)
+            "s": pa.array([f"t{x}" for x in k], pa.string()),
+            "k": pa.array(k % 2, pa.int64()),
+            "v": pa.array(v, pa.int64()),
+            "lo": pa.array(v, pa.int64()),
+            "hi": pa.array(v, pa.int64()),
+            "x": pa.array(rng.integers(0, 8, rows_per_block) * 0.5, pa.float64()),
+        }))
+    n_keys = len(pa.concat_tables(blocks).to_pandas().groupby(KEYS))
+
+    real = keyed.shard_apply
+
+    def spy(ds, keys, kernel, **kw):
+        def counted(t: pa.Table) -> pa.Table:
+            out = kernel(t)
+            return out.append_column(
+                "_in_rows", pa.array([t.num_rows] * out.num_rows, pa.int64()))
+
+        return real(ds, keys, counted, **kw)
+
+    monkeypatch.setattr(keyed, "shard_apply", spy)
+    monkeypatch.setattr(common, "NUM_SHARDS", 1)
+    if path == "exchange":
+        monkeypatch.setattr(common, "SMALL_ROWS", 0)
+        ds = ray.data.from_arrow(blocks)
+    else:
+        ds = ray.data.from_arrow(blocks).materialize()
+    assert ds.num_blocks() == n_blocks
+
+    got = pa.concat_tables(
+        [t for t in ray.get(keyed.sharded_grouped_agg(ds, KEYS, SPECS).to_arrow_refs())
+         if t.num_rows]).to_pandas()
+    want = (pa.concat_tables(blocks).to_pandas()
+            .groupby(KEYS, dropna=False, sort=False)
+            .agg(v=("v", "sum"), lo=("lo", "min"), hi=("hi", "max"),
+                 x=("x", "sum"))
+            .reset_index())
+    pd.testing.assert_frame_equal(_sorted(got.drop(columns="_in_rows")),
+                                  _sorted(want), check_dtype=False)
+    in_rows = got["_in_rows"].max()
+    assert in_rows <= n_keys * (n_blocks if path == "exchange" else 1)
+    assert in_rows < n_blocks * rows_per_block
+
+
+def test_exchange_drops_pandas_schema_metadata(ray_session, monkeypatch):
+    """A ``from_pandas`` block carries ``b'pandas'`` schema metadata, which
+    Ray's schema unification cannot hash; the exchange drops it, so no
+    output block carries metadata."""
+    import ray
+
+    from prom_tsdb_copyer_ray.stages import common
+    from prom_tsdb_copyer_ray.stages.keyed import sharded_grouped_agg
+
+    monkeypatch.setattr(common, "SMALL_ROWS", 0)
+    df = pa.concat_tables(_blocks()).to_pandas()
+    ds = ray.data.from_pandas([df.iloc[:60], df.iloc[60:]])
+    assert all(b"pandas" in ray.get(r).schema.metadata for r in ds.to_arrow_refs())
+
+    out = [ray.get(r) for r in sharded_grouped_agg(ds, KEYS, SPECS).to_arrow_refs()]
+    assert sum(t.num_rows for t in out) > 0
+    assert all(t.schema.metadata is None for t in out)

@@ -156,6 +156,93 @@ def test_every_exchange_runs_through_shard_apply():
     assert not found, found
 
 
+# Dataset methods that pass their receiver's rows (and their arguments'
+# rows) through: a batch function upstream of one of them still feeds
+# the exchange.  Any other call (a read, an exchange) ends the chain.
+_ROW_PASSING = {"map_batches", "union", "filter", "materialize", "repartition",
+                "limit", "select_columns", "drop_columns", "rename_columns"}
+
+
+def _batch_fns_feeding(expr, defs, assigns):
+    """Function defs and lambdas that a Dataset expression runs per batch:
+    ``map_batches`` arguments along its chain of row-passing calls,
+    through variables assigned in an enclosing scope."""
+    import ast
+
+    out, todo, seen = [], [expr], set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            if node.id not in seen:
+                seen.add(node.id)
+                todo.extend(assigns.get(node.id, []))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _ROW_PASSING):
+            todo.append(node.func.value)
+            if node.func.attr == "map_batches" and node.args:
+                for n in ast.walk(node.args[0]):
+                    if isinstance(n, ast.Lambda):
+                        out.append(n)
+                    elif isinstance(n, ast.Name) and n.id in defs:
+                        out.append(defs[n.id])
+            else:
+                todo.extend(node.args)
+    return out
+
+
+def test_no_batch_function_feeding_sharded_grouped_agg_groups():
+    """``sharded_grouped_agg`` combines each batch itself (an Arrow
+    ``group_by`` before its exchange), so a batch function feeding it only
+    projects: one that calls ``.group_by(`` is a second, hand-written
+    combiner of the same partial."""
+    import ast
+    import pathlib
+
+    import prom_tsdb_copyer_ray
+
+    def own(scope):
+        """Nodes of ``scope``'s own body, nested function bodies excluded."""
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            n = todo.pop()
+            yield n
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                todo.extend(ast.iter_child_nodes(n))
+
+    root = pathlib.Path(prom_tsdb_copyer_ray.__file__).parent
+    found, n_calls = [], 0
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for call in ast.walk(tree):
+            f = getattr(call, "func", None)
+            if not (isinstance(call, ast.Call) and call.args
+                    and getattr(f, "id", getattr(f, "attr", None)) == "sharded_grouped_agg"):
+                continue
+            n_calls += 1
+            scopes, p = [], parent.get(call)
+            while p is not None:
+                if isinstance(p, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                    scopes.append(p)
+                p = parent.get(p)
+            defs, assigns = {}, {}
+            for scope in reversed(scopes):  # inner scopes shadow outer ones
+                for n in own(scope):
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[n.name] = n
+                    elif isinstance(n, ast.Assign):
+                        for tgt in n.targets:
+                            if isinstance(tgt, ast.Name):
+                                assigns.setdefault(tgt.id, []).append(n.value)
+            for fn in _batch_fns_feeding(call.args[0], defs, assigns):
+                if any(isinstance(n, ast.Attribute) and n.attr == "group_by"
+                       for n in ast.walk(fn)):
+                    found.append(f"{path.relative_to(root)}:{call.lineno} <- "
+                                 f"{getattr(fn, 'name', 'lambda')}:{fn.lineno}")
+    assert n_calls > 100  # the scan sees the battery's calls
+    assert not found, found
+
+
 @pytest.mark.parametrize("by", [(), ("_b",)])
 def test_small_materialized_input_runs_one_task(ray_session, by):
     """A materialized input under ``SMALL_ROWS`` skips the exchange: one
